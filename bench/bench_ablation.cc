@@ -222,33 +222,6 @@ void BM_CsvLineByLineReader(benchmark::State& state) {
 }
 BENCHMARK(BM_CsvLineByLineReader);
 
-// ------------------------------------------- §6.3 two-phase aggregation
-
-void RunAggregation(bool partial, benchmark::State& state) {
-  exec::SessionConfig config;
-  config.target_partitions = 4;
-  config.enable_partial_aggregation = partial;
-  auto ctx = core::SessionContext::Make(config);
-  auto table = catalog::FpqTable::Open({AblationFpqPath()}).ValueOrDie();
-  ctx->RegisterTable("abl", table).Abort();
-  for (auto _ : state) {
-    auto result = ctx->ExecuteSql(
-        "SELECT tag, count(*), sum(value) FROM abl GROUP BY tag");
-    if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
-    benchmark::DoNotOptimize(result);
-  }
-}
-
-void BM_TwoPhaseAggregation(benchmark::State& state) {
-  RunAggregation(true, state);
-}
-BENCHMARK(BM_TwoPhaseAggregation);
-
-void BM_SinglePhaseAggregation(benchmark::State& state) {
-  RunAggregation(false, state);
-}
-BENCHMARK(BM_SinglePhaseAggregation);
-
 }  // namespace
 }  // namespace bench
 }  // namespace fusion

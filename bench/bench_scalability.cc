@@ -63,16 +63,13 @@ int main(int argc, char** argv) {
   std::printf("query,threads,seconds\n");
   for (int threads : thread_counts) {
     // A fresh scheduler sized to the thread count drives the partition
-    // tasks; sizing only the legacy thread pool would leave every sweep
-    // point running on the process-default scheduler width.
+    // tasks, so every sweep point runs at its own width.
     exec::SessionConfig config;
     config.target_partitions = threads;
     auto env_rt = std::make_shared<exec::RuntimeEnv>();
     // Scaling of decode + execution is the subject here; the serving
     // buffer cache would turn the repeated runs into memory reads.
     env_rt->buffer_cache = nullptr;
-    auto pool = std::make_unique<ThreadPool>(threads);
-    env_rt->thread_pool = pool.get();
     env_rt->query_scheduler = std::make_shared<exec::QueryScheduler>(threads);
     auto ctx = core::SessionContext::Make(config, env_rt);
     if (!RegisterHits(ctx.get(), nullptr, *paths).ok()) return 1;

@@ -27,8 +27,8 @@ class GroupTable {
 
   /// Map every row of `key_columns` to a dense group id, inserting
   /// unseen keys. `hashes` is the per-row output of HashColumns over
-  /// the same columns (the caller usually already has it for
-  /// repartitioning); `group_ids` is resized to the row count.
+  /// the same columns (the caller usually already has it for radix
+  /// routing); `group_ids` is resized to the row count.
   Status MapBatch(const std::vector<ArrayPtr>& key_columns,
                   const std::vector<uint64_t>& hashes,
                   std::vector<uint32_t>* group_ids);
@@ -74,10 +74,10 @@ class GroupTable {
   };
 
   /// Slot index for a hash: multiplicative (Fibonacci) spread of the
-  /// high bits, deliberately independent of RepartitionExec's modulo
-  /// routing on the same hashes — a final-phase aggregate sees keys
-  /// filtered to one hash residue class, and indexing by the same bits
-  /// would cluster them into a fraction of the slots.
+  /// full hash, deliberately independent of RadixBucket's range of the
+  /// high bits — a merge partition sees only one bucket's hashes, and
+  /// indexing by those bits alone would cluster them into a fraction of
+  /// the slots.
   size_t SlotFor(uint64_t hash) const {
     return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ULL) >> shift_) &
            (capacity_ - 1);

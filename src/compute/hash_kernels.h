@@ -12,8 +12,8 @@ namespace fusion {
 namespace compute {
 
 /// \brief Vectorized hashing of one or more key columns into a single
-/// uint64 hash per row (the basis of hash join / hash aggregation /
-/// hash repartitioning, cf. §6.3-§6.4 of the paper).
+/// uint64 hash per row (the basis of hash join / hash aggregation and
+/// its radix-partitioned merge, cf. §6.3-§6.4 of the paper).
 ///
 /// Hashes are combined column-by-column so multi-column keys hash in one
 /// pass per column (cache-friendly columnar access).

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "common/fault_injector.h"
-#include "common/thread_pool.h"
 #include "exec/buffer_cache.h"
 #include "exec/cache_manager.h"
 #include "exec/disk_manager.h"
@@ -47,8 +46,6 @@ struct RuntimeEnv {
   BufferCachePtr buffer_cache = BufferCache::Default();
   /// Counters bumped by the session's plan cache (see PlanCacheStats).
   PlanCacheStatsPtr plan_cache_stats = std::make_shared<PlanCacheStats>();
-  /// Worker pool for partitioned execution; null = process default.
-  ThreadPool* thread_pool = nullptr;
   /// The shared query scheduler all parallel work (top-level partition
   /// drivers and exchange producers) runs on; null = process default.
   /// Swap in a dedicated QueryScheduler to bound or isolate a session.
@@ -58,9 +55,6 @@ struct RuntimeEnv {
   /// global; this member surfaces it for introspection and tests.
   FaultInjectorPtr fault_injector = FaultInjector::Current();
 
-  ThreadPool* pool() const {
-    return thread_pool != nullptr ? thread_pool : ThreadPool::Default();
-  }
   QueryScheduler* scheduler() const {
     return query_scheduler != nullptr ? query_scheduler.get()
                                       : QueryScheduler::Default();
@@ -128,10 +122,10 @@ inline std::string DefaultRuntimeFilterMode() {
 struct SessionConfig {
   /// Target rows per batch flowing between Streams.
   int64_t batch_size = 8192;
-  /// Parallelism: number of partitions planned for repartitioning
-  /// operators (DataFusion's `target_partitions`). Parallel by default;
-  /// the TIE baseline stays pinned at one partition so the paper's
-  /// single-threaded architectural comparison is preserved.
+  /// Parallelism: number of partitions scans split into and hash
+  /// aggregates merge into (DataFusion's `target_partitions`). Parallel
+  /// by default; the TIE baseline stays pinned at one partition so the
+  /// paper's single-threaded architectural comparison is preserved.
   int target_partitions = DefaultTargetPartitions();
   /// Memory budget for pipeline breakers before spilling (0 = unbounded).
   int64_t memory_limit = 0;
@@ -147,15 +141,9 @@ struct SessionConfig {
   bool enable_predicate_pushdown = true;
   bool enable_late_materialization = true;
   bool enable_topk = true;
-  bool enable_partial_aggregation = true;
   /// Use the streaming symmetric hash join for inner equi joins
   /// (both inputs stream; paper §6.4).
   bool enable_symmetric_hash_join = false;
-  /// Grouped two-phase aggregations merge thread-local GroupTable state
-  /// through a radix partition of the stored key hashes instead of a
-  /// row-level hash repartition exchange (ablation switch; off falls
-  /// back to partial -> RepartitionExec -> final).
-  bool enable_partitioned_aggregation = true;
   /// Multi-partition scans hand out row-group/batch morsels from a
   /// shared queue instead of static per-partition splits, so skewed
   /// splits stop serializing the pipeline.

@@ -264,6 +264,10 @@ QueryScheduler::QueryScheduler(int num_workers) {
 }
 
 QueryScheduler::~QueryScheduler() {
+  // Released only after mu_ is unlocked: dropping a group's last
+  // reference runs ~TaskGroup, whose Finish() locks mu_.
+  std::vector<TaskGroupPtr> groups;
+  std::vector<TaskCtlPtr> discarded;
   {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
@@ -273,22 +277,26 @@ QueryScheduler::~QueryScheduler() {
     // in Finish()/RunAll waits for outstanding_ to reach zero and would
     // otherwise hang forever.
     for (auto& weak : run_queue_) {
-      if (auto group = weak.lock()) {
-        if (!group->ready_.empty() && group->first_error_.ok()) {
-          group->first_error_ = Status::Cancelled("scheduler shut down");
-        }
-        for (auto& ctl : group->ready_) {
-          ctl->state.store(TaskCtl::kDone, std::memory_order_release);
-          ctl->poll = nullptr;
-          --group->outstanding_;
-        }
-        group->ready_.clear();
-        group->in_run_queue_ = false;
+      auto group = weak.lock();
+      if (group == nullptr) continue;
+      if (!group->ready_.empty() && group->first_error_.ok()) {
+        group->first_error_ = Status::Cancelled("scheduler shut down");
       }
+      for (auto& ctl : group->ready_) {
+        ctl->state.store(TaskCtl::kDone, std::memory_order_release);
+        --group->outstanding_;
+        discarded.push_back(std::move(ctl));
+      }
+      group->ready_.clear();
+      group->in_run_queue_ = false;
+      groups.push_back(std::move(group));
     }
     run_queue_.clear();
     ready_count_ = 0;
   }
+  for (auto& ctl : discarded) ctl->poll = nullptr;
+  discarded.clear();
+  groups.clear();
   cv_work_.notify_all();
   BumpEpoch();  // wake Finish()/RunAll helpers sleeping in WaitEpoch
   for (auto& worker : workers_) worker.join();
@@ -306,6 +314,9 @@ uint64_t TaskGroup::NextHelpGen() {
 void QueryScheduler::WorkerLoop() {
   for (;;) {
     TaskCtlPtr ctl;
+    // Groups locked from stale run-queue entries are released after mu_
+    // is unlocked: one may be the last reference (see ~QueryScheduler).
+    std::vector<TaskGroupPtr> stale;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_work_.wait(lock, [this] { return shutdown_ || ready_count_ > 0; });
@@ -319,6 +330,7 @@ void QueryScheduler::WorkerLoop() {
         if (group == nullptr) continue;  // query finished; stale entry
         if (group->ready_.empty()) {
           group->in_run_queue_ = false;
+          stale.push_back(std::move(group));
           continue;
         }
         ctl = std::move(group->ready_.front());

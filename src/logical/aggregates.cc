@@ -1,8 +1,11 @@
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "arrow/builder.h"
+#include "common/hash_util.h"
+#include "compute/group_table.h"
+#include "compute/hash_kernels.h"
+#include "compute/selection.h"
 #include "logical/functions.h"
 
 namespace fusion {
@@ -802,21 +805,48 @@ class MedianAccumulator : public GroupedAccumulator {
 
 // ---------------------------------------------------------- COUNT DISTINCT
 
-/// Exact distinct count via per-group sets of encoded values.
+/// Exact distinct count: one GroupTable over (group id, value) pairs. A
+/// value counts toward its group when its pair is first inserted, so
+/// values compare the way group keys do (-0.0 equals 0.0, NaNs are one
+/// value).
 class CountDistinctAccumulator : public GroupedAccumulator {
  public:
+  explicit CountDistinctAccumulator(DataType value_type)
+      : pairs_({int64(), std::move(value_type)}) {}
+
   void Resize(int64_t num_groups) override {
-    if (static_cast<int64_t>(sets_.size()) < num_groups) sets_.resize(num_groups);
+    if (static_cast<int64_t>(counts_.size()) < num_groups) counts_.resize(num_groups);
   }
 
   Status Update(const std::vector<ArrayPtr>& args,
                 const std::vector<uint32_t>& group_ids,
                 const uint8_t* opt_filter) override {
-    const Array& values = *args[0];
+    const ArrayPtr& values = args[0];
+    rows_.clear();
     for (size_t i = 0; i < group_ids.size(); ++i) {
-      int64_t row = static_cast<int64_t>(i);
-      if (!FilterIncludes(opt_filter, row) || values.IsNull(row)) continue;
-      sets_[group_ids[i]].insert(EncodeValue(values, row));
+      const int64_t row = static_cast<int64_t>(i);
+      if (FilterIncludes(opt_filter, row) && !values->IsNull(row)) rows_.push_back(row);
+    }
+    if (values->type().is_dictionary()) {
+      KeepFirstPerCode(checked_cast<DictionaryArray>(*values), group_ids);
+    }
+    if (rows_.empty()) return Status::OK();
+    std::vector<int64_t> groups(rows_.size());
+    for (size_t i = 0; i < rows_.size(); ++i) groups[i] = group_ids[rows_[i]];
+    std::vector<ArrayPtr> pair{MakeInt64Array(groups), values};
+    if (rows_.size() != group_ids.size()) {
+      FUSION_ASSIGN_OR_RAISE(pair[1], compute::Take(*values, rows_));
+    }
+    FUSION_RETURN_NOT_OK(compute::HashColumns(pair, &hashes_));
+    // Pair ids are dense and handed out in row order, so a pair is new
+    // exactly when its id is the next one unassigned.
+    uint32_t next = static_cast<uint32_t>(pairs_.num_groups());
+    FUSION_RETURN_NOT_OK(pairs_.MapBatch(pair, hashes_, &pair_ids_));
+    for (size_t i = 0; i < pair_ids_.size(); ++i) {
+      if (pair_ids_[i] == next) {
+        ++counts_[groups[i]];
+        ++next;
+      }
     }
     return Status::OK();
   }
@@ -832,49 +862,45 @@ class CountDistinctAccumulator : public GroupedAccumulator {
     return Status::NotImplemented("count distinct does not support two-phase");
   }
 
-  Result<ArrayPtr> Finish() override {
-    std::vector<int64_t> out(sets_.size());
-    for (size_t i = 0; i < sets_.size(); ++i) {
-      out[i] = static_cast<int64_t>(sets_[i].size());
-    }
-    return MakeInt64Array(out);
-  }
+  Result<ArrayPtr> Finish() override { return MakeInt64Array(counts_); }
 
   int64_t SizeBytes() const override {
-    int64_t total = 0;
-    for (const auto& s : sets_) total += static_cast<int64_t>(s.size()) * 32;
-    return total;
+    return pairs_.SizeBytes() + static_cast<int64_t>(counts_.capacity()) * 8;
   }
 
  private:
-  static std::string EncodeValue(const Array& values, int64_t row) {
-    switch (values.type().id()) {
-      case TypeId::kString:
-      case TypeId::kDictionary:
-        return std::string(StringLikeValue(values, row));
-      case TypeId::kFloat64: {
-        double v = checked_cast<Float64Array>(values).Value(row);
-        return std::string(reinterpret_cast<const char*>(&v), 8);
+  /// Dictionary values repeat codes: keep only each (group, code)'s first
+  /// row of the batch, so the pair table probes every pair once.
+  void KeepFirstPerCode(const DictionaryArray& values,
+                        const std::vector<uint32_t>& group_ids) {
+    constexpr uint64_t kEmpty = ~uint64_t{0};
+    size_t capacity = 16;
+    while (capacity < rows_.size() * 2) capacity <<= 1;
+    seen_.assign(capacity, kEmpty);
+    const int32_t* codes = values.raw_codes();
+    size_t kept = 0;
+    for (int64_t row : rows_) {
+      const uint64_t key =
+          uint64_t{group_ids[row]} << 32 | static_cast<uint32_t>(codes[row]);
+      size_t slot = hash_util::HashInt64(key) & (capacity - 1);
+      while (seen_[slot] != kEmpty && seen_[slot] != key) {
+        slot = (slot + 1) & (capacity - 1);
       }
-      case TypeId::kBool:
-        return checked_cast<BooleanArray>(values).Value(row) ? "1" : "0";
-      case TypeId::kInt32:
-      case TypeId::kDate32: {
-        int32_t v = checked_cast<Int32Array>(values).Value(row);
-        return std::string(reinterpret_cast<const char*>(&v), 4);
-      }
-      case TypeId::kDecimal128: {
-        Decimal128 v = checked_cast<Decimal128Array>(values).Value(row);
-        return std::string(reinterpret_cast<const char*>(&v), 16);
-      }
-      default: {
-        int64_t v = checked_cast<Int64Array>(values).Value(row);
-        return std::string(reinterpret_cast<const char*>(&v), 8);
+      if (seen_[slot] == kEmpty) {
+        seen_[slot] = key;
+        rows_[kept++] = row;
       }
     }
+    rows_.resize(kept);
   }
 
-  std::vector<std::unordered_set<std::string>> sets_;
+  compute::GroupTable pairs_;
+  std::vector<int64_t> counts_;
+  // Scratch reused across batches.
+  std::vector<int64_t> rows_;
+  std::vector<uint64_t> seen_;
+  std::vector<uint64_t> hashes_;
+  std::vector<uint32_t> pair_ids_;
 };
 
 Result<DataType> NumericReturn(const std::vector<DataType>& args, const char* name) {
@@ -915,9 +941,10 @@ void RegisterBuiltinAggregateFunctions(FunctionRegistry* registry) {
       return int64();
     };
     fn->supports_two_phase = false;
-    fn->create = [](const std::vector<DataType>&)
+    fn->create = [](const std::vector<DataType>& args)
         -> Result<std::unique_ptr<GroupedAccumulator>> {
-      return std::unique_ptr<GroupedAccumulator>(new CountDistinctAccumulator());
+      if (args.size() != 1) return Status::PlanError("count_distinct expects 1 argument");
+      return std::unique_ptr<GroupedAccumulator>(new CountDistinctAccumulator(args[0]));
     };
     reg(fn);
   }

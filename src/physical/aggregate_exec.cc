@@ -1,6 +1,7 @@
 #include "physical/aggregate_exec.h"
 
 #include <cstdlib>
+#include <functional>
 #include <numeric>
 
 #include "arrow/builder.h"
@@ -18,31 +19,6 @@ namespace {
 
 using logical::GroupedAccumulator;
 
-/// In-memory grouping state: the vectorized group table (key -> dense
-/// group id, keys arena-allocated) plus one accumulator per aggregate
-/// covering all groups.
-struct GroupingState {
-  compute::GroupTable table;
-  /// Global (no GROUP BY) aggregates bypass the table: one implicit
-  /// group that exists once input has been seen.
-  bool global_group = false;
-  std::vector<std::unique_ptr<GroupedAccumulator>> accumulators;
-
-  explicit GroupingState(std::vector<DataType> key_types)
-      : table(std::move(key_types)) {}
-
-  int64_t num_groups() const {
-    if (table.key_types().empty()) return global_group ? 1 : 0;
-    return table.num_groups();
-  }
-
-  int64_t SizeBytes() const {
-    int64_t total = table.SizeBytes();
-    for (const auto& acc : accumulators) total += acc->SizeBytes();
-    return total;
-  }
-};
-
 Result<std::vector<uint8_t>> EvaluateFilterMask(const PhysicalExprPtr& filter,
                                                 const RecordBatch& batch) {
   std::vector<uint8_t> mask;
@@ -56,250 +32,6 @@ Result<std::vector<uint8_t>> EvaluateFilterMask(const PhysicalExprPtr& filter,
   return mask;
 }
 
-}  // namespace
-
-std::string HashAggregateExec::ToStringLine() const {
-  std::string mode;
-  switch (mode_) {
-    case AggregateMode::kPartial: mode = "partial"; break;
-    case AggregateMode::kFinal: mode = "final"; break;
-    case AggregateMode::kSingle: mode = "single"; break;
-  }
-  std::string out = "HashAggregateExec(" + mode + "): groups=[";
-  for (size_t i = 0; i < group_names_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += group_names_[i];
-  }
-  out += "] aggs=[";
-  for (size_t i = 0; i < aggregates_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += aggregates_[i].output_name;
-  }
-  out += "]";
-  return out;
-}
-
-Result<exec::StreamPtr> HashAggregateExec::ExecuteImpl(int partition,
-                                                   const ExecContextPtr& ctx) {
-  FUSION_ASSIGN_OR_RAISE(auto input, input_->Execute(partition, ctx));
-  SchemaPtr schema = schema_;
-  const bool no_groups = group_exprs_.empty();
-
-  std::vector<DataType> key_types;
-  for (const auto& g : group_exprs_) key_types.push_back(g->type());
-
-  auto make_state = [&]() -> Result<std::unique_ptr<GroupingState>> {
-    auto state = std::make_unique<GroupingState>(key_types);
-    for (const auto& agg : aggregates_) {
-      FUSION_ASSIGN_OR_RAISE(auto acc, agg.function->create(agg.arg_types));
-      state->accumulators.push_back(std::move(acc));
-    }
-    return state;
-  };
-  FUSION_ASSIGN_OR_RAISE(auto state, make_state());
-
-  std::string consumer = "agg-" + std::to_string(ctx->query_id) + "-" +
-                         std::to_string(partition);
-  exec::MemoryReservation reservation(ctx->env->memory_pool, consumer);
-  std::vector<exec::SpillFilePtr> spill_files;
-  auto spill_count = metrics_->Counter(exec::metric::kSpillCount, partition);
-  auto spill_bytes = metrics_->Counter(exec::metric::kSpillBytes, partition);
-  auto mem_reserved = metrics_->Gauge(exec::metric::kMemReservedBytes, partition);
-
-  // Emit (group keys + per-aggregate output) for a state object. When
-  // the column layout does not match schema_ (spill paths emit partial
-  // state from a final-mode operator), an ad-hoc schema is built.
-  auto emit = [&](GroupingState& s, bool partial_output)
-      -> Result<std::vector<RecordBatchPtr>> {
-    int64_t total = s.num_groups();
-    if (total == 0 && no_groups) {
-      // SQL: a global aggregate over empty input still yields one row.
-      for (auto& acc : s.accumulators) acc->Resize(1);
-      s.global_group = true;
-      total = 1;
-    }
-    std::vector<ArrayPtr> key_columns;
-    if (!no_groups) {
-      FUSION_ASSIGN_OR_RAISE(key_columns, s.table.DecodeGroupKeys());
-    }
-    std::vector<ArrayPtr> agg_columns;
-    for (size_t a = 0; a < s.accumulators.size(); ++a) {
-      s.accumulators[a]->Resize(total);
-      if (partial_output) {
-        FUSION_ASSIGN_OR_RAISE(auto cols, s.accumulators[a]->PartialState());
-        for (auto& c : cols) agg_columns.push_back(std::move(c));
-      } else {
-        FUSION_ASSIGN_OR_RAISE(auto col, s.accumulators[a]->Finish());
-        agg_columns.push_back(std::move(col));
-      }
-    }
-    std::vector<ArrayPtr> columns = std::move(key_columns);
-    for (auto& c : agg_columns) columns.push_back(std::move(c));
-    SchemaPtr out_schema = schema;
-    if (static_cast<int>(columns.size()) != schema->num_fields()) {
-      std::vector<Field> fields;
-      for (size_t i = 0; i < columns.size(); ++i) {
-        std::string field_name = i < group_names_.size()
-                                     ? group_names_[i]
-                                     : "__state_" + std::to_string(i);
-        fields.emplace_back(std::move(field_name), columns[i]->type(), true);
-      }
-      out_schema = std::make_shared<Schema>(std::move(fields));
-    }
-    auto big = std::make_shared<RecordBatch>(out_schema, total, std::move(columns));
-    return SliceBatch(big, ctx->config.batch_size);
-  };
-
-  auto spill = [&]() -> Status {
-    // Serialize the current table as partial state and reset.
-    for (const auto& agg : aggregates_) {
-      if (!agg.function->supports_two_phase) {
-        return Status::OutOfMemory(
-            "aggregate '" + agg.function->name +
-            "' cannot spill (no two-phase support); raise the memory limit");
-      }
-    }
-    FUSION_ASSIGN_OR_RAISE(auto batches, emit(*state, /*partial_output=*/true));
-    FUSION_ASSIGN_OR_RAISE(auto file, ctx->env->disk_manager->CreateTempFile("agg"));
-    // Charge the run against the spill quota before writing so a full
-    // disk surfaces as ResourcesExhausted rather than a short write.
-    int64_t run_bytes = 0;
-    for (const auto& b : batches) run_bytes += b->TotalBufferSize();
-    FUSION_RETURN_NOT_OK(file->Reserve(run_bytes));
-    // Spilled partial batches use the *partial* schema, which differs
-    // from schema_ in final mode; serialize schemaless via IPC columns.
-    ipc::FileWriter writer(file->path());
-    FUSION_RETURN_NOT_OK(writer.Open());
-    for (const auto& b : batches) {
-      FUSION_RETURN_NOT_OK(writer.WriteBatch(*b));
-    }
-    FUSION_RETURN_NOT_OK(writer.Close());
-    spill_files.push_back(std::move(file));
-    spills_.fetch_add(1);
-    spill_count->Add(1);
-    for (const auto& b : batches) spill_bytes->Add(b->TotalBufferSize());
-    FUSION_ASSIGN_OR_RAISE(state, make_state());
-    return reservation.ResizeTo(0);
-  };
-
-  // Process one input batch into the grouping state. The same path
-  // serves direct input (`from_partial` false), partial-state input in
-  // final mode, and the spill-merge pass (which supplies its own
-  // state-column `layout`). Scratch vectors persist across batches so
-  // the per-batch work is hash + MapBatch with no allocation churn.
-  std::vector<uint32_t> group_ids;
-  std::vector<uint64_t> hashes;
-  auto process = [&](GroupingState& s, const RecordBatch& batch,
-                     bool from_partial,
-                     const std::vector<AggregateInfo>& layout) -> Status {
-    const int64_t n = batch.num_rows();
-    if (no_groups) {
-      group_ids.assign(static_cast<size_t>(n), 0);
-      s.global_group = true;
-    } else {
-      std::vector<ArrayPtr> keys;
-      if (from_partial) {
-        // Key columns are the leading input columns.
-        for (size_t g = 0; g < group_exprs_.size(); ++g) {
-          keys.push_back(batch.column(static_cast<int>(g)));
-        }
-      } else {
-        FUSION_ASSIGN_OR_RAISE(keys, EvaluateToArrays(group_exprs_, batch));
-      }
-      FUSION_RETURN_NOT_OK(compute::HashColumns(keys, &hashes));
-      FUSION_RETURN_NOT_OK(s.table.MapBatch(keys, hashes, &group_ids));
-    }
-    const int64_t num_groups = s.num_groups();
-    for (size_t a = 0; a < aggregates_.size(); ++a) {
-      s.accumulators[a]->Resize(num_groups);
-      if (from_partial) {
-        std::vector<ArrayPtr> state_cols;
-        for (int idx : layout[a].state_columns) {
-          state_cols.push_back(batch.column(idx));
-        }
-        FUSION_RETURN_NOT_OK(
-            s.accumulators[a]->UpdateFromPartial(state_cols, group_ids));
-      } else {
-        const AggregateInfo& agg = layout[a];
-        FUSION_ASSIGN_OR_RAISE(auto args, EvaluateToArrays(agg.args, batch));
-        FUSION_ASSIGN_OR_RAISE(auto filter_mask,
-                               EvaluateFilterMask(agg.filter, batch));
-        FUSION_RETURN_NOT_OK(s.accumulators[a]->Update(
-            args, group_ids, filter_mask.empty() ? nullptr : filter_mask.data()));
-      }
-    }
-    return Status::OK();
-  };
-
-  const bool input_is_partial = mode_ == AggregateMode::kFinal;
-  int64_t batches_since_check = 0;
-  for (;;) {
-    FUSION_ASSIGN_OR_RAISE(auto batch, input->Next());
-    if (batch == nullptr) break;
-    if (batch->num_rows() == 0) continue;
-    FUSION_RETURN_NOT_OK(process(*state, *batch, input_is_partial, aggregates_));
-    // SizeBytes walks per-group state; amortize by checking periodically
-    // (this is what the paper means by tracking "the largest memory
-    // consumers ... but not small ephemeral allocations", §5.5.4).
-    if (++batches_since_check >= 16) {
-      batches_since_check = 0;
-      Status grow = reservation.ResizeTo(state->SizeBytes());
-      if (!grow.ok()) {
-        if (!grow.IsOutOfMemory()) return grow;
-        FUSION_RETURN_NOT_OK(spill());
-      }
-      mem_reserved->SetMax(reservation.held());
-    }
-  }
-
-  if (!spill_files.empty()) {
-    // Re-aggregate the spilled partial runs together with the in-memory
-    // remainder. Group cardinality after partial aggregation is normally
-    // far below the input cardinality, so this pass fits in memory.
-    FUSION_ASSIGN_OR_RAISE(auto mem_batches, emit(*state, /*partial_output=*/true));
-    FUSION_ASSIGN_OR_RAISE(state, make_state());
-    // Final-style merge needs state column indexing; compute it from the
-    // partial layout: keys first, then each aggregate's state columns.
-    std::vector<AggregateInfo> partial_layout = aggregates_;
-    int col = static_cast<int>(group_exprs_.size());
-    for (auto& agg : partial_layout) {
-      agg.state_columns.clear();
-      FUSION_ASSIGN_OR_RAISE(auto acc, agg.function->create(agg.arg_types));
-      for (size_t i = 0; i < acc->PartialTypes().size(); ++i) {
-        agg.state_columns.push_back(col++);
-      }
-    }
-    for (const auto& b : mem_batches) {
-      // Partial batches from emit() carry schema_, but their layout is
-      // the partial layout; re-wrap is unnecessary because the merge
-      // indexes columns positionally.
-      FUSION_RETURN_NOT_OK(process(*state, *b, /*from_partial=*/true,
-                                   partial_layout));
-    }
-    for (const auto& file : spill_files) {
-      ipc::FileReader reader(file->path());
-      FUSION_RETURN_NOT_OK(reader.Open());
-      for (;;) {
-        FUSION_ASSIGN_OR_RAISE(auto batch, reader.Next());
-        if (batch == nullptr) break;
-        FUSION_RETURN_NOT_OK(process(*state, *batch, /*from_partial=*/true,
-                                     partial_layout));
-      }
-    }
-  }
-
-  const bool partial_output = mode_ == AggregateMode::kPartial && spill_files.empty();
-  // If we spilled in partial mode, the merged state is already final-
-  // grade partial state; emitting partial is still correct.
-  FUSION_ASSIGN_OR_RAISE(auto out_batches,
-                         emit(*state, mode_ == AggregateMode::kPartial));
-  (void)partial_output;
-  return exec::StreamPtr(
-      std::make_unique<exec::VectorStream>(schema, std::move(out_batches)));
-}
-
-namespace {
-
 /// How the adaptive bypass is decided: from observed cardinality (auto),
 /// never (off), or from the first row (force; tests).
 enum class BypassMode { kAuto, kOff, kForce };
@@ -312,14 +44,27 @@ BypassMode BypassModeFromEnv() {
   return BypassMode::kAuto;
 }
 
+/// Feed every batch of a spill file to `fn`.
+Status ReadSpill(const exec::SpillFilePtr& file,
+                 const std::function<Status(RecordBatchPtr)>& fn) {
+  ipc::FileReader reader(file->path());
+  FUSION_RETURN_NOT_OK(reader.Open());
+  for (;;) {
+    FUSION_ASSIGN_OR_RAISE(auto batch, reader.Next());
+    if (batch == nullptr) return Status::OK();
+    FUSION_RETURN_NOT_OK(fn(batch));
+  }
+}
+
 }  // namespace
 
-/// Phase-1 result shared by all merge partitions.
+/// Build results shared by all merge partitions, plus the layout of
+/// partial-state batches.
 struct PartitionedAggregateExec::BuildState {
-  /// One pre-aggregation task's output.
+  /// One build's output.
   struct Partial {
-    /// The task's thread-local group table (keys + stored hashes).
-    std::unique_ptr<compute::GroupTable> table;
+    /// The build's table (keys + stored hashes), accumulators and spills.
+    std::unique_ptr<GroupState> groups;
     /// Per-aggregate serialized partial state, row g = group g.
     std::vector<std::vector<ArrayPtr>> state_arrays;
     /// Group ids routed to each radix bucket (bucket_groups[p] feeds
@@ -328,21 +73,18 @@ struct PartitionedAggregateExec::BuildState {
     /// Bypassed rows as per-row partial-state batches, pre-split by
     /// radix bucket.
     std::vector<std::vector<RecordBatchPtr>> bypass_batches;
-    /// Held until the merge phase has consumed this task's state.
-    std::unique_ptr<exec::MemoryReservation> reservation;
   };
 
   std::vector<Partial> partials;
-  /// Partial-layout batches spilled under memory pressure; buckets are
-  /// mixed, so every merge partition filters them by hash.
-  std::vector<exec::SpillFilePtr> spill_files;
-  std::mutex spill_mu;
 
   std::vector<DataType> key_types;
-  /// Layout of partial-state batches: keys first, then each aggregate's
-  /// state columns (used for bypass and spilled batches).
-  std::vector<AggregateInfo> partial_layout;
+  /// Partial-state batches (bypass, spill) hold the keys first, then each
+  /// aggregate's state columns at state_columns[a].
+  std::vector<std::vector<int>> state_columns;
   SchemaPtr partial_schema;
+  /// Set when a lone build feeding one output did not spill:
+  /// partials[0].groups is finished directly instead of merged.
+  bool direct = false;
 
   /// Cooperative-build coordination: every merge driver claims input
   /// partitions from next_input and bumps inputs_done after each one
@@ -355,6 +97,210 @@ struct PartitionedAggregateExec::BuildState {
   std::atomic<bool> build_failed{false};
   std::mutex error_mu;
   Status build_error;
+};
+
+/// The grouping state one build or merge owns: a group table mapping
+/// keys to dense ids (none without group keys: one implicit group),
+/// one accumulator per aggregate, the memory reservation both are
+/// charged to, and the partial-state runs spilled when it was refused.
+class PartitionedAggregateExec::GroupState {
+ public:
+  GroupState(PartitionedAggregateExec* op, const ExecContextPtr& ctx,
+             const std::string& role, int partition)
+      : op_(op),
+        reservation_(ctx->env->memory_pool, "aggpart-" + std::to_string(ctx->query_id) +
+                                                "-" + role + "-" +
+                                                std::to_string(partition)),
+        spill_count_(op->metrics_->Counter(exec::metric::kSpillCount, partition)),
+        spill_bytes_(op->metrics_->Counter(exec::metric::kSpillBytes, partition)),
+        mem_reserved_(op->metrics_->Gauge(exec::metric::kMemReservedBytes, partition)) {}
+
+  /// Start over with an empty table and fresh accumulators.
+  Status Reset() {
+    const BuildState& bs = *op_->build_state_;
+    table_ = bs.key_types.empty()
+                 ? nullptr
+                 : std::make_unique<compute::GroupTable>(bs.key_types);
+    accumulators_.clear();
+    for (const auto& agg : op_->aggregates_) {
+      FUSION_ASSIGN_OR_RAISE(auto acc, agg.function->create(agg.arg_types));
+      accumulators_.push_back(std::move(acc));
+    }
+    return Status::OK();
+  }
+
+  int64_t num_groups() const { return table_ != nullptr ? table_->num_groups() : 1; }
+  uint64_t group_hash(uint32_t g) const {
+    return table_ != nullptr ? table_->group_hash(g) : 0;
+  }
+
+  /// Map rows with these key columns to group ids.
+  Status Map(const std::vector<ArrayPtr>& keys, int64_t rows,
+             std::vector<uint32_t>* ids) {
+    if (table_ == nullptr) {
+      ids->assign(static_cast<size_t>(rows), 0);
+      return Status::OK();
+    }
+    FUSION_RETURN_NOT_OK(compute::HashColumns(keys, &hashes_));
+    return table_->MapBatch(keys, hashes_, ids);
+  }
+
+  /// Accumulate the aggregates' arguments over `batch` into groups `ids`.
+  Status Update(const RecordBatch& batch, const std::vector<uint32_t>& ids) {
+    for (size_t a = 0; a < accumulators_.size(); ++a) {
+      const AggregateInfo& agg = op_->aggregates_[a];
+      accumulators_[a]->Resize(num_groups());
+      FUSION_ASSIGN_OR_RAISE(auto args, EvaluateToArrays(agg.args, batch));
+      FUSION_ASSIGN_OR_RAISE(auto mask, EvaluateFilterMask(agg.filter, batch));
+      FUSION_RETURN_NOT_OK(
+          accumulators_[a]->Update(args, ids, mask.empty() ? nullptr : mask.data()));
+    }
+    return Status::OK();
+  }
+
+  /// Fold one partial-layout batch (bypass or spilled rows) in.
+  Status MergeBatch(const RecordBatch& batch) {
+    const auto& columns = batch.columns();
+    std::vector<ArrayPtr> keys(columns.begin(),
+                               columns.begin() + op_->group_exprs_.size());
+    FUSION_RETURN_NOT_OK(Map(keys, batch.num_rows(), &ids_));
+    const auto& layout = op_->build_state_->state_columns;
+    for (size_t a = 0; a < accumulators_.size(); ++a) {
+      std::vector<ArrayPtr> state;
+      for (int idx : layout[a]) state.push_back(batch.column(idx));
+      FUSION_RETURN_NOT_OK(UpdateFromPartial(a, state, ids_));
+    }
+    return Status::OK();
+  }
+
+  /// Fold groups `gids` of a build in: probe their stored hashes and
+  /// arena bytes directly, then gather their serialized state rows.
+  Status MergeGroups(const BuildState::Partial& part,
+                     const std::vector<uint32_t>& gids) {
+    if (table_ != nullptr) {
+      FUSION_RETURN_NOT_OK(table_->MergeFrom(*part.groups->table_, gids, &ids_));
+    } else {
+      ids_.assign(gids.size(), 0);
+    }
+    take_.assign(gids.begin(), gids.end());
+    for (size_t a = 0; a < accumulators_.size(); ++a) {
+      std::vector<ArrayPtr> state;
+      for (const auto& col : part.state_arrays[a]) {
+        FUSION_ASSIGN_OR_RAISE(auto t, compute::Take(*col, take_));
+        state.push_back(std::move(t));
+      }
+      FUSION_RETURN_NOT_OK(UpdateFromPartial(a, state, ids_));
+    }
+    return Status::OK();
+  }
+
+  /// Every aggregate's serialized partial state, row g = group g.
+  Result<std::vector<std::vector<ArrayPtr>>> PartialState() {
+    std::vector<std::vector<ArrayPtr>> out;
+    for (auto& acc : accumulators_) {
+      acc->Resize(num_groups());
+      FUSION_ASSIGN_OR_RAISE(auto cols, acc->PartialState());
+      out.push_back(std::move(cols));
+    }
+    return out;
+  }
+
+  /// The groups as batches of `schema`: keys, then per aggregate either
+  /// its partial state or its final value.
+  Result<std::vector<RecordBatchPtr>> Emit(bool partial, const SchemaPtr& schema,
+                                           int64_t batch_size) {
+    std::vector<ArrayPtr> columns;
+    if (table_ != nullptr) {
+      FUSION_ASSIGN_OR_RAISE(columns, table_->DecodeGroupKeys());
+    }
+    if (partial) {
+      FUSION_ASSIGN_OR_RAISE(auto state, PartialState());
+      for (auto& cols : state) {
+        for (auto& c : cols) columns.push_back(std::move(c));
+      }
+    } else {
+      for (auto& acc : accumulators_) {
+        acc->Resize(num_groups());
+        FUSION_ASSIGN_OR_RAISE(auto col, acc->Finish());
+        columns.push_back(std::move(col));
+      }
+    }
+    auto big = std::make_shared<RecordBatch>(schema, num_groups(), std::move(columns));
+    return SliceBatch(big, batch_size);
+  }
+
+  /// Charge the table, accumulators and `extra_bytes` to the memory
+  /// pool; false when the pool refuses.
+  Result<bool> Charge(int64_t extra_bytes) {
+    int64_t held = extra_bytes + (table_ != nullptr ? table_->SizeBytes() : 0);
+    for (const auto& acc : accumulators_) held += acc->SizeBytes();
+    Status grow = reservation_.ResizeTo(held);
+    if (!grow.ok()) {
+      if (!grow.IsOutOfMemory()) return grow;
+      return false;
+    }
+    mem_reserved_->SetMax(reservation_.held());
+    return true;
+  }
+
+  /// Write the groups to a spill file as partial state and start over.
+  Status Spill(const ExecContextPtr& ctx) {
+    for (const auto& agg : op_->aggregates_) {
+      if (!agg.function->supports_two_phase) {
+        return Status::OutOfMemory(
+            "aggregate '" + agg.function->name +
+            "' cannot spill (no two-phase support); raise the memory limit");
+      }
+    }
+    FUSION_ASSIGN_OR_RAISE(auto batches, Emit(/*partial=*/true,
+                                              op_->build_state_->partial_schema,
+                                              ctx->config.batch_size));
+    FUSION_RETURN_NOT_OK(WriteSpill(batches, ctx));
+    FUSION_RETURN_NOT_OK(Reset());
+    return reservation_.ResizeTo(0);
+  }
+
+  /// Write partial-layout batches to a new spill file.
+  Status WriteSpill(const std::vector<RecordBatchPtr>& batches,
+                    const ExecContextPtr& ctx) {
+    FUSION_ASSIGN_OR_RAISE(auto file, ctx->env->disk_manager->CreateTempFile("agg"));
+    // Charge the run against the spill quota before writing so a full
+    // disk surfaces as ResourcesExhausted rather than a short write.
+    int64_t run_bytes = 0;
+    for (const auto& b : batches) run_bytes += b->TotalBufferSize();
+    FUSION_RETURN_NOT_OK(file->Reserve(run_bytes));
+    ipc::FileWriter writer(file->path());
+    FUSION_RETURN_NOT_OK(writer.Open());
+    for (const auto& b : batches) {
+      FUSION_RETURN_NOT_OK(writer.WriteBatch(*b));
+    }
+    FUSION_RETURN_NOT_OK(writer.Close());
+    spill_files.push_back(std::move(file));
+    spill_count_->Add(1);
+    spill_bytes_->Add(run_bytes);
+    return Status::OK();
+  }
+
+  std::vector<exec::SpillFilePtr> spill_files;
+
+ private:
+  Status UpdateFromPartial(size_t a, const std::vector<ArrayPtr>& state,
+                           const std::vector<uint32_t>& ids) {
+    accumulators_[a]->Resize(num_groups());
+    return accumulators_[a]->UpdateFromPartial(state, ids);
+  }
+
+  PartitionedAggregateExec* op_;
+  std::unique_ptr<compute::GroupTable> table_;
+  std::vector<std::unique_ptr<GroupedAccumulator>> accumulators_;
+  exec::MemoryReservation reservation_;
+  exec::MetricValuePtr spill_count_;
+  exec::MetricValuePtr spill_bytes_;
+  exec::MetricValuePtr mem_reserved_;
+  // Scratch reused across batches.
+  std::vector<uint64_t> hashes_;
+  std::vector<uint32_t> ids_;
+  std::vector<int64_t> take_;
 };
 
 std::string PartitionedAggregateExec::ToStringLine() const {
@@ -372,185 +318,57 @@ std::string PartitionedAggregateExec::ToStringLine() const {
   return out;
 }
 
-Status PartitionedAggregateExec::EnsureBuilt(const ExecContextPtr& ctx) {
-  std::shared_ptr<BuildState> bs;
-  {
-    // The mutex guards only the (cheap) one-time state setup and the
-    // final publication — never held across input execution, so a driver
-    // re-entering here on a lent scheduler thread cannot self-deadlock.
-    std::lock_guard<std::mutex> lock(build_mu_);
-    if (built_) return build_status_;
-    if (build_state_ == nullptr) {
-      auto init = [&]() -> Status {
-        auto state = std::make_shared<BuildState>();
-        for (const auto& g : group_exprs_) state->key_types.push_back(g->type());
-
-        // Partial-state layout/schema shared by bypass and spilled batches.
-        std::vector<Field> partial_fields;
-        for (size_t g = 0; g < group_exprs_.size(); ++g) {
-          partial_fields.emplace_back(group_names_[g], group_exprs_[g]->type(),
-                                      true);
-        }
-        state->partial_layout = aggregates_;
-        int state_col = static_cast<int>(group_exprs_.size());
-        for (auto& agg : state->partial_layout) {
-          FUSION_ASSIGN_OR_RAISE(auto acc, agg.function->create(agg.arg_types));
-          agg.state_columns.clear();
-          for (DataType t : acc->PartialTypes()) {
-            partial_fields.emplace_back("__state_" + std::to_string(state_col), t,
-                                        true);
-            agg.state_columns.push_back(state_col++);
-          }
-        }
-        state->partial_schema = std::make_shared<Schema>(std::move(partial_fields));
-        state->num_inputs = input_->output_partitions();
-        state->partials.resize(static_cast<size_t>(state->num_inputs));
-        build_state_ = std::move(state);
-        return Status::OK();
-      };
-      Status init_status = init();
-      if (!init_status.ok()) {
-        built_ = true;
-        build_status_ = init_status;
-        return build_status_;
-      }
-    }
-    bs = build_state_;
-  }
-
+Status PartitionedAggregateExec::BuildPartition(BuildState* bs, int p,
+                                                const ExecContextPtr& ctx) {
   const uint32_t buckets = static_cast<uint32_t>(num_partitions_);
+  BuildState::Partial& out = bs->partials[p];
+  auto partial_groups = metrics_->Counter(exec::metric::kPartialGroups, p);
+  auto bypass_rows = metrics_->Counter(exec::metric::kBypassRows, p);
+  out.groups = std::make_unique<GroupState>(this, ctx, "build", p);
+  GroupState& groups = *out.groups;
+  FUSION_RETURN_NOT_OK(groups.Reset());
+  out.bypass_batches.assign(buckets, {});
+
+  // One input, one output: this build's state is the result unless it
+  // spills. Bypass saves merge work, so it needs group keys and a merge.
+  const bool single = bs->num_inputs == 1 && num_partitions_ == 1;
   const BypassMode mode = BypassModeFromEnv();
-  const double bypass_ratio = ctx->config.agg_bypass_ratio;
-  const int64_t probe_rows = ctx->config.agg_bypass_probe_rows;
-
-  auto build_one = [&, bs](int p) -> Status {
-    BuildState::Partial& out = bs->partials[p];
-    auto partial_groups = metrics_->Counter(exec::metric::kPartialGroups, p);
-    auto bypass_rows = metrics_->Counter(exec::metric::kBypassRows, p);
-    auto spill_count = metrics_->Counter(exec::metric::kSpillCount, p);
-    auto spill_bytes = metrics_->Counter(exec::metric::kSpillBytes, p);
-    auto mem_reserved = metrics_->Gauge(exec::metric::kMemReservedBytes, p);
-
-    out.table = std::make_unique<compute::GroupTable>(bs->key_types);
-    out.bypass_batches.assign(buckets, {});
-    out.reservation = std::make_unique<exec::MemoryReservation>(
-        ctx->env->memory_pool, "aggpart-" + std::to_string(ctx->query_id) +
-                                   "-build-" + std::to_string(p));
-    std::vector<std::unique_ptr<GroupedAccumulator>> accumulators;
-    for (const auto& agg : aggregates_) {
-      FUSION_ASSIGN_OR_RAISE(auto acc, agg.function->create(agg.arg_types));
-      accumulators.push_back(std::move(acc));
-    }
-
-    // Serialize the table + accumulators as partial-layout batches.
-    auto emit_partial = [&]() -> Result<std::vector<RecordBatchPtr>> {
-      const int64_t total = out.table->num_groups();
-      FUSION_ASSIGN_OR_RAISE(auto columns, out.table->DecodeGroupKeys());
-      for (auto& acc : accumulators) {
-        acc->Resize(total);
-        FUSION_ASSIGN_OR_RAISE(auto cols, acc->PartialState());
-        for (auto& c : cols) columns.push_back(std::move(c));
+  const bool may_bypass = !group_exprs_.empty() && !single;
+  bool bypass = may_bypass && mode == BypassMode::kForce;
+  bool decided = !may_bypass || mode != BypassMode::kAuto;
+  FUSION_ASSIGN_OR_RAISE(auto input, input_->Execute(p, ctx));
+  std::vector<uint64_t> hashes;
+  std::vector<uint32_t> group_ids;
+  int64_t rows_seen = 0;
+  int64_t buffered_bytes = 0;
+  int64_t batches_since_check = 0;
+  for (;;) {
+    FUSION_ASSIGN_OR_RAISE(auto batch, input->Next());
+    if (batch == nullptr) break;
+    const int64_t n = batch->num_rows();
+    if (n == 0) continue;
+    FUSION_ASSIGN_OR_RAISE(auto keys, EvaluateToArrays(group_exprs_, *batch));
+    if (!bypass) {
+      FUSION_RETURN_NOT_OK(groups.Map(keys, n, &group_ids));
+      FUSION_RETURN_NOT_OK(groups.Update(*batch, group_ids));
+      rows_seen += n;
+      if (!decided && rows_seen >= ctx->config.agg_bypass_probe_rows) {
+        decided = true;
+        // Pre-aggregation is only worth its probes if it collapses
+        // rows; at >= ratio groups per row it degrades to passthrough.
+        bypass = static_cast<double>(groups.num_groups()) >=
+                 ctx->config.agg_bypass_ratio * static_cast<double>(rows_seen);
       }
-      auto big = std::make_shared<RecordBatch>(bs->partial_schema, total,
-                                               std::move(columns));
-      return SliceBatch(big, ctx->config.batch_size);
-    };
-
-    auto write_spill = [&](const std::vector<RecordBatchPtr>& batches) -> Status {
-      for (const auto& agg : aggregates_) {
-        if (!agg.function->supports_two_phase) {
-          return Status::OutOfMemory(
-              "aggregate '" + agg.function->name +
-              "' cannot spill (no two-phase support); raise the memory limit");
-        }
-      }
-      FUSION_ASSIGN_OR_RAISE(auto file,
-                             ctx->env->disk_manager->CreateTempFile("agg"));
-      int64_t run_bytes = 0;
-      for (const auto& b : batches) run_bytes += b->TotalBufferSize();
-      FUSION_RETURN_NOT_OK(file->Reserve(run_bytes));
-      ipc::FileWriter writer(file->path());
-      FUSION_RETURN_NOT_OK(writer.Open());
-      for (const auto& b : batches) {
-        FUSION_RETURN_NOT_OK(writer.WriteBatch(*b));
-      }
-      FUSION_RETURN_NOT_OK(writer.Close());
-      {
-        std::lock_guard<std::mutex> spill_lock(bs->spill_mu);
-        bs->spill_files.push_back(std::move(file));
-      }
-      spills_.fetch_add(1);
-      spill_count->Add(1);
-      spill_bytes->Add(run_bytes);
-      return Status::OK();
-    };
-
-    FUSION_ASSIGN_OR_RAISE(auto input, input_->Execute(p, ctx));
-    std::vector<uint64_t> hashes;
-    std::vector<uint32_t> group_ids;
-    bool bypass = mode == BypassMode::kForce;
-    bool decided = mode != BypassMode::kAuto;
-    int64_t rows_seen = 0;
-    int64_t buffered_bytes = 0;
-    int64_t batches_since_check = 0;
-    for (;;) {
-      FUSION_ASSIGN_OR_RAISE(auto batch, input->Next());
-      if (batch == nullptr) break;
-      const int64_t n = batch->num_rows();
-      if (n == 0) continue;
-      FUSION_ASSIGN_OR_RAISE(auto keys, EvaluateToArrays(group_exprs_, *batch));
-      if (!bypass) {
-        FUSION_RETURN_NOT_OK(compute::HashColumns(keys, &hashes));
-        FUSION_RETURN_NOT_OK(out.table->MapBatch(keys, hashes, &group_ids));
-        const int64_t num_groups = out.table->num_groups();
-        for (size_t a = 0; a < aggregates_.size(); ++a) {
-          const AggregateInfo& agg = aggregates_[a];
-          accumulators[a]->Resize(num_groups);
-          FUSION_ASSIGN_OR_RAISE(auto args, EvaluateToArrays(agg.args, *batch));
-          FUSION_ASSIGN_OR_RAISE(auto mask, EvaluateFilterMask(agg.filter, *batch));
-          FUSION_RETURN_NOT_OK(accumulators[a]->Update(
-              args, group_ids, mask.empty() ? nullptr : mask.data()));
-        }
-        rows_seen += n;
-        if (!decided && rows_seen >= probe_rows) {
-          decided = true;
-          // Pre-aggregation is only worth its probes if it collapses
-          // rows; at >= ratio groups per row it degrades to passthrough.
-          bypass = static_cast<double>(num_groups) >=
-                   bypass_ratio * static_cast<double>(rows_seen);
-        }
-        if (++batches_since_check >= 16) {
-          batches_since_check = 0;
-          int64_t held = out.table->SizeBytes() + buffered_bytes;
-          for (const auto& acc : accumulators) held += acc->SizeBytes();
-          Status grow = out.reservation->ResizeTo(held);
-          if (!grow.ok()) {
-            if (!grow.IsOutOfMemory()) return grow;
-            FUSION_ASSIGN_OR_RAISE(auto partial_batches, emit_partial());
-            FUSION_RETURN_NOT_OK(write_spill(partial_batches));
-            out.table = std::make_unique<compute::GroupTable>(bs->key_types);
-            accumulators.clear();
-            for (const auto& agg : aggregates_) {
-              FUSION_ASSIGN_OR_RAISE(auto acc, agg.function->create(agg.arg_types));
-              accumulators.push_back(std::move(acc));
-            }
-            FUSION_RETURN_NOT_OK(out.reservation->ResizeTo(buffered_bytes));
-          }
-          mem_reserved->SetMax(out.reservation->held());
-        }
-        continue;
-      }
-
+    } else {
       // Bypass: every row becomes its own group of one; serialize the
       // per-row partial state and radix-split by key hash so the merge
-      // phase can route rows without a repartition exchange.
+      // can route rows without a repartition exchange.
       bypass_rows->Add(n);
       FUSION_RETURN_NOT_OK(compute::HashColumns(keys, &hashes));
       std::vector<ArrayPtr> columns = keys;
       std::vector<uint32_t> iota(static_cast<size_t>(n));
       std::iota(iota.begin(), iota.end(), 0);
-      for (size_t a = 0; a < aggregates_.size(); ++a) {
-        const AggregateInfo& agg = aggregates_[a];
+      for (const AggregateInfo& agg : aggregates_) {
         FUSION_ASSIGN_OR_RAISE(auto acc, agg.function->create(agg.arg_types));
         acc->Resize(n);
         FUSION_ASSIGN_OR_RAISE(auto args, EvaluateToArrays(agg.args, *batch));
@@ -579,57 +397,96 @@ Status PartitionedAggregateExec::EnsureBuilt(const ExecContextPtr& ctx) {
         buffered_bytes += out_batch->TotalBufferSize();
         out.bypass_batches[b].push_back(std::move(out_batch));
       }
-      if (++batches_since_check >= 16) {
-        batches_since_check = 0;
-        int64_t held = out.table->SizeBytes() + buffered_bytes;
-        for (const auto& acc : accumulators) held += acc->SizeBytes();
-        Status grow = out.reservation->ResizeTo(held);
-        if (!grow.ok()) {
-          if (!grow.IsOutOfMemory()) return grow;
-          // Flush the buffered passthrough batches; the merge phase
-          // re-routes spilled rows by recomputing their hashes.
-          std::vector<RecordBatchPtr> flush;
-          for (auto& bucket : out.bypass_batches) {
-            for (auto& fb : bucket) flush.push_back(std::move(fb));
-            bucket.clear();
-          }
-          FUSION_RETURN_NOT_OK(write_spill(flush));
-          buffered_bytes = 0;
-          int64_t held_now = out.table->SizeBytes();
-          for (const auto& acc : accumulators) held_now += acc->SizeBytes();
-          FUSION_RETURN_NOT_OK(out.reservation->ResizeTo(held_now));
+    }
+    // SizeBytes walks per-group state; amortize by checking periodically
+    // (this is what the paper means by tracking "the largest memory
+    // consumers ... but not small ephemeral allocations", §5.5.4).
+    if (++batches_since_check < 16) continue;
+    batches_since_check = 0;
+    FUSION_ASSIGN_OR_RAISE(bool fits, groups.Charge(buffered_bytes));
+    if (!fits && buffered_bytes > 0) {
+      // Flush the buffered passthrough batches; the merge re-routes
+      // spilled rows by recomputing their hashes.
+      std::vector<RecordBatchPtr> flush;
+      for (auto& bucket : out.bypass_batches) {
+        for (auto& fb : bucket) flush.push_back(std::move(fb));
+        bucket.clear();
+      }
+      FUSION_RETURN_NOT_OK(groups.WriteSpill(flush, ctx));
+      buffered_bytes = 0;
+      FUSION_ASSIGN_OR_RAISE(fits, groups.Charge(0));
+    }
+    if (!fits) FUSION_RETURN_NOT_OK(groups.Spill(ctx));
+  }
+
+  if (single && groups.spill_files.empty()) {
+    bs->direct = true;
+    return Status::OK();
+  }
+  // Seal the table: serialize accumulator state once and route each
+  // group to its radix bucket by the stored hash.
+  const int64_t num_groups = groups.num_groups();
+  partial_groups->Add(num_groups);
+  FUSION_ASSIGN_OR_RAISE(out.state_arrays, groups.PartialState());
+  out.bucket_groups.assign(buckets, {});
+  for (uint32_t g = 0; g < static_cast<uint32_t>(num_groups); ++g) {
+    out.bucket_groups[compute::GroupTable::RadixBucket(groups.group_hash(g), buckets)]
+        .push_back(g);
+  }
+  return Status::OK();
+}
+
+Status PartitionedAggregateExec::EnsureBuilt(const ExecContextPtr& ctx, bool wait) {
+  std::shared_ptr<BuildState> bs;
+  {
+    // The mutex guards only the (cheap) one-time state setup and the
+    // final publication — never held across input execution, so a driver
+    // re-entering here on a lent scheduler thread cannot self-deadlock.
+    std::lock_guard<std::mutex> lock(build_mu_);
+    if (built_) return build_status_;
+    if (build_state_ == nullptr) {
+      auto init = [&]() -> Status {
+        auto state = std::make_shared<BuildState>();
+        std::vector<Field> partial_fields;
+        for (size_t g = 0; g < group_exprs_.size(); ++g) {
+          state->key_types.push_back(group_exprs_[g]->type());
+          partial_fields.emplace_back(group_names_[g], group_exprs_[g]->type(), true);
         }
-        mem_reserved->SetMax(out.reservation->held());
+        int state_col = static_cast<int>(group_exprs_.size());
+        for (const auto& agg : aggregates_) {
+          FUSION_ASSIGN_OR_RAISE(auto acc, agg.function->create(agg.arg_types));
+          state->state_columns.emplace_back();
+          for (DataType t : acc->PartialTypes()) {
+            partial_fields.emplace_back("__state_" + std::to_string(state_col), t,
+                                        true);
+            state->state_columns.back().push_back(state_col++);
+          }
+        }
+        state->partial_schema = std::make_shared<Schema>(std::move(partial_fields));
+        state->num_inputs = input_->output_partitions();
+        state->partials.resize(static_cast<size_t>(state->num_inputs));
+        build_state_ = std::move(state);
+        return Status::OK();
+      };
+      Status init_status = init();
+      if (!init_status.ok()) {
+        built_ = true;
+        build_status_ = init_status;
+        return build_status_;
       }
     }
+    bs = build_state_;
+  }
 
-    // Seal the table: serialize accumulator state once and route each
-    // group to its radix bucket by the stored hash.
-    const int64_t num_groups = out.table->num_groups();
-    partial_groups->Add(num_groups);
-    for (auto& acc : accumulators) {
-      acc->Resize(num_groups);
-      FUSION_ASSIGN_OR_RAISE(auto cols, acc->PartialState());
-      out.state_arrays.push_back(std::move(cols));
-    }
-    out.bucket_groups.assign(buckets, {});
-    for (uint32_t g = 0; g < static_cast<uint32_t>(num_groups); ++g) {
-      out.bucket_groups[compute::GroupTable::RadixBucket(
-                            out.table->group_hash(g), buckets)]
-          .push_back(g);
-    }
-    return Status::OK();
-  };
-
-  // Participate: claim and pre-aggregate input partitions until none
-  // remain unclaimed. After the first failure, later claims drain as
-  // no-ops so inputs_done still reaches num_inputs.
+  // Participate: claim and build input partitions until none remain
+  // unclaimed. After the first failure, later claims drain as no-ops so
+  // inputs_done still reaches num_inputs.
   const exec::TaskGroupPtr& group = ctx->EnsureTaskGroup();
   for (;;) {
     const int p = bs->next_input.fetch_add(1, std::memory_order_relaxed);
     if (p >= bs->num_inputs) break;
     if (!bs->build_failed.load(std::memory_order_acquire)) {
-      Status st = build_one(p);
+      Status st = BuildPartition(bs.get(), p, ctx);
       if (!st.ok()) {
         std::lock_guard<std::mutex> elock(bs->error_mu);
         if (bs->build_error.ok()) bs->build_error = st;
@@ -639,6 +496,7 @@ Status PartitionedAggregateExec::EnsureBuilt(const ExecContextPtr& ctx) {
     bs->inputs_done.fetch_add(1, std::memory_order_acq_rel);
     group->NotifyProgress();
   }
+  if (!wait) return Status::OK();
 
   // Wait for claims still in flight on other drivers, lending this
   // thread to the query's other ready tasks meanwhile. Epoch protocol:
@@ -661,201 +519,98 @@ Status PartitionedAggregateExec::EnsureBuilt(const ExecContextPtr& ctx) {
   return build_status_;
 }
 
-Result<exec::StreamPtr> PartitionedAggregateExec::ExecuteImpl(
-    int partition, const ExecContextPtr& ctx) {
-  if (group_exprs_.empty()) {
-    return Status::Internal("PartitionedAggregateExec requires group keys");
-  }
-  FUSION_RETURN_NOT_OK(EnsureBuilt(ctx));
-  auto bs = build_state_;
+Result<std::unique_ptr<PartitionedAggregateExec::GroupState>>
+PartitionedAggregateExec::Merge(int partition, const ExecContextPtr& ctx) {
+  BuildState& bs = *build_state_;
   const uint32_t buckets = static_cast<uint32_t>(num_partitions_);
-
-  compute::GroupTable table(bs->key_types);
-  std::vector<std::unique_ptr<GroupedAccumulator>> accumulators;
-  auto reset_accumulators = [&]() -> Status {
-    accumulators.clear();
-    for (const auto& agg : aggregates_) {
-      FUSION_ASSIGN_OR_RAISE(auto acc, agg.function->create(agg.arg_types));
-      accumulators.push_back(std::move(acc));
-    }
-    return Status::OK();
-  };
-  FUSION_RETURN_NOT_OK(reset_accumulators());
-
-  exec::MemoryReservation reservation(
-      ctx->env->memory_pool, "aggpart-" + std::to_string(ctx->query_id) +
-                                 "-merge-" + std::to_string(partition));
-  auto spill_count = metrics_->Counter(exec::metric::kSpillCount, partition);
-  auto spill_bytes = metrics_->Counter(exec::metric::kSpillBytes, partition);
-  auto mem_reserved = metrics_->Gauge(exec::metric::kMemReservedBytes, partition);
-  std::vector<exec::SpillFilePtr> merge_spills;
-
-  // Merge one partial-layout batch (bypass, spilled, or re-spilled rows):
-  // keys lead, state columns follow bs->partial_layout.
-  std::vector<uint64_t> hashes;
-  std::vector<uint32_t> group_ids;
-  auto merge_partial_batch = [&](const RecordBatch& batch) -> Status {
-    std::vector<ArrayPtr> keys;
-    for (size_t g = 0; g < group_exprs_.size(); ++g) {
-      keys.push_back(batch.column(static_cast<int>(g)));
-    }
-    FUSION_RETURN_NOT_OK(compute::HashColumns(keys, &hashes));
-    FUSION_RETURN_NOT_OK(table.MapBatch(keys, hashes, &group_ids));
-    const int64_t num_groups = table.num_groups();
-    for (size_t a = 0; a < aggregates_.size(); ++a) {
-      accumulators[a]->Resize(num_groups);
-      std::vector<ArrayPtr> state_cols;
-      for (int idx : bs->partial_layout[a].state_columns) {
-        state_cols.push_back(batch.column(idx));
-      }
-      FUSION_RETURN_NOT_OK(
-          accumulators[a]->UpdateFromPartial(state_cols, group_ids));
-    }
-    return Status::OK();
-  };
-
-  // Serialize the merge state as partial-layout batches (spill path).
-  auto emit_merge_partial = [&]() -> Result<std::vector<RecordBatchPtr>> {
-    const int64_t total = table.num_groups();
-    FUSION_ASSIGN_OR_RAISE(auto columns, table.DecodeGroupKeys());
-    for (auto& acc : accumulators) {
-      acc->Resize(total);
-      FUSION_ASSIGN_OR_RAISE(auto cols, acc->PartialState());
-      for (auto& c : cols) columns.push_back(std::move(c));
-    }
-    auto big = std::make_shared<RecordBatch>(bs->partial_schema, total,
-                                             std::move(columns));
-    return SliceBatch(big, ctx->config.batch_size);
-  };
-
+  auto state = std::make_unique<GroupState>(this, ctx, "merge", partition);
+  FUSION_RETURN_NOT_OK(state->Reset());
   int64_t merges_since_check = 0;
   auto check_memory = [&]() -> Status {
     if (++merges_since_check < 16) return Status::OK();
     merges_since_check = 0;
-    int64_t held = table.SizeBytes();
-    for (const auto& acc : accumulators) held += acc->SizeBytes();
-    Status grow = reservation.ResizeTo(held);
-    if (grow.ok()) {
-      mem_reserved->SetMax(reservation.held());
-      return Status::OK();
-    }
-    if (!grow.IsOutOfMemory()) return grow;
-    FUSION_ASSIGN_OR_RAISE(auto batches, emit_merge_partial());
-    FUSION_ASSIGN_OR_RAISE(auto file, ctx->env->disk_manager->CreateTempFile("agg"));
-    int64_t run_bytes = 0;
-    for (const auto& b : batches) run_bytes += b->TotalBufferSize();
-    FUSION_RETURN_NOT_OK(file->Reserve(run_bytes));
-    ipc::FileWriter writer(file->path());
-    FUSION_RETURN_NOT_OK(writer.Open());
-    for (const auto& b : batches) {
-      FUSION_RETURN_NOT_OK(writer.WriteBatch(*b));
-    }
-    FUSION_RETURN_NOT_OK(writer.Close());
-    merge_spills.push_back(std::move(file));
-    spills_.fetch_add(1);
-    spill_count->Add(1);
-    spill_bytes->Add(run_bytes);
-    table = compute::GroupTable(bs->key_types);
-    FUSION_RETURN_NOT_OK(reset_accumulators());
-    return reservation.ResizeTo(0);
+    FUSION_ASSIGN_OR_RAISE(bool fits, state->Charge(0));
+    return fits ? Status::OK() : state->Spill(ctx);
   };
 
-  // Merge accumulated GroupTable state: probe this bucket's groups
-  // directly by stored hash + arena bytes, then fold their serialized
-  // accumulator rows in by gather.
-  std::vector<uint32_t> target_ids;
-  std::vector<int64_t> take_indices;
-  static const std::vector<uint32_t> kNoGroups;
-  for (BuildState::Partial& part : bs->partials) {
-    const std::vector<uint32_t>& gids =
-        part.bucket_groups.empty() ? kNoGroups : part.bucket_groups[partition];
+  std::vector<uint64_t> hashes;
+  std::vector<int64_t> mine;
+  for (const BuildState::Partial& part : bs.partials) {
+    const std::vector<uint32_t>& gids = part.bucket_groups[partition];
     if (!gids.empty()) {
-      FUSION_RETURN_NOT_OK(table.MergeFrom(*part.table, gids, &target_ids));
-      const int64_t num_groups = table.num_groups();
-      take_indices.assign(gids.begin(), gids.end());
-      for (size_t a = 0; a < aggregates_.size(); ++a) {
-        accumulators[a]->Resize(num_groups);
-        std::vector<ArrayPtr> state_cols;
-        for (const auto& col : part.state_arrays[a]) {
-          FUSION_ASSIGN_OR_RAISE(auto t, compute::Take(*col, take_indices));
-          state_cols.push_back(std::move(t));
-        }
-        FUSION_RETURN_NOT_OK(
-            accumulators[a]->UpdateFromPartial(state_cols, target_ids));
-      }
+      FUSION_RETURN_NOT_OK(state->MergeGroups(part, gids));
       FUSION_RETURN_NOT_OK(check_memory());
     }
-    if (!part.bypass_batches.empty()) {
-      for (const auto& batch : part.bypass_batches[partition]) {
-        FUSION_RETURN_NOT_OK(merge_partial_batch(*batch));
-        FUSION_RETURN_NOT_OK(check_memory());
-      }
-    }
-  }
-
-  // Spilled partial runs hold rows of every bucket; keep only ours.
-  for (const auto& file : bs->spill_files) {
-    ipc::FileReader reader(file->path());
-    FUSION_RETURN_NOT_OK(reader.Open());
-    for (;;) {
-      FUSION_ASSIGN_OR_RAISE(auto batch, reader.Next());
-      if (batch == nullptr) break;
-      std::vector<ArrayPtr> keys;
-      for (size_t g = 0; g < group_exprs_.size(); ++g) {
-        keys.push_back(batch->column(static_cast<int>(g)));
-      }
-      FUSION_RETURN_NOT_OK(compute::HashColumns(keys, &hashes));
-      take_indices.clear();
-      for (int64_t r = 0; r < batch->num_rows(); ++r) {
-        if (compute::GroupTable::RadixBucket(hashes[r], buckets) ==
-            static_cast<uint32_t>(partition)) {
-          take_indices.push_back(r);
-        }
-      }
-      if (take_indices.empty()) continue;
-      FUSION_ASSIGN_OR_RAISE(auto mine, compute::TakeBatch(*batch, take_indices));
-      FUSION_RETURN_NOT_OK(merge_partial_batch(*mine));
+    for (const auto& batch : part.bypass_batches[partition]) {
+      FUSION_RETURN_NOT_OK(state->MergeBatch(*batch));
       FUSION_RETURN_NOT_OK(check_memory());
+    }
+    // Spilled runs hold rows of every bucket; keep only ours (all of
+    // them with one bucket, or without keys: only bucket 0 merges).
+    for (const auto& file : part.groups->spill_files) {
+      FUSION_RETURN_NOT_OK(ReadSpill(file, [&](RecordBatchPtr batch) -> Status {
+        if (buckets > 1 && !group_exprs_.empty()) {
+          const auto& columns = batch->columns();
+          std::vector<ArrayPtr> keys(columns.begin(),
+                                     columns.begin() + group_exprs_.size());
+          FUSION_RETURN_NOT_OK(compute::HashColumns(keys, &hashes));
+          mine.clear();
+          for (int64_t r = 0; r < batch->num_rows(); ++r) {
+            if (compute::GroupTable::RadixBucket(hashes[r], buckets) ==
+                static_cast<uint32_t>(partition)) {
+              mine.push_back(r);
+            }
+          }
+          if (mine.empty()) return Status::OK();
+          FUSION_ASSIGN_OR_RAISE(batch, compute::TakeBatch(*batch, mine));
+        }
+        FUSION_RETURN_NOT_OK(state->MergeBatch(*batch));
+        return check_memory();
+      }));
     }
   }
 
   // Re-merge anything this partition spilled while merging (rows are
   // already all ours; no further spilling on this pass).
-  if (!merge_spills.empty()) {
-    FUSION_ASSIGN_OR_RAISE(auto mem_batches, emit_merge_partial());
-    table = compute::GroupTable(bs->key_types);
-    FUSION_RETURN_NOT_OK(reset_accumulators());
-    for (const auto& b : mem_batches) {
-      FUSION_RETURN_NOT_OK(merge_partial_batch(*b));
-    }
-    for (const auto& file : merge_spills) {
-      ipc::FileReader reader(file->path());
-      FUSION_RETURN_NOT_OK(reader.Open());
-      for (;;) {
-        FUSION_ASSIGN_OR_RAISE(auto batch, reader.Next());
-        if (batch == nullptr) break;
-        FUSION_RETURN_NOT_OK(merge_partial_batch(*batch));
-      }
+  if (!state->spill_files.empty()) {
+    auto files = std::move(state->spill_files);
+    FUSION_ASSIGN_OR_RAISE(auto in_memory,
+                           state->Emit(/*partial=*/true, bs.partial_schema,
+                                       ctx->config.batch_size));
+    FUSION_RETURN_NOT_OK(state->Reset());
+    for (const auto& b : in_memory) FUSION_RETURN_NOT_OK(state->MergeBatch(*b));
+    for (const auto& file : files) {
+      FUSION_RETURN_NOT_OK(ReadSpill(file, [&](RecordBatchPtr batch) {
+        return state->MergeBatch(*batch);
+      }));
     }
   }
+  return state;
+}
 
-  // Emit the final output for this bucket.
-  const int64_t total = table.num_groups();
-  FUSION_ASSIGN_OR_RAISE(auto columns, table.DecodeGroupKeys());
-  for (auto& acc : accumulators) {
-    acc->Resize(total);
-    FUSION_ASSIGN_OR_RAISE(auto col, acc->Finish());
-    columns.push_back(std::move(col));
+Result<exec::StreamPtr> PartitionedAggregateExec::ExecuteImpl(
+    int partition, const ExecContextPtr& ctx) {
+  // A global aggregate's one group lives in bucket 0; its other
+  // partitions only help the build, and need not wait for it (holding
+  // a scheduler worker) since they emit nothing.
+  const bool emits = !group_exprs_.empty() || partition == 0;
+  FUSION_RETURN_NOT_OK(EnsureBuilt(ctx, /*wait=*/emits));
+  std::vector<RecordBatchPtr> out;
+  if (emits) {
+    std::unique_ptr<GroupState> groups;
+    if (build_state_->direct) {
+      groups = std::move(build_state_->partials[0].groups);
+    } else {
+      FUSION_ASSIGN_OR_RAISE(groups, Merge(partition, ctx));
+    }
+    FUSION_ASSIGN_OR_RAISE(
+        out, groups->Emit(/*partial=*/false, schema_, ctx->config.batch_size));
   }
-  auto big = std::make_shared<RecordBatch>(schema_, total, std::move(columns));
-  return exec::StreamPtr(std::make_unique<exec::VectorStream>(
-      schema_, SliceBatch(big, ctx->config.batch_size)));
+  return exec::StreamPtr(std::make_unique<exec::VectorStream>(schema_, std::move(out)));
 }
 
 std::string StreamingAggregateExec::ToStringLine() const {
-  std::string out = "StreamingAggregateExec(";
-  out += mode_ == AggregateMode::kPartial ? "partial" : "single";
-  out += "): groups=[";
+  std::string out = "StreamingAggregateExec: groups=[";
   for (size_t i = 0; i < group_names_.size(); ++i) {
     if (i > 0) out += ", ";
     out += group_names_[i];
@@ -869,7 +624,6 @@ Result<exec::StreamPtr> StreamingAggregateExec::ExecuteImpl(int partition,
   FUSION_ASSIGN_OR_RAISE(auto input_stream, input_->Execute(partition, ctx));
   auto input = std::shared_ptr<exec::RecordBatchStream>(std::move(input_stream));
   SchemaPtr schema = schema_;
-  const bool partial = mode_ == AggregateMode::kPartial;
   auto group_exprs = group_exprs_;
   auto aggregates = aggregates_;
   int64_t batch_size = ctx->config.batch_size;
@@ -911,22 +665,15 @@ Result<exec::StreamPtr> StreamingAggregateExec::ExecuteImpl(int partition,
 
   // Close the in-flight group: append its key + results to the output
   // builders.
-  auto flush_current = [state, partial]() -> Status {
+  auto flush_current = [state]() -> Status {
     if (!state->has_current) return Status::OK();
     size_t col = 0;
     for (const auto& key : state->current_key_arrays) {
       state->out_builders[col++]->AppendFrom(*key, 0);
     }
     for (auto& acc : state->accumulators) {
-      if (partial) {
-        FUSION_ASSIGN_OR_RAISE(auto cols, acc->PartialState());
-        for (const auto& c : cols) {
-          state->out_builders[col++]->AppendFrom(*c, 0);
-        }
-      } else {
-        FUSION_ASSIGN_OR_RAISE(auto c, acc->Finish());
-        state->out_builders[col++]->AppendFrom(*c, 0);
-      }
+      FUSION_ASSIGN_OR_RAISE(auto c, acc->Finish());
+      state->out_builders[col++]->AppendFrom(*c, 0);
     }
     state->has_current = false;
     state->accumulators.clear();

@@ -7,72 +7,37 @@
 namespace fusion {
 namespace physical {
 
-/// Phase of a (possibly two-phase) aggregation (paper §6.3).
-enum class AggregateMode {
-  kPartial,  ///< per-partition pre-aggregation emitting partial state
-  kFinal,    ///< merges partial state (after hash repartitioning)
-  kSingle,   ///< one-shot aggregation (single partition input)
-};
-
-/// One aggregate computation within a HashAggregateExec.
+/// One aggregate computation within an aggregate operator.
 struct AggregateInfo {
   logical::AggregateFunctionPtr function;
-  std::vector<PhysicalExprPtr> args;     // evaluated in kPartial/kSingle
+  std::vector<PhysicalExprPtr> args;
   PhysicalExprPtr filter;                // optional FILTER(WHERE ...) mask
   std::vector<DataType> arg_types;
   DataType output_type;
   std::string output_name;
-  /// kFinal: indices of this aggregate's state columns in the input.
-  std::vector<int> state_columns;
 };
 
-/// \brief Two-phase parallel partitioned hash aggregation (paper §6.3):
-/// vectorized group-key encoding + accumulator updates, spill-to-disk
-/// when the memory budget is exceeded, and a streaming fast path for
-/// input already ordered on the group keys.
-class HashAggregateExec : public ExecutionPlan {
- public:
-  HashAggregateExec(ExecPlanPtr input, AggregateMode mode,
-                    std::vector<PhysicalExprPtr> group_exprs,
-                    std::vector<std::string> group_names,
-                    std::vector<AggregateInfo> aggregates, SchemaPtr output_schema)
-      : input_(std::move(input)), mode_(mode), group_exprs_(std::move(group_exprs)),
-        group_names_(std::move(group_names)), aggregates_(std::move(aggregates)),
-        schema_(std::move(output_schema)) {}
-
-  std::string name() const override { return "HashAggregateExec"; }
-  SchemaPtr schema() const override { return schema_; }
-  int output_partitions() const override { return input_->output_partitions(); }
-  std::vector<ExecPlanPtr> children() const override { return {input_}; }
-  Result<exec::StreamPtr> ExecuteImpl(int partition, const ExecContextPtr& ctx) override;
-  std::string ToStringLine() const override;
-
-  AggregateMode mode() const { return mode_; }
-  int64_t spill_count() const { return spills_.load(); }
-
- private:
-  ExecPlanPtr input_;
-  AggregateMode mode_;
-  std::vector<PhysicalExprPtr> group_exprs_;
-  std::vector<std::string> group_names_;
-  std::vector<AggregateInfo> aggregates_;
-  SchemaPtr schema_;
-  std::atomic<int64_t> spills_{0};
-};
-
-/// \brief Adaptive two-phase partitioned aggregation (paper §6.3) with a
-/// radix-partitioned state merge instead of a row-level repartition
-/// exchange. Phase 1 (EnsureBuilt, one task per input partition) pre-
-/// aggregates into a thread-local GroupTable, adaptively degrading to
-/// passthrough when the observed group cardinality approaches the input
-/// row count: after `agg_bypass_probe_rows` rows, a task whose
-/// groups/rows ratio is >= `agg_bypass_ratio` stops probing its table
-/// and forwards rows as per-row partial state. Phase 2 (one merge per
-/// output partition) routes each accumulated group by the radix bucket
-/// of its stored 64-bit key hash and merges arena-backed entries
-/// directly via GroupTable::MergeFrom — keys are never re-encoded and
-/// rows never cross a BatchQueue. Either phase spills partial-state
-/// batches to disk under memory pressure.
+/// \brief The hash aggregate (paper §6.3): one build per input partition
+/// pre-aggregates into a thread-local GroupTable, and one merge per output
+/// partition routes each accumulated group by the radix bucket of its
+/// stored 64-bit key hash and merges arena-backed entries directly via
+/// GroupTable::MergeFrom — keys are never re-encoded and rows never cross
+/// a BatchQueue. The shape follows from the partition counts:
+///
+/// - A build adaptively degrades to passthrough when its group
+///   cardinality approaches its row count: after `agg_bypass_probe_rows`
+///   rows, a build whose groups/rows ratio is >= `agg_bypass_ratio` stops
+///   probing its table and forwards rows as per-row partial state.
+/// - With no group keys there is one implicit group with key hash 0: it
+///   lands in bucket 0, so output partition 0 emits exactly one row and
+///   the others emit none. Bypass needs group keys.
+/// - With one input and one output partition the build's table and
+///   accumulators are the result: no partial state, no merge, no bypass
+///   (aggregates without two-phase support are planned this way). After a
+///   spill it falls back to the merge.
+///
+/// Builds and merges spill partial-state batches to disk under memory
+/// pressure.
 class PartitionedAggregateExec : public ExecutionPlan {
  public:
   PartitionedAggregateExec(ExecPlanPtr input,
@@ -92,12 +57,11 @@ class PartitionedAggregateExec : public ExecutionPlan {
   Result<exec::StreamPtr> ExecuteImpl(int partition, const ExecContextPtr& ctx) override;
   std::string ToStringLine() const override;
 
-  int64_t spill_count() const { return spills_.load(); }
-
  private:
+  class GroupState;
   struct BuildState;
 
-  /// Run phase 1 cooperatively: every merge-partition driver that lands
+  /// Run the builds cooperatively: every merge-partition driver that lands
   /// here claims unbuilt input partitions from a shared atomic counter
   /// and pre-aggregates them on its own thread; drivers with nothing
   /// left to claim lend their thread to the query's other ready tasks
@@ -105,7 +69,14 @@ class PartitionedAggregateExec : public ExecutionPlan {
   /// ever blocks on a lock while work remains, so the scheduler's
   /// deadlock-freedom contract holds even on a single-worker pool
   /// (a driver run on a lent thread re-enters here and just helps).
-  Status EnsureBuilt(const ExecContextPtr& ctx);
+  /// Without `wait`, a driver returns once nothing is left to claim.
+  Status EnsureBuilt(const ExecContextPtr& ctx, bool wait);
+
+  /// Build input partition `p` into bs->partials[p].
+  Status BuildPartition(BuildState* bs, int p, const ExecContextPtr& ctx);
+
+  /// Merge every build's bucket-`partition` share into one state.
+  Result<std::unique_ptr<GroupState>> Merge(int partition, const ExecContextPtr& ctx);
 
   ExecPlanPtr input_;
   std::vector<PhysicalExprPtr> group_exprs_;
@@ -113,7 +84,6 @@ class PartitionedAggregateExec : public ExecutionPlan {
   std::vector<AggregateInfo> aggregates_;
   SchemaPtr schema_;
   int num_partitions_;
-  std::atomic<int64_t> spills_{0};
 
   std::mutex build_mu_;
   bool built_ = false;
@@ -128,12 +98,12 @@ class PartitionedAggregateExec : public ExecutionPlan {
 /// regardless of group cardinality.
 class StreamingAggregateExec : public ExecutionPlan {
  public:
-  StreamingAggregateExec(ExecPlanPtr input, AggregateMode mode,
+  StreamingAggregateExec(ExecPlanPtr input,
                          std::vector<PhysicalExprPtr> group_exprs,
                          std::vector<std::string> group_names,
                          std::vector<AggregateInfo> aggregates,
                          SchemaPtr output_schema)
-      : input_(std::move(input)), mode_(mode), group_exprs_(std::move(group_exprs)),
+      : input_(std::move(input)), group_exprs_(std::move(group_exprs)),
         group_names_(std::move(group_names)), aggregates_(std::move(aggregates)),
         schema_(std::move(output_schema)) {}
 
@@ -156,7 +126,6 @@ class StreamingAggregateExec : public ExecutionPlan {
 
  private:
   ExecPlanPtr input_;
-  AggregateMode mode_;
   std::vector<PhysicalExprPtr> group_exprs_;
   std::vector<std::string> group_names_;
   std::vector<AggregateInfo> aggregates_;

@@ -1,13 +1,7 @@
 #include "physical/exchange_exec.h"
 
 #include <chrono>
-#include <limits>
 #include <utility>
-
-#include "arrow/builder.h"
-#include "common/hash_util.h"
-#include "compute/hash_kernels.h"
-#include "compute/selection.h"
 
 namespace fusion {
 namespace physical {
@@ -204,116 +198,6 @@ struct QueueCloser {
   }
 };
 
-/// State of one repartition producer task: pulls its input partition
-/// and routes batches into the per-output-partition queues. The queues
-/// are unbounded (Push never blocks), so the task yields every
-/// kBatchesPerPoll batches instead: without that cap, a consumer
-/// help-running this task from Pop would be held for the producer's
-/// entire lifetime — and closing the queues (what stops the producer)
-/// may require that very consumer to return first.
-struct RepartitionProducer {
-  static constexpr int kBatchesPerPoll = 256;
-
-  ExecPlanPtr input;
-  ExecContextPtr ctx;
-  int partition = 0;
-  std::vector<std::shared_ptr<BatchQueue>> queues;
-  RepartitionExec::Mode mode{};
-  std::vector<PhysicalExprPtr> hash_keys;
-  int m = 0;
-  exec::StreamPtr stream;
-  bool opened = false;
-  int64_t next = 0;
-  std::vector<uint64_t> hashes;
-
-  void Fail(const Status& st) {
-    for (const auto& q : queues) q->PushError(st);
-  }
-
-  exec::TaskStatus Finish() {
-    stream.reset();
-    for (const auto& q : queues) q->ProducerDone();
-    return exec::TaskStatus::kDone;
-  }
-
-  exec::TaskStatus Poll(const exec::Waker& waker) {
-    if (!opened) {
-      auto stream_res = input->Execute(partition, ctx);
-      if (!stream_res.ok()) {
-        Fail(stream_res.status());
-        return Finish();
-      }
-      stream = std::move(*stream_res);
-      next = partition;  // stagger round-robin start per producer
-      opened = true;
-    }
-    for (int budget = 0; budget < kBatchesPerPoll; ++budget) {
-      bool all_closed = true;
-      for (const auto& q : queues) {
-        if (!q->closed()) {
-          all_closed = false;
-          break;
-        }
-      }
-      if (all_closed) return Finish();
-      auto batch_res = stream->Next();
-      if (!batch_res.ok()) {
-        Fail(batch_res.status());
-        return Finish();
-      }
-      RecordBatchPtr batch = std::move(*batch_res);
-      if (batch == nullptr) return Finish();
-      if (batch->num_rows() == 0) continue;
-      if (mode == RepartitionExec::Mode::kRoundRobin) {
-        queues[next % m]->Push(std::move(batch));
-        ++next;
-        continue;
-      }
-      // Hash repartitioning: route each row by key hash.
-      std::vector<ArrayPtr> keys;
-      for (const auto& k : hash_keys) {
-        auto v = k->Evaluate(*batch);
-        if (!v.ok()) {
-          Fail(v.status());
-          return Finish();
-        }
-        auto arr = v->ToArray(batch->num_rows());
-        if (!arr.ok()) {
-          Fail(arr.status());
-          return Finish();
-        }
-        keys.push_back(std::move(*arr));
-      }
-      Status st = compute::HashColumns(keys, &hashes);
-      if (!st.ok()) {
-        Fail(st);
-        return Finish();
-      }
-      std::vector<std::vector<int64_t>> indices(m);
-      for (int64_t r = 0; r < batch->num_rows(); ++r) {
-        // Remix before the modulo: downstream group/join tables index
-        // slots by these same hashes, and routing on the raw value
-        // would hand each final-phase table keys from a single residue
-        // class, clustering its open-addressing probes.
-        indices[hash_util::HashInt64(hashes[r]) % m].push_back(r);
-      }
-      for (int p = 0; p < m; ++p) {
-        if (indices[p].empty()) continue;
-        auto part = compute::TakeBatch(*batch, indices[p]);
-        if (!part.ok()) {
-          Fail(part.status());
-          return Finish();
-        }
-        queues[p]->Push(std::move(*part));
-      }
-    }
-    // Budget spent: yield so helping threads (a consumer inside Pop)
-    // get their stack back. Self-wake re-enqueues the task.
-    waker.Wake();
-    return exec::TaskStatus::kParked;
-  }
-};
-
 /// State of one coalesce producer task: pulls its input partition and
 /// pushes into the shared bounded queue, parking on backpressure.
 struct CoalesceProducer {
@@ -399,78 +283,6 @@ Result<exec::StreamPtr> CoalescePartitionsExec::ExecuteImpl(int partition,
   SchemaPtr schema = input_->schema();
   return exec::StreamPtr(std::make_unique<exec::GeneratorStream>(
       schema, [queue, closer]() -> Result<RecordBatchPtr> { return queue->Pop(); }));
-}
-
-RepartitionExec::~RepartitionExec() {
-  // Unblock producers abandoned by early-terminating consumers; the
-  // queues (and any still-running producer tasks) hold shared_ptrs, so
-  // this only signals, never dangles.
-  for (const auto& q : queues_) q->Close();
-}
-
-Status RepartitionExec::StartProducers(const ExecContextPtr& ctx) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (started_) return start_status_;
-  started_ = true;
-  const auto& group = ctx->EnsureTaskGroup();
-  const int n = input_->output_partitions();
-  queues_.reserve(num_partitions_);
-  for (int i = 0; i < num_partitions_; ++i) {
-    // Repartition queues are unbounded: output partitions may be
-    // consumed serially (e.g. a merge opening sorted inputs one by one),
-    // and bounded backpressure for partition B would park producers
-    // forever while partition A's consumer still waits for
-    // end-of-stream. Memory is bounded by the repartitioned data itself;
-    // DataFusion's channels make the same trade and gate memory via the
-    // pool. Push on an unbounded queue never blocks, so these producers
-    // run to completion without parking.
-    queues_.push_back(std::make_shared<BatchQueue>(
-        std::numeric_limits<size_t>::max(), ctx->cancel, group,
-        metrics_->Time(exec::metric::kQueueWaitNs, i)));
-    for (int p = 0; p < n; ++p) queues_[i]->AddProducer();
-  }
-  {
-    std::vector<std::weak_ptr<BatchQueue>> weak_queues(queues_.begin(),
-                                                       queues_.end());
-    group->AddUnwindHook([weak_queues] {
-      for (const auto& wq : weak_queues) {
-        if (auto q = wq.lock()) q->Close();
-      }
-    });
-  }
-  metrics_->Counter(exec::metric::kTasksSpawned)->Add(n);
-  auto queues = queues_;
-  // Shared help generation: these producers drive the same upstream
-  // operator instances and may wait on each other's shared-build claims
-  // (partitioned aggregation inputs), so they must never nest on one
-  // stack (scheduler invariant 4).
-  const uint64_t help_gen = group->NextHelpGen();
-  for (int i = 0; i < n; ++i) {
-    auto state = std::make_shared<RepartitionProducer>();
-    state->input = input_;
-    state->ctx = ctx;
-    state->partition = i;
-    state->queues = queues;
-    state->mode = mode_;
-    state->hash_keys = hash_keys_;
-    state->m = num_partitions_;
-    group->SpawnResumable(
-        [state](const exec::Waker& waker) { return state->Poll(waker); },
-        help_gen);
-  }
-  return Status::OK();
-}
-
-Result<exec::StreamPtr> RepartitionExec::ExecuteImpl(int partition,
-                                                 const ExecContextPtr& ctx) {
-  FUSION_RETURN_NOT_OK(StartProducers(ctx));
-  if (partition < 0 || partition >= num_partitions_) {
-    return Status::ExecutionError("RepartitionExec: partition out of range");
-  }
-  auto queue = queues_[partition];
-  SchemaPtr schema = input_->schema();
-  return exec::StreamPtr(std::make_unique<exec::GeneratorStream>(
-      schema, [queue]() -> Result<RecordBatchPtr> { return queue->Pop(); }));
 }
 
 }  // namespace physical

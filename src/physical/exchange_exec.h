@@ -34,8 +34,8 @@ class BatchQueue {
                       exec::MetricValuePtr queue_wait_ns = nullptr);
   ~BatchQueue();
 
-  /// Blocking push (backpressure); used by non-task producers (tests)
-  /// and by unbounded queues, where it never waits.
+  /// Blocking push (backpressure) for producers that are not scheduler
+  /// tasks (tests).
   void Push(RecordBatchPtr batch);
 
   /// Task-producer push: either consumes `*batch` (true — pushed, or
@@ -106,46 +106,6 @@ class CoalescePartitionsExec : public ExecutionPlan {
 
  private:
   ExecPlanPtr input_;
-};
-
-/// \brief The Volcano exchange operator (paper §5.5, RepartitionExec):
-/// redistributes N input partitions across M output partitions either
-/// round-robin (load balancing) or by key hash (for partitioned
-/// aggregations/joins). Producers are scheduler tasks, one per input
-/// partition.
-class RepartitionExec : public ExecutionPlan {
- public:
-  enum class Mode { kRoundRobin, kHash };
-
-  RepartitionExec(ExecPlanPtr input, int num_partitions, Mode mode,
-                  std::vector<PhysicalExprPtr> hash_keys = {})
-      : input_(std::move(input)), num_partitions_(num_partitions), mode_(mode),
-        hash_keys_(std::move(hash_keys)) {}
-  ~RepartitionExec() override;
-
-  std::string name() const override { return "RepartitionExec"; }
-  SchemaPtr schema() const override { return input_->schema(); }
-  int output_partitions() const override { return num_partitions_; }
-  std::vector<ExecPlanPtr> children() const override { return {input_}; }
-  Result<exec::StreamPtr> ExecuteImpl(int partition, const ExecContextPtr& ctx) override;
-  std::string ToStringLine() const override {
-    return std::string("RepartitionExec: ") +
-           (mode_ == Mode::kHash ? "hash" : "round_robin") + " -> " +
-           std::to_string(num_partitions_);
-  }
-
- private:
-  Status StartProducers(const ExecContextPtr& ctx);
-
-  ExecPlanPtr input_;
-  int num_partitions_;
-  Mode mode_;
-  std::vector<PhysicalExprPtr> hash_keys_;
-
-  std::mutex mu_;
-  bool started_ = false;
-  Status start_status_;
-  std::vector<std::shared_ptr<BatchQueue>> queues_;
 };
 
 }  // namespace physical

@@ -112,8 +112,8 @@ class ExecutionPlan {
 
 using ExecPlanPtr = std::shared_ptr<ExecutionPlan>;
 
-/// Run all partitions of `plan` in parallel on the context's thread
-/// pool and collect the results (the "collect" entry point used by the
+/// Run all partitions of `plan` in parallel on the query's scheduler
+/// and collect the results (the "collect" entry point used by the
 /// session, tests, and benchmarks).
 Result<std::vector<RecordBatchPtr>> ExecuteCollect(const ExecPlanPtr& plan,
                                                    const ExecContextPtr& ctx);
@@ -125,7 +125,7 @@ Result<int64_t> ExecuteCountRows(const ExecPlanPtr& plan, const ExecContextPtr& 
 /// \brief Aggregated metrics for one plan node, mirroring the plan tree
 /// (the structured form behind EXPLAIN ANALYZE and the bench JSON dump).
 struct PlanMetricsNode {
-  std::string name;         ///< operator name(), e.g. "HashAggregateExec"
+  std::string name;         ///< operator name(), e.g. "HashJoinExec"
   std::string description;  ///< ToStringLine()
   int64_t output_rows = 0;
   int64_t output_batches = 0;

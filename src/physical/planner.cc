@@ -1,5 +1,6 @@
 #include "physical/planner.h"
 
+#include <algorithm>
 #include <set>
 
 #include "arrow/builder.h"
@@ -52,6 +53,56 @@ bool OrderingSatisfies(const std::vector<OrderingInfo>& have,
     if (have[i].options.nulls_first != want[i].options.nulls_first) return false;
   }
   return true;
+}
+
+/// Does `input` deliver rows grouped by the key columns (its ordering
+/// prefix covers exactly the group columns)?
+bool GroupsOrdered(const ExecutionPlan& input,
+                   const std::vector<PhysicalExprPtr>& group_exprs) {
+  if (group_exprs.empty()) return false;
+  auto ordering = input.output_ordering();
+  if (ordering.size() < group_exprs.size()) return false;
+  std::set<int> group_cols;
+  for (const auto& g : group_exprs) {
+    auto* col = dynamic_cast<const ColumnExpr*>(g.get());
+    if (col == nullptr) return false;
+    group_cols.insert(col->index());
+  }
+  std::set<int> prefix_cols;
+  for (size_t i = 0; i < group_exprs.size(); ++i) {
+    prefix_cols.insert(ordering[i].column);
+  }
+  return group_cols == prefix_cols;
+}
+
+/// Plan a grouping (aggregate or DISTINCT) over `input`, paper §6.3.
+/// Key-ordered one-partition input streams with one group in flight
+/// (§6.7). Otherwise PartitionedAggregateExec builds one table per input
+/// partition and merges them into `target_partitions` radix buckets —
+/// or into one when the input has one partition or an aggregate cannot
+/// merge partial state. A global aggregate's one group lands in bucket
+/// 0, so its output partitions are coalesced.
+ExecPlanPtr PlanGrouping(ExecPlanPtr input, std::vector<PhysicalExprPtr> group_exprs,
+                         std::vector<std::string> group_names,
+                         std::vector<AggregateInfo> aggregates, SchemaPtr schema,
+                         int target_partitions) {
+  if (input->output_partitions() == 1 && GroupsOrdered(*input, group_exprs)) {
+    return std::make_shared<StreamingAggregateExec>(
+        std::move(input), std::move(group_exprs), std::move(group_names),
+        std::move(aggregates), std::move(schema));
+  }
+  const bool two_phase =
+      std::all_of(aggregates.begin(), aggregates.end(),
+                  [](const AggregateInfo& a) { return a.function->supports_two_phase; });
+  if (input->output_partitions() == 1 || !two_phase) {
+    input = CoalesceToOne(std::move(input));
+    target_partitions = 1;
+  }
+  const bool global = group_exprs.empty();
+  ExecPlanPtr aggregate = std::make_shared<PartitionedAggregateExec>(
+      std::move(input), std::move(group_exprs), std::move(group_names),
+      std::move(aggregates), std::move(schema), target_partitions);
+  return global ? CoalesceToOne(std::move(aggregate)) : aggregate;
 }
 
 /// If output column `idx` of `node` is fed unchanged by a table scan,
@@ -322,7 +373,6 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanAggregate(const PlanPtr& plan) {
   }
 
   std::vector<AggregateInfo> aggregates;
-  bool all_two_phase = true;
   for (const auto& a : plan->aggr_exprs) {
     const ExprPtr& agg = logical::Unalias(a);
     AggregateInfo info;
@@ -338,103 +388,11 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanAggregate(const PlanPtr& plan) {
       FUSION_ASSIGN_OR_RAISE(info.filter, CreatePhysicalExpr(agg->filter, in_schema));
     }
     FUSION_ASSIGN_OR_RAISE(info.output_type, agg->GetType(in_schema));
-    if (!info.function->supports_two_phase) all_two_phase = false;
     aggregates.push_back(std::move(info));
   }
-
-  SchemaPtr final_schema = PhysicalSchema(plan->schema());
-
-  // Ordered-group fast path (paper §6.3/§6.7): when the input already
-  // delivers rows grouped by the key columns (its ordering prefix covers
-  // the group columns), aggregate streaming with one group in flight.
-  auto groups_ordered = [&](const ExecPlanPtr& in) {
-    if (group_exprs.empty()) return false;
-    auto ordering = in->output_ordering();
-    if (ordering.size() < group_exprs.size()) return false;
-    std::set<int> group_cols;
-    for (const auto& g : group_exprs) {
-      auto* col = dynamic_cast<const ColumnExpr*>(g.get());
-      if (col == nullptr) return false;
-      group_cols.insert(col->index());
-    }
-    std::set<int> prefix_cols;
-    for (size_t i = 0; i < group_exprs.size(); ++i) {
-      prefix_cols.insert(ordering[i].column);
-    }
-    return group_cols == prefix_cols;
-  };
-
-  const bool two_phase = all_two_phase && ctx_->config.enable_partial_aggregation &&
-                         input->output_partitions() > 1;
-  if (!two_phase) {
-    ExecPlanPtr single_input = CoalesceToOne(std::move(input));
-    if (groups_ordered(single_input)) {
-      return ExecPlanPtr(std::make_shared<StreamingAggregateExec>(
-          std::move(single_input), AggregateMode::kSingle, group_exprs,
-          group_names, aggregates, final_schema));
-    }
-    // Single-phase over a single stream.
-    return ExecPlanPtr(std::make_shared<HashAggregateExec>(
-        std::move(single_input), AggregateMode::kSingle, group_exprs,
-        group_names, aggregates, final_schema));
-  }
-
-  // Grouped two-phase: merge thread-local GroupTable state through a
-  // radix partition of the stored key hashes (no row-level repartition
-  // exchange, no key re-encode). The repartition pipeline below remains
-  // as the ablation fallback and serves global (no-group) aggregates.
-  if (!group_exprs.empty() && ctx_->config.enable_partitioned_aggregation) {
-    return ExecPlanPtr(std::make_shared<PartitionedAggregateExec>(
-        std::move(input), group_exprs, group_names, aggregates, final_schema,
-        ctx_->config.target_partitions));
-  }
-
-  // Partial schema: group columns followed by each aggregate's state.
-  std::vector<Field> partial_fields;
-  for (size_t g = 0; g < group_exprs.size(); ++g) {
-    partial_fields.emplace_back(group_names[g], group_exprs[g]->type(), true);
-  }
-  std::vector<AggregateInfo> final_aggs = aggregates;
-  int state_col = static_cast<int>(group_exprs.size());
-  for (size_t a = 0; a < aggregates.size(); ++a) {
-    FUSION_ASSIGN_OR_RAISE(auto acc,
-                           aggregates[a].function->create(aggregates[a].arg_types));
-    final_aggs[a].state_columns.clear();
-    for (DataType t : acc->PartialTypes()) {
-      partial_fields.emplace_back("__state_" + std::to_string(state_col), t, true);
-      final_aggs[a].state_columns.push_back(state_col++);
-    }
-  }
-  auto partial_schema = std::make_shared<Schema>(std::move(partial_fields));
-
-  ExecPlanPtr partial = std::make_shared<HashAggregateExec>(
-      std::move(input), AggregateMode::kPartial, group_exprs, group_names,
-      aggregates, partial_schema);
-
-  ExecPlanPtr distributed;
-  if (group_exprs.empty()) {
-    distributed = CoalesceToOne(std::move(partial));
-  } else {
-    // Hash-repartition on the group keys (now the leading columns).
-    std::vector<PhysicalExprPtr> keys;
-    for (size_t g = 0; g < group_exprs.size(); ++g) {
-      keys.push_back(std::make_shared<ColumnExpr>(
-          group_names[g], static_cast<int>(g), group_exprs[g]->type()));
-    }
-    distributed = std::make_shared<RepartitionExec>(
-        std::move(partial), ctx_->config.target_partitions,
-        RepartitionExec::Mode::kHash, std::move(keys));
-  }
-
-  // Final-mode group exprs reference the leading partial columns.
-  std::vector<PhysicalExprPtr> final_groups;
-  for (size_t g = 0; g < group_exprs.size(); ++g) {
-    final_groups.push_back(std::make_shared<ColumnExpr>(
-        group_names[g], static_cast<int>(g), group_exprs[g]->type()));
-  }
-  return ExecPlanPtr(std::make_shared<HashAggregateExec>(
-      std::move(distributed), AggregateMode::kFinal, final_groups, group_names,
-      final_aggs, final_schema));
+  return PlanGrouping(std::move(input), std::move(group_exprs), std::move(group_names),
+                      std::move(aggregates), PhysicalSchema(plan->schema()),
+                      ctx_->config.target_partitions);
 }
 
 Result<ExecPlanPtr> PhysicalPlanner::PlanDistinct(const PlanPtr& plan) {
@@ -447,26 +405,8 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanDistinct(const PlanPtr& plan) {
         schema->field(i).name(), i, schema->field(i).type()));
     group_names.push_back(schema->field(i).name());
   }
-  if (input->output_partitions() > 1) {
-    if (ctx_->config.enable_partitioned_aggregation && !group_exprs.empty()) {
-      return ExecPlanPtr(std::make_shared<PartitionedAggregateExec>(
-          std::move(input), group_exprs, group_names,
-          std::vector<AggregateInfo>{}, schema, ctx_->config.target_partitions));
-    }
-    ExecPlanPtr partial = std::make_shared<HashAggregateExec>(
-        std::move(input), AggregateMode::kPartial, group_exprs, group_names,
-        std::vector<AggregateInfo>{}, schema);
-    std::vector<PhysicalExprPtr> keys = group_exprs;
-    ExecPlanPtr repart = std::make_shared<RepartitionExec>(
-        std::move(partial), ctx_->config.target_partitions,
-        RepartitionExec::Mode::kHash, std::move(keys));
-    return ExecPlanPtr(std::make_shared<HashAggregateExec>(
-        std::move(repart), AggregateMode::kFinal, group_exprs, group_names,
-        std::vector<AggregateInfo>{}, schema));
-  }
-  return ExecPlanPtr(std::make_shared<HashAggregateExec>(
-      std::move(input), AggregateMode::kSingle, group_exprs, group_names,
-      std::vector<AggregateInfo>{}, schema));
+  return PlanGrouping(std::move(input), std::move(group_exprs), std::move(group_names),
+                      {}, std::move(schema), ctx_->config.target_partitions);
 }
 
 Result<ExecPlanPtr> PhysicalPlanner::PlanJoin(const PlanPtr& plan) {

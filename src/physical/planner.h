@@ -13,8 +13,8 @@ namespace physical {
 
 /// \brief Lowers an optimized LogicalPlan to an ExecutionPlan (paper
 /// §5.1 step 4): selects join algorithms and build sides from
-/// statistics, plans two-phase aggregations, inserts exchange operators
-/// (Repartition/Coalesce) to satisfy distribution requirements, elides
+/// statistics, plans partitioned aggregations, inserts coalescing
+/// exchanges to satisfy distribution requirements, elides
 /// sorts satisfied by existing orderings (§6.7), and executes
 /// uncorrelated scalar subqueries.
 class PhysicalPlanner {

@@ -1,11 +1,12 @@
-// Adaptive two-phase partitioned aggregation: randomized oracle checks
-// against the single-partition non-adaptive plan across group
-// cardinalities (collapsing, medium, ~unique), partition counts, and
-// every FUSION_AGG_BYPASS mode — plus morsel-split balance regression
-// tests for the scan sources that feed it.
+// Adaptive partitioned aggregation: randomized oracle checks against
+// the single-partition plan across group cardinalities (collapsing,
+// medium, ~unique), partition counts, and every FUSION_AGG_BYPASS mode —
+// plus morsel-split balance regression tests for the scan sources that
+// feed it.
 
 #include "tests/test_util.h"
 
+#include <bit>
 #include <cstdlib>
 
 #include "catalog/memory_table.h"
@@ -61,10 +62,9 @@ catalog::TableProviderPtr MakeRandomTable(int64_t n, int64_t cardinality,
 }
 
 core::SessionContextPtr MakeSession(const catalog::TableProviderPtr& table,
-                                    int partitions, bool adaptive) {
+                                    int partitions) {
   exec::SessionConfig config;
   config.target_partitions = partitions;
-  config.enable_partitioned_aggregation = adaptive;
   // Decide the bypass within the test's data size (default probe window
   // is 100k rows).
   config.agg_bypass_probe_rows = 2000;
@@ -79,18 +79,23 @@ const char* kQueries[] = {
     "SELECT k, ks, avg(f) FROM r GROUP BY k, ks",
     "SELECT DISTINCT k FROM r",
     "SELECT k, count(*) FROM r WHERE v > 0 GROUP BY k",
+    "SELECT count(*), sum(v), min(v), max(f), avg(f) FROM r",
+    "SELECT count(*), sum(v), max(f) FROM r WHERE k < 0",
+    "SELECT k, count(DISTINCT v), count(DISTINCT ks) FROM r GROUP BY k",
+    "SELECT count(DISTINCT v), count(DISTINCT ks) FILTER (WHERE v > 0) FROM r",
+    "SELECT ks, median(f), count(*) FROM r GROUP BY ks",
 };
 
 void CheckAgainstOracle(int64_t n, int64_t cardinality, uint64_t seed) {
   auto table = MakeRandomTable(n, cardinality, seed);
-  auto reference = MakeSession(table, /*partitions=*/1, /*adaptive=*/false);
+  auto reference = MakeSession(table, /*partitions=*/1);
   for (const char* sql : kQueries) {
     ASSERT_OK_AND_ASSIGN(auto expected_batches, reference->ExecuteSql(sql));
     auto expected = SortedStringRows(expected_batches);
     for (int partitions : {1, 4}) {
       for (const char* bypass : {"off", "force", ""}) {
         ScopedBypassEnv env(bypass);
-        auto session = MakeSession(table, partitions, /*adaptive=*/true);
+        auto session = MakeSession(table, partitions);
         ASSERT_OK_AND_ASSIGN(auto batches, session->ExecuteSql(sql));
         EXPECT_EQ(SortedStringRows(batches), expected)
             << sql << " [partitions=" << partitions << " bypass="
@@ -120,7 +125,7 @@ TEST(AdaptiveAggOracleTest, NearUniqueCardinality) {
 TEST(AdaptiveAggOracleTest, BypassMetricsSurfaceInExplain) {
   auto table = MakeRandomTable(20000, 1000000, 404);
   ScopedBypassEnv env("force");
-  auto session = MakeSession(table, 4, /*adaptive=*/true);
+  auto session = MakeSession(table, 4);
   ASSERT_OK_AND_ASSIGN(
       auto batches,
       session->ExecuteSql(
@@ -129,6 +134,33 @@ TEST(AdaptiveAggOracleTest, BypassMetricsSurfaceInExplain) {
   std::string text = batches[0]->column(0)->ValueToString(0);
   EXPECT_NE(text.find("PartitionedAggregateExec"), std::string::npos) << text;
   EXPECT_NE(text.find("bypass_rows="), std::string::npos) << text;
+}
+
+TEST(AdaptiveAggOracleTest, CountDistinctFloatsMatchSelectDistinct) {
+  // count(DISTINCT) compares values the way DISTINCT compares rows:
+  // -0.0 equals 0.0, NaNs with different payloads are one value, and
+  // NULL is not counted.
+  Float64Builder f;
+  for (double v : {-0.0, 0.0, std::bit_cast<double>(0x7ff8000000000001ULL),
+                   std::bit_cast<double>(0x7ff8000000000002ULL), 1.5, -0.0, 1.5}) {
+    f.Append(v);
+  }
+  f.AppendNull();
+  auto schema = fusion::schema({Field("f", float64(), true)});
+  auto batch = std::make_shared<RecordBatch>(
+      schema, 8, std::vector<ArrayPtr>{f.Finish().ValueOrDie()});
+  auto table = catalog::MemoryTable::Make(schema, SliceBatch(batch, 2)).ValueOrDie();
+  for (int partitions : {1, 4}) {
+    auto session = MakeSession(table, partitions);
+    ASSERT_OK_AND_ASSIGN(auto distinct,
+                         session->ExecuteSql("SELECT DISTINCT f FROM r "
+                                             "WHERE f IS NOT NULL"));
+    ASSERT_OK_AND_ASSIGN(auto counted,
+                         session->ExecuteSql("SELECT count(DISTINCT f) FROM r"));
+    EXPECT_EQ(TotalRows(distinct), 3) << "partitions=" << partitions;
+    EXPECT_EQ(ToStringRows(counted)[0][0], std::to_string(TotalRows(distinct)))
+        << "partitions=" << partitions;
+  }
 }
 
 // ------------------------------------------------------- morsel balance
@@ -189,7 +221,7 @@ TEST(MorselBalanceTest, ParallelQueryOverManyUnitsStaysCorrect) {
   // the shared queue; every row is aggregated exactly once regardless
   // of which consumer claims which morsel.
   auto table = MakeRandomTable(40 * 512, 37, 707);
-  auto session = MakeSession(table, 4, /*adaptive=*/true);
+  auto session = MakeSession(table, 4);
   ASSERT_OK_AND_ASSIGN(auto rows,
                        session->ExecuteSql("SELECT sum(cnt) FROM (SELECT k, "
                                            "count(*) AS cnt FROM r GROUP BY k)"));

@@ -193,7 +193,6 @@ TEST(SessionTest, ConfigAblationsPreserveResults) {
       exec::SessionConfig config;
       config.enable_predicate_pushdown = mask & 1;
       config.enable_topk = mask & 2;
-      config.enable_partial_aggregation = mask & 4;
       config.target_partitions = 1 + mask % 3;
       auto ctx = MakeTestSession(50, config);
       ASSERT_OK_AND_ASSIGN(auto got, ctx->ExecuteSql(q));

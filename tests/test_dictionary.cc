@@ -209,6 +209,8 @@ TEST_P(DictionaryOracleTest, SqlMatchesCsvBackedTable) {
   queries.push_back("SELECT tag, count(*) FROM td WHERE tag LIKE 'grp_1%' "
                     "GROUP BY tag");
   queries.push_back("SELECT count(DISTINCT tag) FROM td");
+  queries.push_back("SELECT v, count(DISTINCT tag) AS d, count(DISTINCT tag) "
+                    "FILTER (WHERE id < 12000) AS df FROM td GROUP BY v");
   queries.push_back("SELECT min(tag), max(tag) FROM td WHERE v < 250");
   // Join on the string column, then aggregate.
   queries.push_back("SELECT dim.label, count(*), sum(td.v) FROM td "

@@ -196,7 +196,8 @@ TEST(JoinPropertyTest, CrossJoinCount) {
 TEST(GroupByPropertyTest, MatchesMapOracle) {
   // Random multi-column GROUP BY cross-checked against an
   // unordered_map oracle, at 1 and 4 target partitions (the latter
-  // exercising the partial -> repartition -> final plan).
+  // exercising the build -> radix merge plan; count(DISTINCT) stays on
+  // one partition).
   std::mt19937 rng(99);
   for (int trial = 0; trial < 8; ++trial) {
     const int64_t n = 50 + rng() % 400;
@@ -233,11 +234,12 @@ TEST(GroupByPropertyTest, MatchesMapOracle) {
                                   vb.Finish().ValueOrDie()};
     auto batch = std::make_shared<RecordBatch>(schema, n, std::move(cols));
 
-    // Oracle: (k,g) -> (count(*), count(v), sum(v)).
+    // Oracle: (k,g) -> (count(*), count(v), sum(v), count(DISTINCT v)).
     struct Agg {
       int64_t count_star = 0;
       int64_t count_v = 0;
       int64_t sum_v = 0;
+      std::set<int64_t> distinct_v;
     };
     std::unordered_map<std::string, Agg> oracle;
     for (int64_t i = 0; i < n; ++i) {
@@ -248,6 +250,7 @@ TEST(GroupByPropertyTest, MatchesMapOracle) {
       if (vs[i].has_value()) {
         a.count_v++;
         a.sum_v += *vs[i];
+        a.distinct_v.insert(*vs[i]);
       }
     }
     std::vector<StringRow> expected;
@@ -255,7 +258,8 @@ TEST(GroupByPropertyTest, MatchesMapOracle) {
       auto sep = key.find('|');
       expected.push_back({key.substr(0, sep), key.substr(sep + 1),
                           std::to_string(a.count_star), std::to_string(a.count_v),
-                          a.count_v == 0 ? "null" : std::to_string(a.sum_v)});
+                          a.count_v == 0 ? "null" : std::to_string(a.sum_v),
+                          std::to_string(a.distinct_v.size())});
     }
     std::sort(expected.begin(), expected.end());
 
@@ -268,8 +272,8 @@ TEST(GroupByPropertyTest, MatchesMapOracle) {
                     .ValueOrDie()));
       ASSERT_OK_AND_ASSIGN(
           auto batches,
-          ctx->ExecuteSql("SELECT k, g, count(*), count(v), sum(v) "
-                          "FROM gt GROUP BY k, g"));
+          ctx->ExecuteSql("SELECT k, g, count(*), count(v), sum(v), "
+                          "count(DISTINCT v) FROM gt GROUP BY k, g"));
       EXPECT_EQ(SortedStringRows(batches), expected)
           << "trial " << trial << " partitions " << partitions;
     }

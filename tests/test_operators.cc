@@ -110,14 +110,14 @@ TEST(SortSpillTest, ExternalSortMatchesInMemory) {
   EXPECT_EQ(ToStringRows(spilled), ToStringRows(in_memory));
 }
 
-TEST(AggSpillTest, SpilledAggregationMatchesInMemory) {
-  exec::SessionConfig config;
-  config.target_partitions = 2;
-  auto env_small = std::make_shared<exec::RuntimeEnv>();
-  env_small->memory_pool = std::make_shared<exec::GreedyMemoryPool>(256 * 1024);
-  auto small_ctx = core::SessionContext::Make(config, env_small);
-  auto big_ctx = core::SessionContext::Make(config);
+/// Spills recorded anywhere in a metrics tree.
+int64_t TotalSpills(const physical::PlanMetricsNode& node) {
+  int64_t total = node.spill_count;
+  for (const auto& child : node.children) total += TotalSpills(child);
+  return total;
+}
 
+TEST(AggSpillTest, SpilledAggregationMatchesInMemory) {
   std::mt19937 rng(13);
   Int64Builder key, value;
   for (int64_t i = 0; i < 80000; ++i) {
@@ -129,16 +129,30 @@ TEST(AggSpillTest, SpilledAggregationMatchesInMemory) {
   std::vector<ArrayPtr> cols = {key.Finish().ValueOrDie(),
                                 value.Finish().ValueOrDie()};
   auto batch = std::make_shared<RecordBatch>(schema, 80000, std::move(cols));
+  // Small batches: builds check memory every 16 batches.
   auto table =
-      catalog::MemoryTable::Make(schema, SliceBatch(batch, 8192)).ValueOrDie();
-  small_ctx->RegisterTable("data", table).Abort();
-  big_ctx->RegisterTable("data", table).Abort();
-
+      catalog::MemoryTable::Make(schema, SliceBatch(batch, 1024)).ValueOrDie();
   const char* q = "SELECT k, count(*), sum(v), min(v), max(v), avg(v) "
                   "FROM data GROUP BY k";
-  ASSERT_OK_AND_ASSIGN(auto spilled, small_ctx->ExecuteSql(q));
-  ASSERT_OK_AND_ASSIGN(auto in_memory, big_ctx->ExecuteSql(q));
-  EXPECT_EQ(SortedStringRows(spilled), SortedStringRows(in_memory));
+
+  // Two partitions merge spilled builds; one partition spills the
+  // single build and falls back from finishing it directly to the merge.
+  for (int partitions : {2, 1}) {
+    exec::SessionConfig config;
+    config.target_partitions = partitions;
+    auto env_small = std::make_shared<exec::RuntimeEnv>();
+    env_small->memory_pool = std::make_shared<exec::GreedyMemoryPool>(256 * 1024);
+    auto small_ctx = core::SessionContext::Make(config, env_small);
+    auto big_ctx = core::SessionContext::Make(config);
+    small_ctx->RegisterTable("data", table).Abort();
+    big_ctx->RegisterTable("data", table).Abort();
+
+    ASSERT_OK_AND_ASSIGN(auto spilled, small_ctx->ExecuteSqlWithMetrics(q));
+    ASSERT_OK_AND_ASSIGN(auto in_memory, big_ctx->ExecuteSql(q));
+    EXPECT_GT(TotalSpills(spilled.metrics), 0) << "partitions=" << partitions;
+    EXPECT_EQ(SortedStringRows(spilled.batches), SortedStringRows(in_memory))
+        << "partitions=" << partitions;
+  }
 }
 
 TEST(TopKTest, MatchesFullSortProperty) {
@@ -161,7 +175,7 @@ TEST(ExchangeTest, RepartitionPreservesAllRows) {
   exec::SessionConfig config;
   config.target_partitions = 4;
   auto ctx = MakeTestSession(1000, config);
-  // Two-phase aggregation exercises hash repartitioning end to end.
+  // The radix merge must hand every group to exactly one partition.
   ASSERT_OK_AND_ASSIGN(
       auto batches,
       ctx->ExecuteSql("SELECT grp, count(*) AS c FROM t GROUP BY grp"));
@@ -173,7 +187,7 @@ TEST(ExchangeTest, RepartitionPreservesAllRows) {
 }
 
 TEST(ExchangeTest, LimitAbandonsExchangeWithoutHanging) {
-  // Regression: LIMIT above a repartitioned aggregation must terminate
+  // Regression: LIMIT above a partitioned aggregation must terminate
   // even though the exchange producers still hold batches.
   exec::SessionConfig config;
   config.target_partitions = 4;
@@ -186,10 +200,9 @@ TEST(ExchangeTest, LimitAbandonsExchangeWithoutHanging) {
 
 
 TEST(ExchangeTest, SeriallyConsumedRepartitionDoesNotDeadlock) {
-  // Regression: per-partition sorts above a hash repartition are opened
-  // one at a time by the sort-preserving merge; with bounded exchange
-  // queues the producers deadlocked once partition B's queue filled
-  // while partition A's consumer still awaited end-of-stream.
+  // Regression: the sort-preserving merge opens the per-partition sorts
+  // above a partitioned aggregation one at a time, so each aggregate
+  // partition must finish while its siblings are still unconsumed.
   exec::SessionConfig config;
   config.target_partitions = 3;
   auto ctx = MakeTestSession(60000, config);
@@ -288,14 +301,14 @@ TEST(AggregateTest, StddevVarCorrMedian) {
 }
 
 TEST(AggregateTest, TwoPhaseMatchesSinglePhaseProperty) {
+  // Three partitions build and radix-merge; one partition finishes its
+  // single build directly.
   std::mt19937 rng(23);
   for (int trial = 0; trial < 3; ++trial) {
     exec::SessionConfig two_phase;
     two_phase.target_partitions = 3;
-    two_phase.enable_partial_aggregation = true;
     exec::SessionConfig single;
-    single.target_partitions = 3;
-    single.enable_partial_aggregation = false;
+    single.target_partitions = 1;
     int64_t n = 500 + static_cast<int64_t>(rng() % 1000);
     auto ctx2 = MakeTestSession(n, two_phase);
     auto ctx1 = MakeTestSession(n, single);
@@ -379,8 +392,8 @@ TEST(FairPoolTest, QueryFailsCleanlyWhenShareExceeded) {
 
 
 TEST(StreamingAggTest, SelectedForKeyOrderedInput) {
-  // Order-based plan selection: pin to one partition, since hash
-  // repartitioning discards the declared sort order.
+  // Order-based plan selection: pin to one partition, since streaming
+  // needs key-ordered one-partition input.
   exec::SessionConfig config;
   config.target_partitions = 1;
   auto ctx = MakeTestSession(100, config);  // t is sorted by id

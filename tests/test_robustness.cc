@@ -280,23 +280,6 @@ TEST(CoalesceTest, ConsumerAbandonsMidStream) {
   EXPECT_LT(ElapsedMs(start), 5000);
 }
 
-TEST(RepartitionTest, AbandonMidStream) {
-  auto source = std::make_shared<ScriptedSourceExec>(2, 1 << 20);
-  auto ctx = MakeBareExecContext();
-  auto start = Clock::now();
-  {
-    auto plan = std::make_shared<physical::RepartitionExec>(
-        source, 4, physical::RepartitionExec::Mode::kRoundRobin);
-    ASSERT_OK_AND_ASSIGN(auto stream, plan->Execute(0, ctx));
-    ASSERT_OK_AND_ASSIGN(auto batch, stream->Next());
-    EXPECT_NE(batch, nullptr);
-    // Plan + stream destroyed with 3 partitions never consumed; the
-    // RepartitionExec destructor closes the queues so the producer
-    // tasks stop at the next push.
-  }
-  EXPECT_LT(ElapsedMs(start), 5000);
-}
-
 // --------------------------------------------------- SQL-level cancellation
 
 // Large enough that the engine cannot finish before the cancel lands,

@@ -1,12 +1,11 @@
-// Tests for the runtime primitives: Status/Result, the thread pool, and
-// the exchange BatchQueue.
+// Tests for the runtime primitives: Status/Result and the exchange
+// BatchQueue.
 
 #include "tests/test_util.h"
 
 #include <atomic>
 #include <thread>
 
-#include "common/thread_pool.h"
 #include "physical/exchange_exec.h"
 
 namespace fusion {
@@ -53,52 +52,6 @@ TEST(ResultTest, MacroPropagation) {
   ASSERT_OK_AND_ASSIGN(int v, outer(false));
   EXPECT_EQ(v, 14);
   EXPECT_TRUE(outer(true).status().IsInvalid());
-}
-
-TEST(ThreadPoolTest, RunAllExecutesEverythingAndReportsFirstError) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  std::vector<std::function<Status()>> tasks;
-  for (int i = 0; i < 20; ++i) {
-    tasks.push_back([&counter, i]() -> Status {
-      counter.fetch_add(1);
-      if (i == 7) return Status::Internal("task 7 exploded");
-      return Status::OK();
-    });
-  }
-  Status st = pool.RunAll(std::move(tasks));
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(counter.load(), 20);  // error does not cancel siblings
-}
-
-TEST(ThreadPoolTest, SubmitReturnsFuture) {
-  ThreadPool pool(2);
-  auto fut = pool.Submit([]() -> Status { return Status::Cancelled("stop"); });
-  EXPECT_EQ(fut.get().code(), StatusCode::kCancelled);
-}
-
-TEST(ThreadPoolTest, NestedRunAllDoesNotDeadlockSaturatedPool) {
-  // Regression: with a 2-worker pool, outer tasks occupy every worker
-  // and each calls RunAll again (nested collect); the inner tasks used
-  // to sit in the queue forever while the workers blocked on their
-  // futures. RunAll now help-drains the queue while waiting.
-  ThreadPool pool(2);
-  std::atomic<int> inner_runs{0};
-  std::vector<std::function<Status()>> outer;
-  for (int i = 0; i < 4; ++i) {
-    outer.push_back([&pool, &inner_runs]() -> Status {
-      std::vector<std::function<Status()>> inner;
-      for (int j = 0; j < 4; ++j) {
-        inner.push_back([&inner_runs]() -> Status {
-          inner_runs.fetch_add(1);
-          return Status::OK();
-        });
-      }
-      return pool.RunAll(std::move(inner));
-    });
-  }
-  ASSERT_OK(pool.RunAll(std::move(outer)));
-  EXPECT_EQ(inner_runs.load(), 16);
 }
 
 TEST(BatchQueueTest, ProducerConsumerEndToEnd) {

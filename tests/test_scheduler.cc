@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <random>
 #include <thread>
 
 #include "exec/scheduler.h"
@@ -225,10 +226,10 @@ TEST(TaskGroupTest, DeadlineExpiryInHelpOrWaitDoesNotSelfDeadlock) {
 }
 
 TEST(SchedulerTest, SingleWorkerRunsPartitionedQueryToCompletion) {
-  // The hardest deadlock case: 4 partitions' drivers, repartition
-  // producers and a coalesce all multiplexed onto ONE worker plus the
-  // calling thread. Progress relies entirely on cooperative
-  // help/park — any true blocking wait would hang here.
+  // The hardest deadlock case: 4 partitions' drivers, aggregate build
+  // claims, join builds and coalesce producers all multiplexed onto ONE
+  // worker plus the calling thread. Progress relies entirely on
+  // cooperative help/park — any true blocking wait would hang here.
   auto sched = std::make_shared<QueryScheduler>(1);
   auto session = MakeScheduledSession(300, FourPartitionConfig(), sched);
   ASSERT_OK_AND_ASSIGN(
@@ -237,6 +238,81 @@ TEST(SchedulerTest, SingleWorkerRunsPartitionedQueryToCompletion) {
           "SELECT grp, count(*) AS c FROM t GROUP BY grp ORDER BY grp"));
   EXPECT_EQ(SortedStringRows(batches),
             (std::vector<StringRow>{{"a", "100"}, {"b", "100"}, {"c", "100"}}));
+  // A global aggregate over a self-join: the coalesce producers drive
+  // both the join's shared collect and the aggregate's build claims.
+  ASSERT_OK_AND_ASSIGN(
+      batches, session->ExecuteSql("SELECT count(*) FROM t a CROSS JOIN t b"));
+  EXPECT_EQ(ToStringRows(batches), (std::vector<StringRow>{{"90000"}}));
+  ASSERT_OK_AND_ASSIGN(batches, session->ExecuteSql("SELECT DISTINCT grp FROM t"));
+  EXPECT_EQ(SortedStringRows(batches),
+            (std::vector<StringRow>{{"a"}, {"b"}, {"c"}}));
+}
+
+TEST(SchedulerTest, GroupsReleasedWhileWorkersScanDoNotDeadlock) {
+  // Regression: a worker popping a stale run-queue entry (its group's
+  // task was run by a helping client) locks the group; if the client
+  // drops its last reference just then, the worker's drop runs
+  // ~TaskGroup -> Finish(), which must not happen under the scheduler
+  // mutex. Each round parks both workers, leaves 16 short-lived groups
+  // with stale entries, then drops one group's last client reference at
+  // a random moment while a released worker scans the run queue.
+  QueryScheduler sched(2);
+  std::mt19937 rng(7);
+  for (int round = 0; round < 2000; ++round) {
+    std::atomic<int> started{0};
+    std::atomic<bool> release{false};
+    auto blockers = sched.MakeGroup();
+    for (int i = 0; i < 2; ++i) {
+      blockers->Spawn([&] {
+        started.fetch_add(1);
+        while (!release.load()) {
+        }
+        return Status::OK();
+      });
+    }
+    while (started.load() < 2) {
+    }
+    std::vector<exec::TaskGroupPtr> groups;
+    for (int i = 0; i < 16; ++i) {
+      groups.push_back(sched.MakeGroup());
+      groups.back()->Spawn([] { return Status::OK(); });
+      groups.back()->RunOneReadyTask();
+    }
+    // A ready task behind the stale entries makes the worker scan them.
+    auto tail = sched.MakeGroup();
+    tail->Spawn([] { return Status::OK(); });
+    exec::TaskGroupPtr victim = std::move(groups[rng() % groups.size()]);
+    const uint32_t spin = rng() % 20000;
+    release.store(true);
+    for (uint32_t k = 0; k < spin; ++k) asm volatile("" ::: "memory");
+    victim.reset();
+    ASSERT_OK(blockers->Finish());
+    ASSERT_OK(tail->Finish());
+  }
+}
+
+TEST(SchedulerTest, DestructorDropsLastGroupReferenceOutsideItsLock) {
+  // Regression: ~QueryScheduler discards queued tasks; when they held
+  // their group's last references, ~TaskGroup -> Finish() locked the
+  // scheduler mutex the destructor still held.
+  auto sched = std::make_unique<QueryScheduler>(1);
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  sched->MakeGroup()->Spawn([&] {
+    started.store(true);
+    while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return Status::OK();
+  });
+  while (!started.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  auto group = sched->MakeGroup();
+  group->Spawn([] { return Status::OK(); });  // queued behind the busy worker
+  group.reset();
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    release.store(true);
+  });
+  sched.reset();
+  releaser.join();
 }
 
 TEST(SchedulerTest, EightConcurrentQueriesBoundedThreads) {
