@@ -10,7 +10,15 @@
 // FUSION_BENCH_QUERIES selects a comma-separated subset of the query
 // numbers (CI runs a reduced sweep); `--json FILE` emits the series as
 // {query, threads, seconds} entries for tools/check_bench.py.
+//
+// Each sweep point starts a new scheduler. On a 4-vCPU Linux host, its
+// workers, woken through a condition variable while the waking thread
+// kept running, stayed on one vCPU for about a second before spreading
+// (EXPERIMENTS.md, Figure 7). So every point runs its queries for at
+// least kWarmupSeconds before timing, and reports the median of kRuns
+// runs.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -34,6 +42,23 @@ std::vector<int> ParseIntList(const char* env, const char* fallback) {
   return out;
 }
 
+constexpr double kWarmupSeconds = 1.5;
+constexpr int kRuns = 5;
+
+/// Median time of kRuns executions of `sql`.
+QueryTiming RunMedian(core::SessionContext* ctx, const std::string& sql) {
+  std::vector<double> seconds;
+  QueryTiming t;
+  for (int i = 0; i < kRuns; ++i) {
+    t = RunFusion(ctx, sql, /*runs=*/1);
+    if (!t.ok) return t;
+    seconds.push_back(t.seconds);
+  }
+  std::nth_element(seconds.begin(), seconds.begin() + kRuns / 2, seconds.end());
+  t.seconds = seconds[kRuns / 2];
+  return t;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -49,8 +74,13 @@ int main(int argc, char** argv) {
   // Representative queries across the paper's regimes: sub-second
   // (Q1/Q2), medium groups (Q15, Q32), high-cardinality (Q18, Q33),
   // LIKE-heavy (Q28).
-  std::vector<int> query_numbers =
-      ParseIntList(std::getenv("FUSION_BENCH_QUERIES"), "1,2,8,15,18,28,32,33");
+  std::vector<BenchQuery> queries;
+  for (int qn :
+       ParseIntList(std::getenv("FUSION_BENCH_QUERIES"), "1,2,8,15,18,28,32,33")) {
+    for (const auto& q : ClickBenchQueries()) {
+      if (q.number == qn) queries.push_back(q);
+    }
+  }
 
   std::printf("== Figure 7: ClickBench scalability (threads sweep) ==\n");
   auto paths = GenerateClickBench(spec);
@@ -73,17 +103,18 @@ int main(int argc, char** argv) {
     env_rt->query_scheduler = std::make_shared<exec::QueryScheduler>(threads);
     auto ctx = core::SessionContext::Make(config, env_rt);
     if (!RegisterHits(ctx.get(), nullptr, *paths).ok()) return 1;
-    for (int qn : query_numbers) {
-      for (const auto& q : ClickBenchQueries()) {
-        if (q.number != qn) continue;
-        QueryTiming t = RunFusion(ctx.get(), q.sql, /*runs=*/2);
-        if (t.ok) {
-          std::printf("Q%d,%d,%.3f\n", qn, threads, t.seconds);
-        } else {
-          std::printf("Q%d,%d,FAIL (%s)\n", qn, threads, t.error.c_str());
-        }
-        report.Add(qn, threads, t);
+    Timer warmup;
+    do {
+      for (const auto& q : queries) RunFusion(ctx.get(), q.sql, /*runs=*/1);
+    } while (warmup.Seconds() < kWarmupSeconds);
+    for (const auto& q : queries) {
+      QueryTiming t = RunMedian(ctx.get(), q.sql);
+      if (t.ok) {
+        std::printf("Q%d,%d,%.3f\n", q.number, threads, t.seconds);
+      } else {
+        std::printf("Q%d,%d,FAIL (%s)\n", q.number, threads, t.error.c_str());
       }
+      report.Add(q.number, threads, t);
     }
   }
   return report.Finish() ? 0 : 1;

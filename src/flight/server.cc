@@ -1,5 +1,6 @@
 #include "flight/server.h"
 
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -71,9 +72,15 @@ struct FlightServer::Session {
   /// send/recv is well-defined, so SendFrame/ReadFrame need no lock.
   std::mutex socket_mu;
 
-  void ShutdownSocketRead() {
+  /// Drain phase 1: shut the read side of an idle session. A request
+  /// the client already sent but the handler has not read yet (unread
+  /// socket bytes) counts as in flight.
+  void ShutdownReadIfIdle() {
     std::lock_guard<std::mutex> lock(socket_mu);
-    if (socket.valid()) ::shutdown(socket.fd(), SHUT_RD);
+    if (!socket.valid() || in_flight.load()) return;
+    int unread = 0;
+    if (::ioctl(socket.fd(), FIONREAD, &unread) == 0 && unread > 0) return;
+    ::shutdown(socket.fd(), SHUT_RD);
   }
   void ShutdownSocketBoth() {
     std::lock_guard<std::mutex> lock(socket_mu);
@@ -632,15 +639,14 @@ DrainResult FlightServer::Shutdown(int64_t drain_timeout_ms) {
 
   // Phase 1 — signal every session. Idle sessions get their read side
   // shut so the blocked ReadFrame wakes as a clean hangup; sessions
-  // with a query in flight are left to finish it (RunSession breaks
-  // after the current request once drain_requested is set).
+  // with a query in flight or a request waiting to be read are left to
+  // finish it (RunSession breaks after the current request once
+  // drain_requested is set).
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     for (auto& s : sessions_) {
       s->drain_requested.store(true);
-      if (!s->in_flight.load()) {
-        s->ShutdownSocketRead();
-      }
+      s->ShutdownReadIfIdle();
     }
   }
   // Phase 2 — wait for in-flight work to finish and queues to flush.

@@ -26,11 +26,23 @@ void AddExprColumns(const ExprPtr& expr, NameSet* out) {
 Result<PlanPtr> Push(const PlanPtr& plan, const NameSet* required) {
   switch (plan->kind) {
     case PlanKind::kProjection: {
+      // Keep only the expressions the parent reads (at least one, so
+      // row counts survive), then require only their inputs.
+      std::vector<ExprPtr> exprs;
+      for (size_t i = 0; i < plan->exprs.size(); ++i) {
+        if (required == nullptr ||
+            required->count(plan->schema().field(static_cast<int>(i)).name()) != 0) {
+          exprs.push_back(plan->exprs[i]);
+        }
+      }
+      if (exprs.empty() && !plan->exprs.empty()) exprs.push_back(plan->exprs[0]);
       NameSet child_req;
-      for (const auto& e : plan->exprs) AddExprColumns(e, &child_req);
+      for (const auto& e : exprs) AddExprColumns(e, &child_req);
       FUSION_ASSIGN_OR_RAISE(PlanPtr child, Push(plan->child(0), &child_req));
-      if (child == plan->child(0)) return plan;
-      return logical::MakeProjection(std::move(child), plan->exprs);
+      if (child == plan->child(0) && exprs.size() == plan->exprs.size()) {
+        return plan;
+      }
+      return logical::MakeProjection(std::move(child), std::move(exprs));
     }
     case PlanKind::kFilter: {
       if (required == nullptr) {

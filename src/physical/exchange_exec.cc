@@ -198,9 +198,9 @@ struct QueueCloser {
   }
 };
 
-/// State of one coalesce producer task: pulls its input partition and
-/// pushes into the shared bounded queue, parking on backpressure.
-struct CoalesceProducer {
+/// State of one producer task: pulls its input partition and pushes
+/// into its bounded queue, parking on backpressure.
+struct Producer {
   ExecPlanPtr input;
   ExecContextPtr ctx;
   int partition = 0;
@@ -243,46 +243,57 @@ struct CoalesceProducer {
 
 }  // namespace
 
-Result<exec::StreamPtr> CoalescePartitionsExec::ExecuteImpl(int partition,
-                                                        const ExecContextPtr& ctx) {
-  if (partition != 0) {
-    return Status::ExecutionError("CoalescePartitionsExec has a single partition");
-  }
-  const int n = input_->output_partitions();
-  if (n == 1) return input_->Execute(0, ctx);
-
+std::vector<exec::StreamPtr> ExecuteInProducers(const ExecPlanPtr& input,
+                                                const ExecContextPtr& ctx,
+                                                int num_queues,
+                                                exec::MetricsSet& metrics) {
+  const int n = input->output_partitions();
   const auto& group = ctx->EnsureTaskGroup();
-  auto queue = std::make_shared<BatchQueue>(
-      static_cast<size_t>(2 * n), ctx->cancel, group,
-      metrics_->Time(exec::metric::kQueueWaitNs, 0));
-  {
+  auto queue_wait = metrics.Time(exec::metric::kQueueWaitNs, 0);
+  std::vector<std::shared_ptr<BatchQueue>> queues;
+  for (int q = 0; q < num_queues; ++q) {
+    // Two batches in flight per producer.
+    auto queue = std::make_shared<BatchQueue>(
+        static_cast<size_t>(2 * n / num_queues), ctx->cancel, group, queue_wait);
     // Unwind hook: TaskGroup::Finish() closes the queue so parked
     // producers wake (and drop) even if the consumer never drained it.
     std::weak_ptr<BatchQueue> weak_queue = queue;
     group->AddUnwindHook([weak_queue] {
       if (auto q = weak_queue.lock()) q->Close();
     });
+    queues.push_back(std::move(queue));
   }
-  metrics_->Counter(exec::metric::kTasksSpawned, 0)->Add(n);
-  for (int i = 0; i < n; ++i) queue->AddProducer();
-  // One help generation for the batch: producers of one exchange can
-  // reach the same shared-build claims upstream (scheduler invariant 4).
+  metrics.Counter(exec::metric::kTasksSpawned, 0)->Add(n);
+  for (int i = 0; i < n; ++i) queues[i % num_queues]->AddProducer();
   const uint64_t help_gen = group->NextHelpGen();
   for (int i = 0; i < n; ++i) {
-    auto state = std::make_shared<CoalesceProducer>();
-    state->input = input_;
+    auto state = std::make_shared<Producer>();
+    state->input = input;
     state->ctx = ctx;
     state->partition = i;
-    state->queue = queue;
+    state->queue = queues[i % num_queues];
     group->SpawnResumable(
         [state](const exec::Waker& waker) { return state->Poll(waker); },
         help_gen);
   }
-  auto closer = std::make_shared<QueueCloser>();
-  closer->queue = queue;
-  SchemaPtr schema = input_->schema();
-  return exec::StreamPtr(std::make_unique<exec::GeneratorStream>(
-      schema, [queue, closer]() -> Result<RecordBatchPtr> { return queue->Pop(); }));
+  std::vector<exec::StreamPtr> streams;
+  for (auto& queue : queues) {
+    auto closer = std::make_shared<QueueCloser>();
+    closer->queue = queue;
+    streams.push_back(std::make_unique<exec::GeneratorStream>(
+        input->schema(),
+        [queue, closer]() -> Result<RecordBatchPtr> { return queue->Pop(); }));
+  }
+  return streams;
+}
+
+Result<exec::StreamPtr> CoalescePartitionsExec::ExecuteImpl(int partition,
+                                                        const ExecContextPtr& ctx) {
+  if (partition != 0) {
+    return Status::ExecutionError("CoalescePartitionsExec has a single partition");
+  }
+  if (input_->output_partitions() == 1) return input_->Execute(0, ctx);
+  return std::move(ExecuteInProducers(input_, ctx, 1, *metrics_)[0]);
 }
 
 }  // namespace physical

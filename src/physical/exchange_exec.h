@@ -89,11 +89,25 @@ class BatchQueue {
   bool finished_ = false;
 };
 
+/// Runs every partition of `input` in a producer task of the query's
+/// group, all spawned in one help generation (producers of one exchange
+/// can reach the same shared-build claims upstream; scheduler invariant
+/// 4), and returns `num_queues` streams over bounded queues the
+/// producers feed: with 1, all partitions feed one stream; with
+/// `input->output_partitions()`, stream i carries partition i in order.
+/// A producer blocked by backpressure parks instead of holding a
+/// worker; a producer error reaches its stream's next Pop. Destroying a
+/// stream (or unwinding the group) closes its queue so its producers
+/// drop their batches and finish. Records `tasks_spawned` and
+/// `queue_wait` in `metrics`.
+std::vector<exec::StreamPtr> ExecuteInProducers(const ExecPlanPtr& input,
+                                                const ExecContextPtr& ctx,
+                                                int num_queues,
+                                                exec::MetricsSet& metrics);
+
 /// \brief N -> 1 exchange: funnels all input partitions into a single
-/// output stream. Input partitions are driven by producer tasks in the
-/// query's group on the shared scheduler (the pull-based analogue of a
-/// merge without ordering); a producer blocked by backpressure parks
-/// instead of holding a worker.
+/// output stream fed by producer tasks on the shared scheduler (the
+/// pull-based analogue of a merge without ordering).
 class CoalescePartitionsExec : public ExecutionPlan {
  public:
   explicit CoalescePartitionsExec(ExecPlanPtr input) : input_(std::move(input)) {}

@@ -7,6 +7,7 @@
 #include "arrow/ipc.h"
 #include "compute/selection.h"
 #include "exec/memory_pool.h"
+#include "physical/exchange_exec.h"
 #include "row/row_format.h"
 
 namespace fusion {
@@ -289,10 +290,20 @@ Result<exec::StreamPtr> SortExec::ExecuteImpl(int partition, const ExecContextPt
     if (batch->num_rows() == 0) continue;
     int64_t bytes = batch->TotalBufferSize();
     Status grow = reservation.ResizeTo(buffered_bytes + bytes);
-    if (!grow.ok()) {
-      if (!grow.IsOutOfMemory() || buffer.empty()) return grow;
+    if (grow.IsOutOfMemory() && !buffer.empty()) {
       FUSION_RETURN_NOT_OK(spill_run());
-      FUSION_RETURN_NOT_OK(reservation.ResizeTo(bytes));
+      grow = reservation.ResizeTo(bytes);
+    }
+    if (!grow.ok()) {
+      // Other consumers (e.g. sibling partitions' sorts) hold the pool.
+      // A batch that would fit the pool alone becomes a run of its own;
+      // one larger than the whole pool can never be held.
+      if (!grow.IsOutOfMemory() || bytes > ctx->env->memory_pool->limit()) {
+        return grow;
+      }
+      buffer.push_back(std::move(batch));
+      FUSION_RETURN_NOT_OK(spill_run());
+      continue;
     }
     mem_reserved->SetMax(reservation.held());
     buffered_bytes += bytes;
@@ -361,10 +372,10 @@ Result<exec::StreamPtr> SortPreservingMergeExec::ExecuteImpl(
   }
   const int n = input_->output_partitions();
   if (n == 1) return input_->Execute(0, ctx);
+  // Producer tasks open and drain the inputs at the same time (each
+  // input's SortExec sorts while opening); the merge pops their queues.
   std::vector<std::shared_ptr<exec::RecordBatchStream>> inputs;
-  inputs.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    FUSION_ASSIGN_OR_RAISE(auto stream, input_->Execute(i, ctx));
+  for (auto& stream : ExecuteInProducers(input_, ctx, n, *metrics_)) {
     inputs.push_back(std::move(stream));
   }
   return MergeSortedStreams(input_->schema(), std::move(inputs), sort_exprs_,

@@ -39,6 +39,8 @@ class SortExec : public ExecutionPlan {
 
 /// \brief N sorted partitions -> 1 sorted stream (paper §6.2's merge
 /// phase; the "tree of losers" is a binary heap over stream cursors).
+/// Each input partition runs in its own producer task feeding its own
+/// bounded queue (ExecuteInProducers), so the inputs run in parallel.
 class SortPreservingMergeExec : public ExecutionPlan {
  public:
   SortPreservingMergeExec(ExecPlanPtr input,

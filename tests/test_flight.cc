@@ -457,6 +457,14 @@ TEST(FlightTest, GracefulDrainFinishesInFlightWork) {
       started.store(true);
       return;
     }
+    // Connect only opens the TCP connection; the ping's reply shows the
+    // server has accepted it before the query is sent.
+    Status ping = (*client)->Ping();
+    if (!ping.ok()) {
+      client_status = ping;
+      started.store(true);
+      return;
+    }
     auto reader = (*client)->DoGet(
         "SELECT grp, count(*), sum(v), sum(f) FROM t GROUP BY grp");
     if (!reader.ok()) {

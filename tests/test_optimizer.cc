@@ -3,6 +3,8 @@
 
 #include "tests/test_util.h"
 
+#include <map>
+
 #include "logical/simplify.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/predicate_lowering.h"
@@ -204,6 +206,57 @@ TEST(OptimizerTest, JoinReorderStartsFromSmallest) {
   while (!node->children.empty()) node = node->child(0);
   ASSERT_EQ(node->kind, PlanKind::kTableScan);
   EXPECT_NE(node->table_name, "big");
+}
+
+/// Column names of every table scan, keyed by table name.
+void CollectScanColumns(const PlanPtr& plan,
+                        std::map<std::string, std::vector<std::string>>* out) {
+  if (plan->kind == PlanKind::kTableScan) {
+    auto& names = (*out)[plan->table_name];
+    for (int i = 0; i < plan->schema().num_fields(); ++i) {
+      names.push_back(plan->schema().field(i).name());
+    }
+  }
+  for (const auto& c : plan->children) CollectScanColumns(c, out);
+}
+
+TEST(OptimizerTest, ReorderedCommaJoinScansOnlyReferencedColumns) {
+  // Join reordering puts a projection restoring the original column
+  // order over the reordered joins; it must not make every scan read
+  // every column.
+  auto ctx = core::SessionContext::Make();
+  auto make_table = [&](const std::string& name, int64_t n) {
+    Int64Builder key, val;
+    StringBuilder pad;
+    for (int64_t i = 0; i < n; ++i) {
+      key.Append(i);
+      val.Append(i * 10);
+      pad.Append(name + "-pad-" + std::to_string(i));
+    }
+    auto schema = fusion::schema({Field(name + "_key", int64(), false),
+                                  Field(name + "_val", int64(), false),
+                                  Field(name + "_pad", utf8(), false)});
+    std::vector<ArrayPtr> cols = {key.Finish().ValueOrDie(), val.Finish().ValueOrDie(),
+                                  pad.Finish().ValueOrDie()};
+    auto batch = std::make_shared<RecordBatch>(schema, n, std::move(cols));
+    ctx->RegisterTable(name, catalog::MemoryTable::Make(schema, {batch})
+                                 .ValueOrDie())
+        .Abort();
+  };
+  make_table("big", 300);
+  make_table("small", 3);
+  make_table("medium", 30);
+  const char* q =
+      "SELECT big_val, medium_val FROM big, small, medium "
+      "WHERE big_key = small_key AND small_key = medium_key";
+  std::map<std::string, std::vector<std::string>> scans;
+  CollectScanColumns(PlanFor(ctx.get(), q), &scans);
+  EXPECT_EQ(scans["big"], (std::vector<std::string>{"big_key", "big_val"}));
+  EXPECT_EQ(scans["small"], (std::vector<std::string>{"small_key"}));
+  EXPECT_EQ(scans["medium"], (std::vector<std::string>{"medium_key", "medium_val"}));
+  ASSERT_OK_AND_ASSIGN(auto rows, ctx->ExecuteSql(q));
+  EXPECT_EQ(SortedStringRows(rows),
+            (std::vector<StringRow>{{"0", "0"}, {"10", "10"}, {"20", "20"}}));
 }
 
 TEST(OptimizerTest, OptimizationPreservesResults) {

@@ -280,6 +280,46 @@ TEST(CoalesceTest, ConsumerAbandonsMidStream) {
   EXPECT_LT(ElapsedMs(start), 5000);
 }
 
+std::vector<physical::PhysicalSortExpr> SortByX() {
+  return {{std::make_shared<physical::ColumnExpr>("x", 0, int64()), {}}};
+}
+
+TEST(SortPreservingMergeTest, ProducerErrorPropagates) {
+  auto source = std::make_shared<ScriptedSourceExec>(4, 1000, /*fail_at=*/3);
+  auto plan = std::make_shared<physical::SortPreservingMergeExec>(source, SortByX());
+  auto ctx = MakeBareExecContext();
+  ASSERT_OK_AND_ASSIGN(auto stream, plan->Execute(0, ctx));
+  Status st = Status::OK();
+  for (;;) {
+    auto batch = stream->Next();
+    if (!batch.ok()) {
+      st = batch.status();
+      break;
+    }
+    if (*batch == nullptr) break;
+  }
+  EXPECT_TRUE(st.IsExecutionError()) << st.ToString();
+  EXPECT_NE(st.message().find("scripted source failure"), std::string::npos);
+  stream.reset();
+  ASSERT_OK(ctx->EnsureTaskGroup()->Finish());
+}
+
+TEST(SortPreservingMergeTest, ConsumerAbandonsMidStream) {
+  auto source = std::make_shared<ScriptedSourceExec>(4, 1 << 20);
+  auto plan = std::make_shared<physical::SortPreservingMergeExec>(source, SortByX());
+  auto ctx = MakeBareExecContext();
+  auto start = Clock::now();
+  {
+    ASSERT_OK_AND_ASSIGN(auto stream, plan->Execute(0, ctx));
+    ASSERT_OK_AND_ASSIGN(auto batch, stream->Next());
+    EXPECT_NE(batch, nullptr);
+    // Dropping the merge closes every input queue; the producers, each
+    // with ~1M batches left, drop their batches and finish.
+  }
+  ASSERT_OK(ctx->EnsureTaskGroup()->Finish());
+  EXPECT_LT(ElapsedMs(start), 5000);
+}
+
 // --------------------------------------------------- SQL-level cancellation
 
 // Large enough that the engine cannot finish before the cancel lands,
@@ -319,6 +359,53 @@ TEST(CancelSqlTest, DeadlineCancelsCrossJoin) {
   // wait_until(deadline), so the whole query (deadline included) fits
   // well inside a few seconds even under sanitizers.
   EXPECT_LT(ElapsedMs(start), 5000);
+}
+
+TEST(CancelSqlTest, CancelAndDeadlineDuringMergeReleasePool) {
+  // ORDER BY at 4 partitions: the cancel lands while the merge's
+  // producers run the cross join into their sorts. Few rows pass the
+  // filter, so the sorts stay small while the join runs for seconds.
+  exec::SessionConfig config;
+  config.target_partitions = 4;
+  auto session = MakeTestSession(600, config);
+  const char* q =
+      "SELECT a.id, b.id AS b_id, c.id AS c_id FROM t a CROSS JOIN t b "
+      "CROSS JOIN t c WHERE a.id + b.id + c.id = 900 ORDER BY a.id, b_id";
+  ASSERT_OK_AND_ASSIGN(auto plan, session->CreateLogicalPlan(q));
+  ASSERT_OK_AND_ASSIGN(auto optimized, session->OptimizePlan(plan));
+  ASSERT_OK_AND_ASSIGN(auto exec_plan, session->CreatePhysicalPlan(optimized));
+  ASSERT_NE(exec_plan->ToString().find("SortPreservingMergeExec"), std::string::npos)
+      << exec_plan->ToString();
+  const auto& pool = session->env()->memory_pool;
+  // Under a FUSION_FAULTS script an injected pool or disk fault in a
+  // sort may end the query before the cancel does.
+  auto cancelled_or_injected = [](const Status& st) {
+    return st.IsCancelled() || st.message().find("fault-injected") != std::string::npos;
+  };
+
+  auto token = exec::CancellationToken::Make();
+  Status st = Status::OK();
+  std::thread runner([&] {
+    auto res = session->ExecuteSql(q, token);
+    st = res.ok() ? Status::OK() : res.status();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  token->Cancel();
+  auto start = Clock::now();
+  runner.join();
+  EXPECT_LT(ElapsedMs(start), 5000);
+  EXPECT_TRUE(cancelled_or_injected(st)) << st.ToString();
+  EXPECT_EQ(pool->bytes_allocated(), 0);
+
+  start = Clock::now();
+  auto res = session->ExecuteSqlWithTimeout(q, 100);
+  ASSERT_FALSE(res.ok());
+  EXPECT_TRUE(cancelled_or_injected(res.status())) << res.status().ToString();
+  if (res.status().IsCancelled()) {
+    EXPECT_NE(res.status().message().find("deadline"), std::string::npos);
+  }
+  EXPECT_LT(ElapsedMs(start), 5000);
+  EXPECT_EQ(pool->bytes_allocated(), 0);
 }
 
 TEST(CancelSqlTest, SessionTimeoutConfig) {

@@ -13,6 +13,7 @@
 
 #include "exec/scheduler.h"
 #include "physical/exchange_exec.h"
+#include "physical/sort_exec.h"
 
 namespace fusion {
 namespace test {
@@ -246,6 +247,78 @@ TEST(SchedulerTest, SingleWorkerRunsPartitionedQueryToCompletion) {
   ASSERT_OK_AND_ASSIGN(batches, session->ExecuteSql("SELECT DISTINCT grp FROM t"));
   EXPECT_EQ(SortedStringRows(batches),
             (std::vector<StringRow>{{"a"}, {"b"}, {"c"}}));
+  // ORDER BY ... LIMIT over the 4-partition aggregate: the merge's
+  // producers drive the aggregate's build claims.
+  ASSERT_OK_AND_ASSIGN(
+      batches, session->ExecuteSql("SELECT grp, count(*) AS c FROM t GROUP BY grp "
+                                   "ORDER BY c DESC, grp LIMIT 2"));
+  EXPECT_EQ(ToStringRows(batches),
+            (std::vector<StringRow>{{"a", "100"}, {"b", "100"}}));
+}
+
+/// Source whose partitions each wait, for at most 2 s, until all of
+/// them have been opened: it fails unless its partitions run at the
+/// same time.
+class RendezvousSourceExec : public physical::ExecutionPlan {
+ public:
+  explicit RendezvousSourceExec(int partitions)
+      : partitions_(partitions),
+        schema_(fusion::schema({Field("x", int64(), false)})) {}
+
+  std::string name() const override { return "RendezvousSourceExec"; }
+  SchemaPtr schema() const override { return schema_; }
+  int output_partitions() const override { return partitions_; }
+
+  Result<exec::StreamPtr> ExecuteImpl(int partition,
+                                      const physical::ExecContextPtr&) override {
+    opened_.fetch_add(1);
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (opened_.load() < partitions_) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        return Status::ExecutionError("partition " + std::to_string(partition) +
+                                      " ran alone");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    Int64Builder x;
+    x.Append(partitions_ - 1 - partition);  // descending across partitions
+    auto batch = std::make_shared<RecordBatch>(
+        schema_, 1, std::vector<ArrayPtr>{x.Finish().ValueOrDie()});
+    return exec::StreamPtr(std::make_unique<exec::VectorStream>(
+        schema_, std::vector<RecordBatchPtr>{batch}));
+  }
+
+ private:
+  const int partitions_;
+  SchemaPtr schema_;
+  std::atomic<int> opened_{0};
+};
+
+TEST(SchedulerTest, SortPreservingMergeRunsItsInputsConcurrently) {
+  // Each input partition runs in its own producer task, so a 4-worker
+  // scheduler opens all four at once. Opening them one after another
+  // on the consumer fails the rendezvous after its 2 s deadline.
+  auto sched = std::make_shared<QueryScheduler>(4);
+  std::vector<physical::PhysicalSortExpr> by_x = {
+      {std::make_shared<physical::ColumnExpr>("x", 0, int64()), {}}};
+  auto sort = std::make_shared<physical::SortExec>(
+      std::make_shared<RendezvousSourceExec>(4), by_x);
+  auto merge = std::make_shared<physical::SortPreservingMergeExec>(sort, by_x);
+  auto ctx = std::make_shared<physical::ExecContext>();
+  ctx->env = std::make_shared<exec::RuntimeEnv>();
+  ctx->env->query_scheduler = sched;
+  auto batches = [&]() -> Result<std::vector<RecordBatchPtr>> {
+    FUSION_ASSIGN_OR_RAISE(auto stream, merge->Execute(0, ctx));
+    return exec::CollectStream(stream.get());
+  }();
+  // Join the producers on every path before `sched` goes: a finishing
+  // task still holds the context, and through it the scheduler, which
+  // must not be destroyed on one of its own workers.
+  ASSERT_OK(ctx->EnsureTaskGroup()->Finish());
+  ASSERT_OK(batches.status());
+  EXPECT_EQ(ToStringRows(*batches),
+            (std::vector<StringRow>{{"0"}, {"1"}, {"2"}, {"3"}}));
+  EXPECT_EQ(ctx->task_group->tasks_spawned(), 4);
 }
 
 TEST(SchedulerTest, GroupsReleasedWhileWorkersScanDoNotDeadlock) {

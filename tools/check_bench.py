@@ -16,7 +16,8 @@ gate on raw ratios instead (same-machine comparisons).
 Scalability mode (--scalability) reads one report whose entries carry a
 "threads" key and asserts, per query, that the time at the highest
 thread count is no worse than tolerance * the time at the lowest —
-the "more cores must not make it slower" floor.
+the "more cores must not make it slower" floor; a tolerance below 1
+requires a speedup.
 
 Exit code 0 = gate passed, 1 = regression or malformed input.
 """
