@@ -106,9 +106,8 @@ std::string SessionContext::ConfigFingerprint() const {
   // excluded so they don't fragment the cache.
   std::ostringstream fp;
   fp << config_.batch_size << '|' << config_.target_partitions << '|'
-     << config_.enable_predicate_pushdown << config_.enable_late_materialization
-     << config_.enable_topk << config_.enable_symmetric_hash_join
-     << config_.enable_morsel_scan << '|' << config_.runtime_filter_mode << '|'
+     << config_.enable_predicate_pushdown << config_.enable_topk
+     << config_.enable_symmetric_hash_join << '|' << config_.runtime_filter_mode << '|'
      << config_.rf_max_build_rows << '|' << config_.rf_min_probe_ratio;
   return fp.str();
 }

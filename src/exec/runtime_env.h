@@ -139,15 +139,10 @@ struct SessionConfig {
   int64_t timeout_ms = 0;
   /// Enable/disable specific optimizations (ablation switches).
   bool enable_predicate_pushdown = true;
-  bool enable_late_materialization = true;
   bool enable_topk = true;
   /// Use the streaming symmetric hash join for inner equi joins
   /// (both inputs stream; paper §6.4).
   bool enable_symmetric_hash_join = false;
-  /// Multi-partition scans hand out row-group/batch morsels from a
-  /// shared queue instead of static per-partition splits, so skewed
-  /// splits stop serializing the pipeline.
-  bool enable_morsel_scan = true;
   /// Adaptive pre-aggregation bypass: after `agg_bypass_probe_rows`
   /// input rows, a build task whose observed groups/rows ratio is at
   /// least `agg_bypass_ratio` stops pre-aggregating and passes rows

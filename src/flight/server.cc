@@ -248,36 +248,38 @@ void FlightServer::WriterLoop(Session* s) {
       if (s->write_failed || (s->queue.empty() && s->flush_and_finish)) return;
       frame = std::move(s->queue.front());
       s->queue.pop_front();
+      // The reservation charges queued frames only. Releasing this one
+      // before it is sent means a peer that holds every reply never
+      // finds the session still charged for one.
+      s->queued_bytes -= static_cast<int64_t>(frame.body.size());
+      s->reservation->ResizeTo(s->queued_bytes);
+      s->cv_space.notify_all();
     }
     Status st = s->socket.SendFrame(frame.type, frame.flags, frame.body);
+    if (st.ok()) {
+      bytes_sent_.fetch_add(
+          static_cast<int64_t>(frame.body.size() + kFrameHeaderBytes));
+      continue;
+    }
     {
+      // Connection dead: discard everything queued, release the
+      // reservation, and kill the query feeding the queue so the pump
+      // unblocks within one batch.
       std::lock_guard<std::mutex> lock(s->mu);
-      s->queued_bytes -= static_cast<int64_t>(frame.body.size());
-      if (st.ok()) {
-        bytes_sent_.fetch_add(
-            static_cast<int64_t>(frame.body.size() + kFrameHeaderBytes));
-        s->reservation->ResizeTo(s->queued_bytes);
-      } else {
-        // Connection dead: discard everything queued, release the
-        // reservation, and kill the query feeding the queue so the
-        // pump unblocks within one batch.
-        s->write_failed = true;
-        s->queue.clear();
-        s->queued_bytes = 0;
-        s->reservation->ResizeTo(0);
-      }
+      s->write_failed = true;
+      s->queue.clear();
+      s->queued_bytes = 0;
+      s->reservation->ResizeTo(0);
       s->cv_space.notify_all();
-      if (!st.ok()) s->cv_data.notify_all();
+      s->cv_data.notify_all();
     }
-    if (!st.ok()) {
-      // Wake the handler if it is parked in ReadFrame waiting for the
-      // next request (and the peer waiting for the frame we dropped):
-      // shutdown() fails their blocked recv without closing the fd, so
-      // the handler remains the only closer.
-      s->ShutdownSocketBoth();
-      s->CancelActiveQuery();
-      return;
-    }
+    // Wake the handler if it is parked in ReadFrame waiting for the next
+    // request (and the peer waiting for the frame we dropped):
+    // shutdown() fails their blocked recv without closing the fd, so the
+    // handler remains the only closer.
+    s->ShutdownSocketBoth();
+    s->CancelActiveQuery();
+    return;
   }
 }
 

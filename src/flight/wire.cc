@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -82,17 +83,30 @@ Socket& Socket::operator=(Socket&& other) noexcept {
   return *this;
 }
 
-Status Socket::WriteFully(const uint8_t* data, size_t len) {
-  while (len > 0) {
-    // MSG_NOSIGNAL: a peer that hung up yields EPIPE, not a process
+Status Socket::WriteFully(iovec* iov, size_t iovcnt) {
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = iovcnt;
+  while (msg.msg_iovlen > 0) {
+    // One gathered write (writev) per call. sendmsg rather than writev
+    // for MSG_NOSIGNAL: a peer that hung up yields EPIPE, not a process
     // signal — connection drops are a Status, never a crash.
-    ssize_t n = ::send(fd_, data, len, MSG_NOSIGNAL);
+    ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Errno("flight: send failed");
     }
-    data += n;
-    len -= static_cast<size_t>(n);
+    // Partial write: skip the buffers sent, trim the one cut short.
+    size_t sent = static_cast<size_t>(n);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<uint8_t*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
   }
   return Status::OK();
 }
@@ -135,9 +149,11 @@ Status Socket::SendFrame(FrameType type, uint8_t flags, const uint8_t* body,
   header[6] = static_cast<uint8_t>(type);
   header[7] = flags;
   std::memcpy(header + 8, &len64, 8);
-  FUSION_RETURN_NOT_OK(WriteFully(header, kFrameHeaderBytes));
-  if (body_len > 0) FUSION_RETURN_NOT_OK(WriteFully(body, body_len));
-  return Status::OK();
+  // Header and body leave in one write: a header sent alone would hold
+  // the body behind the peer's delayed ACK.
+  iovec iov[2] = {{header, kFrameHeaderBytes},
+                  {const_cast<uint8_t*>(body), body_len}};
+  return WriteFully(iov, body_len > 0 ? 2 : 1);
 }
 
 Result<Frame> Socket::ReadFrame(int64_t max_body_bytes) {

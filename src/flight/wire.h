@@ -8,6 +8,8 @@
 #include "common/macros.h"
 #include "common/result.h"
 
+struct iovec;
+
 namespace fusion {
 namespace flight {
 
@@ -150,7 +152,7 @@ class Socket {
   void Close();
 
  private:
-  Status WriteFully(const uint8_t* data, size_t len);
+  Status WriteFully(iovec* iov, size_t iovcnt);
   Status ReadFully(uint8_t* data, size_t len, bool* clean_eof);
 
   int fd_ = -1;

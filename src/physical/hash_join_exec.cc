@@ -220,11 +220,14 @@ Status HashJoinExec::EnsureBuilt(const ExecContextPtr& ctx) {
                            EvaluateToArrays(key_exprs, *state->batch));
     const int64_t rows = state->batch->num_rows();
     state->next.assign(static_cast<size_t>(rows), -1);
+    // Keyless: one chain under hash 0 holds every build row.
     std::vector<uint64_t> hashes;
-    if (rows > 0) {
+    if (on_.empty()) {
+      hashes.assign(static_cast<size_t>(rows), 0);
+    } else if (rows > 0) {
       FUSION_RETURN_NOT_OK(compute::HashColumns(state->key_arrays, &hashes));
     }
-    state->table.Reserve(rows);
+    state->table.Reserve(on_.empty() ? 1 : rows);
     for (int64_t r = 0; r < rows; ++r) {
       bool has_null_key = false;
       for (const auto& k : state->key_arrays) {
@@ -338,6 +341,13 @@ Result<exec::StreamPtr> HashJoinExec::ExecuteImpl(int partition,
 
   auto done = std::make_shared<bool>(false);
   auto emitted_unmatched = std::make_shared<bool>(false);
+  // A keyless join pairs each probe row with every build row: probe in
+  // slices so candidate and output batches stay near batch_size.
+  const bool keyless = on_.empty();
+  const int64_t build_rows = state->batch->num_rows();
+  const int64_t slice_rows =
+      std::max<int64_t>(1, ctx->config.batch_size / std::max<int64_t>(build_rows, 1));
+  auto unprobed = std::make_shared<RecordBatchPtr>();  // rest of a sliced batch
 
   return exec::StreamPtr(std::make_unique<exec::GeneratorStream>(
       schema,
@@ -395,22 +405,36 @@ Result<exec::StreamPtr> HashJoinExec::ExecuteImpl(int partition,
             return assemble(empty_probe, build_idx, probe_idx);
           }
 
-          FUSION_ASSIGN_OR_RAISE(auto probe_batch, probe->Next());
+          RecordBatchPtr probe_batch = std::move(*unprobed);
           if (probe_batch == nullptr) {
-            *done = true;
-            continue;
+            FUSION_ASSIGN_OR_RAISE(probe_batch, probe->Next());
+            if (probe_batch == nullptr) {
+              *done = true;
+              continue;
+            }
           }
-          if (probe_batch->num_rows() == 0) continue;
+          const int64_t n = keyless ? std::min(probe_batch->num_rows(), slice_rows)
+                                    : probe_batch->num_rows();
+          if (n == 0) continue;
+          if (n < probe_batch->num_rows()) {
+            *unprobed = probe_batch->Slice(n, probe_batch->num_rows() - n);
+            probe_batch = probe_batch->Slice(0, n);
+          }
 
           // Vectorized probe: hash all keys, then walk chains per row.
           FUSION_ASSIGN_OR_RAISE(auto probe_keys,
                                  EvaluateToArrays(probe_key_exprs, *probe_batch));
           std::vector<uint64_t> hashes;
-          FUSION_RETURN_NOT_OK(compute::HashColumns(probe_keys, &hashes));
-
           std::vector<int64_t> build_idx;
           std::vector<int64_t> probe_idx;
-          const int64_t n = probe_batch->num_rows();
+          if (keyless) {
+            hashes.assign(static_cast<size_t>(n), 0);
+            // Every pair is a candidate.
+            build_idx.reserve(static_cast<size_t>(n * build_rows));
+            probe_idx.reserve(static_cast<size_t>(n * build_rows));
+          } else {
+            FUSION_RETURN_NOT_OK(compute::HashColumns(probe_keys, &hashes));
+          }
           for (int64_t r = 0; r < n; ++r) {
             for (int64_t b = state->table.Find(hashes[r]); b >= 0;
                  b = state->next[b]) {

@@ -10,11 +10,19 @@
 namespace fusion {
 namespace physical {
 
-/// \brief Parallel in-memory hash join (paper §6.4): the left child is
-/// the build side (collected once, shared across probe partitions —
+/// \brief Parallel in-memory hash join (paper §6.4), the operator for
+/// every join the planner does not run as a merge join: the left child
+/// is the build side (collected once, shared across probe partitions —
 /// DataFusion's CollectLeft mode), the right child streams as the probe
 /// side. Vectorized hashing with chained collision resolution follows
 /// the MonetDB-style scheme the paper cites.
+///
+/// A join without equi keys (a cross join, or a condition with no
+/// equality) has an empty `on`: every build row goes under hash 0, so
+/// each probe row walks the whole build side and the residual filter
+/// decides. Such a join probes each batch in slices of
+/// max(1, batch_size / build rows) rows, so an output batch holds at
+/// most max(batch_size, build rows) rows.
 ///
 /// All eight join types are supported; the physical planner swaps
 /// children (and flips the type) so the smaller input builds.

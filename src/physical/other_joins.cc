@@ -197,153 +197,5 @@ Result<exec::StreamPtr> SortMergeJoinExec::ExecuteImpl(int partition,
       std::make_unique<exec::VectorStream>(schema_, std::move(out)));
 }
 
-// ------------------------------------------------------ NestedLoopJoin
-
-Result<exec::StreamPtr> NestedLoopJoinExec::ExecuteImpl(int partition,
-                                                    const ExecContextPtr& ctx) {
-  if (partition != 0) {
-    return Status::ExecutionError("NestedLoopJoinExec has a single partition");
-  }
-  FUSION_ASSIGN_OR_RAISE(auto left, CollectSide(left_, ctx));
-  FUSION_ASSIGN_OR_RAISE(auto right, CollectSide(right_, ctx));
-  const int64_t ln = left->num_rows();
-  const int64_t rn = right->num_rows();
-
-  std::vector<Field> fields = left->schema()->fields();
-  for (const auto& f : right->schema()->fields()) fields.push_back(f);
-  SchemaPtr combined = std::make_shared<Schema>(std::move(fields));
-
-  std::vector<int64_t> li, ri;
-  std::vector<uint8_t> left_matched(static_cast<size_t>(ln), 0);
-  // Chunked evaluation: pair blocks of left rows with the whole right
-  // side to keep candidate batches bounded.
-  const int64_t block = std::max<int64_t>(1, ctx->config.batch_size / std::max<int64_t>(rn, 1));
-  for (int64_t l0 = 0; l0 < ln; l0 += block) {
-    int64_t l1 = std::min(ln, l0 + block);
-    std::vector<int64_t> cl, cr;
-    for (int64_t i = l0; i < l1; ++i) {
-      for (int64_t j = 0; j < rn; ++j) {
-        cl.push_back(i);
-        cr.push_back(j);
-      }
-    }
-    if (cl.empty()) continue;
-    FUSION_ASSIGN_OR_RAISE(auto candidates,
-                           AssemblePairs(combined, *left, *right, cl, cr));
-    if (filter_ != nullptr) {
-      FUSION_ASSIGN_OR_RAISE(auto mask, EvaluatePredicateMask(*filter_, *candidates));
-      const auto& bm = checked_cast<BooleanArray>(*mask);
-      for (int64_t i = 0; i < bm.length(); ++i) {
-        if (bm.IsValid(i) && bm.Value(i)) {
-          li.push_back(cl[i]);
-          ri.push_back(cr[i]);
-          left_matched[cl[i]] = 1;
-        }
-      }
-    } else {
-      for (size_t i = 0; i < cl.size(); ++i) {
-        li.push_back(cl[i]);
-        ri.push_back(cr[i]);
-        left_matched[cl[i]] = 1;
-      }
-    }
-  }
-
-  std::vector<RecordBatchPtr> out;
-  switch (kind_) {
-    case JoinKind::kInner:
-    case JoinKind::kCross:
-      break;
-    case JoinKind::kLeft:
-      for (int64_t i = 0; i < ln; ++i) {
-        if (!left_matched[i]) {
-          li.push_back(i);
-          ri.push_back(-1);
-        }
-      }
-      break;
-    case JoinKind::kLeftSemi:
-    case JoinKind::kLeftAnti: {
-      const bool want = kind_ == JoinKind::kLeftSemi;
-      std::vector<int64_t> keep;
-      for (int64_t i = 0; i < ln; ++i) {
-        if ((left_matched[i] != 0) == want) keep.push_back(i);
-      }
-      FUSION_ASSIGN_OR_RAISE(auto batch, compute::TakeBatch(*left, keep));
-      auto rebatch = std::make_shared<RecordBatch>(schema_, batch->num_rows(),
-                                                   batch->columns());
-      return exec::StreamPtr(std::make_unique<exec::VectorStream>(
-          schema_, SliceBatch(rebatch, ctx->config.batch_size)));
-    }
-    default:
-      return Status::NotImplemented(
-          "NestedLoopJoinExec does not support this join type");
-  }
-  FUSION_ASSIGN_OR_RAISE(auto batch, AssemblePairs(schema_, *left, *right, li, ri));
-  return exec::StreamPtr(std::make_unique<exec::VectorStream>(
-      schema_, SliceBatch(batch, ctx->config.batch_size)));
-}
-
-// ---------------------------------------------------------- CrossJoin
-
-Status CrossJoinExec::EnsureCollected(const ExecContextPtr& ctx) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (collected_) return collect_status_;
-  collected_ = true;
-  auto res = CollectSide(left_, ctx);
-  if (!res.ok()) {
-    collect_status_ = res.status();
-  } else {
-    left_batch_ = std::move(*res);
-  }
-  return collect_status_;
-}
-
-Result<exec::StreamPtr> CrossJoinExec::ExecuteImpl(int partition,
-                                               const ExecContextPtr& ctx) {
-  FUSION_RETURN_NOT_OK(EnsureCollected(ctx));
-  FUSION_ASSIGN_OR_RAISE(auto right_stream, right_->Execute(partition, ctx));
-  auto right = std::shared_ptr<exec::RecordBatchStream>(std::move(right_stream));
-  auto left = left_batch_;
-  SchemaPtr schema = schema_;
-  int64_t batch_size = ctx->config.batch_size;
-  // State: current right batch and position within the cross product.
-  auto right_batch = std::make_shared<RecordBatchPtr>();
-  auto l_pos = std::make_shared<int64_t>(0);
-  return exec::StreamPtr(std::make_unique<exec::GeneratorStream>(
-      schema,
-      [=]() -> Result<RecordBatchPtr> {
-        for (;;) {
-          if (*right_batch == nullptr || *l_pos >= left->num_rows()) {
-            FUSION_ASSIGN_OR_RAISE(*right_batch, right->Next());
-            *l_pos = 0;
-            if (*right_batch == nullptr) return RecordBatchPtr(nullptr);
-            if ((*right_batch)->num_rows() == 0) {
-              *right_batch = nullptr;
-              continue;
-            }
-            if (left->num_rows() == 0) {
-              *right_batch = nullptr;
-              continue;
-            }
-          }
-          // Pair a block of left rows with the current right batch.
-          const int64_t rn = (*right_batch)->num_rows();
-          int64_t block = std::max<int64_t>(1, batch_size / rn);
-          int64_t l_end = std::min(left->num_rows(), *l_pos + block);
-          std::vector<int64_t> li, ri;
-          li.reserve(static_cast<size_t>((l_end - *l_pos) * rn));
-          for (int64_t i = *l_pos; i < l_end; ++i) {
-            for (int64_t j = 0; j < rn; ++j) {
-              li.push_back(i);
-              ri.push_back(j);
-            }
-          }
-          *l_pos = l_end;
-          return AssemblePairs(schema, *left, **right_batch, li, ri);
-        }
-      }));
-}
-
 }  // namespace physical
 }  // namespace fusion

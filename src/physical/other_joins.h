@@ -1,8 +1,6 @@
 #ifndef FUSION_PHYSICAL_OTHER_JOINS_H_
 #define FUSION_PHYSICAL_OTHER_JOINS_H_
 
-#include <mutex>
-
 #include "logical/plan.h"
 #include "physical/execution_plan.h"
 #include "physical/sort_exec.h"
@@ -38,58 +36,6 @@ class SortMergeJoinExec : public ExecutionPlan {
   std::vector<std::pair<PhysicalExprPtr, PhysicalExprPtr>> on_;
   PhysicalExprPtr filter_;
   SchemaPtr schema_;
-};
-
-/// \brief Nested-loop join for non-equi conditions (paper §6.4). The
-/// left child is collected; the right child streams.
-class NestedLoopJoinExec : public ExecutionPlan {
- public:
-  NestedLoopJoinExec(ExecPlanPtr left, ExecPlanPtr right, logical::JoinKind kind,
-                     PhysicalExprPtr filter, SchemaPtr output_schema)
-      : left_(std::move(left)), right_(std::move(right)), kind_(kind),
-        filter_(std::move(filter)), schema_(std::move(output_schema)) {}
-
-  std::string name() const override { return "NestedLoopJoinExec"; }
-  SchemaPtr schema() const override { return schema_; }
-  int output_partitions() const override { return 1; }
-  std::vector<ExecPlanPtr> children() const override { return {left_, right_}; }
-  Result<exec::StreamPtr> ExecuteImpl(int partition, const ExecContextPtr& ctx) override;
-  std::string ToStringLine() const override {
-    return std::string("NestedLoopJoinExec: ") + logical::JoinKindName(kind_);
-  }
-
- private:
-  ExecPlanPtr left_;
-  ExecPlanPtr right_;
-  logical::JoinKind kind_;
-  PhysicalExprPtr filter_;
-  SchemaPtr schema_;
-};
-
-/// \brief Cartesian product; left collected, right streamed.
-class CrossJoinExec : public ExecutionPlan {
- public:
-  CrossJoinExec(ExecPlanPtr left, ExecPlanPtr right, SchemaPtr output_schema)
-      : left_(std::move(left)), right_(std::move(right)),
-        schema_(std::move(output_schema)) {}
-
-  std::string name() const override { return "CrossJoinExec"; }
-  SchemaPtr schema() const override { return schema_; }
-  int output_partitions() const override { return right_->output_partitions(); }
-  std::vector<ExecPlanPtr> children() const override { return {left_, right_}; }
-  Result<exec::StreamPtr> ExecuteImpl(int partition, const ExecContextPtr& ctx) override;
-
- private:
-  Status EnsureCollected(const ExecContextPtr& ctx);
-
-  ExecPlanPtr left_;
-  ExecPlanPtr right_;
-  SchemaPtr schema_;
-
-  std::mutex mu_;
-  bool collected_ = false;
-  Status collect_status_;
-  RecordBatchPtr left_batch_;
 };
 
 }  // namespace physical

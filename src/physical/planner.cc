@@ -301,8 +301,8 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanScan(const PlanPtr& plan) {
   // Ordered providers keep static splits (stealing interleaves chunks
   // and would void the per-partition ordering); limited scans too (a
   // morsel per unit would re-apply the limit per chunk).
-  if (ctx_->config.enable_morsel_scan && ctx_->config.target_partitions > 1 &&
-      plan->scan_limit < 0 && plan->provider->sort_order().empty()) {
+  if (ctx_->config.target_partitions > 1 && plan->scan_limit < 0 &&
+      plan->provider->sort_order().empty()) {
     request.max_morsels = ctx_->config.target_partitions * 4;
   }
   if (ctx_->config.enable_predicate_pushdown) {
@@ -414,28 +414,7 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanJoin(const PlanPtr& plan) {
   const PlanPtr& right = plan->child(1);
   SchemaPtr out_schema = PhysicalSchema(plan->schema());
 
-  if (plan->join_kind == JoinKind::kCross && plan->join_on.empty() &&
-      plan->join_filter == nullptr) {
-    FUSION_ASSIGN_OR_RAISE(auto left_exec, Plan(left));
-    FUSION_ASSIGN_OR_RAISE(auto right_exec, Plan(right));
-    return ExecPlanPtr(std::make_shared<CrossJoinExec>(
-        std::move(left_exec), std::move(right_exec), out_schema));
-  }
-
   PlanSchema combined = left->schema().Concat(right->schema());
-
-  if (plan->join_on.empty()) {
-    // Non-equi join: nested loops.
-    FUSION_ASSIGN_OR_RAISE(auto left_exec, Plan(left));
-    FUSION_ASSIGN_OR_RAISE(auto right_exec, Plan(right));
-    PhysicalExprPtr filter;
-    if (plan->join_filter != nullptr) {
-      FUSION_ASSIGN_OR_RAISE(filter, CreatePhysicalExpr(plan->join_filter, combined));
-    }
-    return ExecPlanPtr(std::make_shared<NestedLoopJoinExec>(
-        std::move(left_exec), std::move(right_exec), plan->join_kind,
-        std::move(filter), out_schema));
-  }
 
   // Streaming symmetric hash join (paper §6.4), opt-in: both sides
   // stream, neither is fully buffered before output begins.
@@ -464,8 +443,9 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanJoin(const PlanPtr& plan) {
         std::move(on), std::move(filter), out_schema));
   }
 
-  // Equi join: hash join. Build on the smaller side (paper §6.4), with
-  // NDV-aware cardinality estimates. Decided BEFORE planning children so
+  // Hash join, keyless when the condition has no equality (a cross or
+  // theta join). Build on the smaller side (paper §6.4), with NDV-aware
+  // cardinality estimates. Decided BEFORE planning children so
   // runtime-filter channels can be registered on probe-side scans (a
   // scan may open its provider while its parents plan).
   JoinKind kind = plan->join_kind;

@@ -8,7 +8,9 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 
@@ -439,6 +441,34 @@ TEST(FlightTest, MalformedFramesRejectedServerStaysUp) {
                        flight::FlightClient::Connect("127.0.0.1", server->port()));
   ASSERT_OK_AND_ASSIGN(auto ok, client->Get("SELECT count(*) FROM t"));
   EXPECT_EQ(ToStringRows(ok)[0][0], "50");
+}
+
+TEST(FlightTest, SingleFrameReplyIsNotHeldByDelayedAck) {
+  // Request-reply turns on one connection; each reply (kOk) is one frame
+  // with an 8-byte body. Sent as two writes, the body would wait under
+  // Nagle's algorithm for the client's delayed ACK of the header (40 ms
+  // or more on Linux). The server writes header and body at once, so no
+  // turn waits for that timer.
+  auto ctx = MakeServerSession(100);
+  ASSERT_OK_AND_ASSIGN(auto server, flight::FlightServer::Start(ctx));
+  ASSERT_OK_AND_ASSIGN(auto raw, flight::ConnectTcp("127.0.0.1", server->port()));
+  std::vector<double> turn_ms;
+  for (int i = 0; i < 48; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_OK(raw.SendFrame(flight::FrameType::kPing, 0, nullptr, 0));
+    ASSERT_OK_AND_ASSIGN(auto reply, raw.ReadFrame(ipc::MaxFrameBytes()));
+    ASSERT_EQ(reply.type, flight::FrameType::kOk);
+    ASSERT_EQ(reply.body.size(), 8u);
+    turn_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+  }
+  // The first turns run in the client's quick-ACK start; the last 16 run
+  // in the delayed-ACK mode of a long session. Their median is far below
+  // one timer wait.
+  std::vector<double> last(turn_ms.end() - 16, turn_ms.end());
+  std::nth_element(last.begin(), last.begin() + 8, last.end());
+  EXPECT_LT(last[8], 10.0);
 }
 
 TEST(FlightTest, GracefulDrainFinishesInFlightWork) {

@@ -4,9 +4,12 @@
 
 #include "tests/test_util.h"
 
+#include <functional>
 #include <map>
 #include <set>
 #include <unordered_map>
+
+#include "logical/plan.h"
 
 namespace fusion {
 namespace test {
@@ -30,9 +33,9 @@ JoinInput RandomInput(std::mt19937* rng, int64_t n, int64_t key_range) {
   return input;
 }
 
-core::SessionContextPtr SessionWith(const JoinInput& left,
-                                    const JoinInput& right) {
-  auto ctx = core::SessionContext::Make();
+core::SessionContextPtr SessionWith(const JoinInput& left, const JoinInput& right,
+                                    exec::SessionConfig config = {}) {
+  auto ctx = core::SessionContext::Make(config);
   auto make = [&](const char* name, const JoinInput& in) {
     Int64Builder k;
     StringBuilder p;
@@ -59,9 +62,19 @@ core::SessionContextPtr SessionWith(const JoinInput& left,
   return ctx;
 }
 
-/// Naive oracle producing sorted string rows for each join type.
+/// Join condition over one (left key, right key) pair.
+using Condition = std::function<bool(const std::optional<int64_t>&,
+                                     const std::optional<int64_t>&)>;
+
+bool KeysEqual(const std::optional<int64_t>& l, const std::optional<int64_t>& r) {
+  return l.has_value() && r.has_value() && *l == *r;
+}
+
+/// Naive oracle producing sorted string rows for each join type: a row
+/// loop over every (left, right) pair, keeping those `matches` accepts.
 std::vector<StringRow> Oracle(const JoinInput& left, const JoinInput& right,
-                              const std::string& kind) {
+                              const std::string& kind,
+                              const Condition& matches = KeysEqual) {
   std::vector<StringRow> rows;
   auto key_str = [](const std::optional<int64_t>& k) {
     return k.has_value() ? std::to_string(*k) : std::string("null");
@@ -70,12 +83,11 @@ std::vector<StringRow> Oracle(const JoinInput& left, const JoinInput& right,
   for (size_t i = 0; i < left.keys.size(); ++i) {
     bool matched = false;
     for (size_t j = 0; j < right.keys.size(); ++j) {
-      if (left.keys[i].has_value() && right.keys[j].has_value() &&
-          *left.keys[i] == *right.keys[j]) {
+      if (matches(left.keys[i], right.keys[j])) {
         matched = true;
         right_matched[j] = true;
-        if (kind == "inner" || kind == "left" || kind == "right" ||
-            kind == "full") {
+        if (kind == "inner" || kind == "cross" || kind == "left" ||
+            kind == "right" || kind == "full") {
           rows.push_back({key_str(left.keys[i]), left.payload[i],
                           key_str(right.keys[j]), right.payload[j]});
         }
@@ -98,8 +110,24 @@ std::vector<StringRow> Oracle(const JoinInput& left, const JoinInput& right,
       }
     }
   }
+  if (kind == "right_semi" || kind == "right_anti") {
+    for (size_t j = 0; j < right.keys.size(); ++j) {
+      if (right_matched[j] == (kind == "right_semi")) {
+        rows.push_back({key_str(right.keys[j]), right.payload[j]});
+      }
+    }
+  }
   std::sort(rows.begin(), rows.end());
   return rows;
+}
+
+/// The one HashJoinExec in an executed plan's metrics tree.
+const physical::PlanMetricsNode* FindHashJoin(const physical::PlanMetricsNode& node) {
+  if (node.name == "HashJoinExec") return &node;
+  for (const auto& child : node.children) {
+    if (const auto* found = FindHashJoin(child)) return found;
+  }
+  return nullptr;
 }
 
 class JoinPropertyTest : public ::testing::TestWithParam<std::string> {};
@@ -141,6 +169,75 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, JoinPropertyTest,
                          ::testing::Values("inner", "left", "right", "full",
                                            "semi", "anti"),
                          [](const auto& info) { return info.param; });
+
+TEST(JoinPropertyTest, KeylessJoinsMatchOracle) {
+  // Joins without equi keys plan as keyless hash joins: every kind, with
+  // a non-equi condition and with none at all (a cross product), at 1
+  // and 4 partitions. A small batch_size makes the probe run in slices.
+  using logical::JoinKind;
+  const std::vector<std::pair<std::string, JoinKind>> kinds = {
+      {"inner", JoinKind::kInner},
+      {"cross", JoinKind::kCross},
+      {"left", JoinKind::kLeft},
+      {"right", JoinKind::kRight},
+      {"full", JoinKind::kFull},
+      {"semi", JoinKind::kLeftSemi},
+      {"anti", JoinKind::kLeftAnti},
+      {"right_semi", JoinKind::kRightSemi},
+      {"right_anti", JoinKind::kRightAnti}};
+  const Condition less = [](const std::optional<int64_t>& l,
+                            const std::optional<int64_t>& r) {
+    return l.has_value() && r.has_value() && *l < *r;
+  };
+  const Condition always = [](const std::optional<int64_t>&,
+                              const std::optional<int64_t>&) { return true; };
+  constexpr int64_t kBatchSize = 16;
+  std::mt19937 rng(16);
+  for (int trial = 0; trial < 6; ++trial) {
+    // Sizes start at 0: an empty side is a case of its own.
+    auto left = RandomInput(&rng, rng() % 40, 1 + rng() % 15);
+    auto right = RandomInput(&rng, rng() % 40, 1 + rng() % 15);
+    for (int partitions : {1, 4}) {
+      exec::SessionConfig config;
+      config.target_partitions = partitions;
+      config.batch_size = kBatchSize;
+      auto ctx = SessionWith(left, right, config);
+      ASSERT_OK_AND_ASSIGN(auto l, logical::LogicalPlanBuilder::Scan(
+                                       "l", ctx->GetTable("l").ValueOrDie()));
+      ASSERT_OK_AND_ASSIGN(auto r, logical::LogicalPlanBuilder::Scan(
+                                       "r", ctx->GetTable("r").ValueOrDie()));
+      for (const auto& [name, kind] : kinds) {
+        for (bool with_condition : {true, false}) {
+          SCOPED_TRACE(name + (with_condition ? " on l.k < r.k" : " on nothing") +
+                       ", trial " + std::to_string(trial) + ", partitions " +
+                       std::to_string(partitions));
+          logical::ExprPtr filter;
+          if (with_condition) {
+            filter = logical::Binary(logical::Col("l", "k"), logical::BinaryOp::kLt,
+                                     logical::Col("r", "k"));
+          }
+          ASSERT_OK_AND_ASSIGN(auto joined, l.Join(r, kind, {}, filter));
+          ASSERT_OK_AND_ASSIGN(auto optimized, ctx->OptimizePlan(joined.Build()));
+          ASSERT_OK_AND_ASSIGN(auto exec_plan, ctx->CreatePhysicalPlan(optimized));
+          ASSERT_NE(exec_plan->ToString().find("on=[]"), std::string::npos)
+              << exec_plan->ToString();
+          ASSERT_OK_AND_ASSIGN(auto batches, ctx->ExecutePhysical(exec_plan));
+          EXPECT_EQ(SortedStringRows(batches),
+                    Oracle(left, right, name, with_condition ? less : always));
+          // Slicing bounds every output batch, the end-of-probe batch of
+          // unmatched build rows included.
+          auto metrics = physical::CollectMetrics(*exec_plan);
+          const auto* join = FindHashJoin(metrics);
+          ASSERT_NE(join, nullptr) << exec_plan->ToString();
+          const int64_t build_rows = join->children[0].output_rows;
+          for (const auto& b : batches) {
+            EXPECT_LE(b->num_rows(), std::max(kBatchSize, build_rows));
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(JoinPropertyTest, MultiKeyJoinMatchesSingleKeyComposition) {
   // (a,b) equi-join == join on synthesized combined key.
