@@ -135,17 +135,21 @@ double EstimateJoinRows(
   // statistics on either side contribute nothing; if none have any, fall
   // back to the FK heuristic max(l, r) the engine always used.
   double denom = 1.0;
-  bool any_known = false;
+  int known_keys = 0;
   for (const auto& [lk, rk] : on) {
     double dl = EstimateColumnNdv(left, lk);
     double dr = EstimateColumnNdv(right, rk);
     double d = std::max(dl, dr);
     if (d >= 1.0) {
       denom *= d;
-      any_known = true;
+      ++known_keys;
     }
   }
-  double out = any_known ? (l * r) / denom : std::max(l, r);
+  // Several keys need not be independent, and a side's combined key NDV
+  // cannot exceed its rows: capping keeps a multi-key estimate at least
+  // min(l, r).
+  if (known_keys > 1) denom = std::min(denom, std::max(l, r));
+  double out = known_keys > 0 ? (l * r) / denom : std::max(l, r);
   out = std::min(out, l * r);
   // Outer joins preserve at least one side.
   switch (kind) {

@@ -33,12 +33,16 @@ struct JoinEdge {
   ExprPtr right_key;
 };
 
-/// Flatten a tree of inner equi-joins (without residual filters) into
-/// base relations + equi edges.
+/// Flatten a tree of inner equi-joins and cross joins (without residual
+/// filters) into base relations + equi edges. A comma join leaves a
+/// cross join between tables that share no predicate; Reorder joins
+/// them through the rest of the tree, or crosses them again if nothing
+/// connects them.
 void Flatten(const PlanPtr& plan, std::vector<PlanPtr>* relations,
              std::vector<JoinEdge>* edges) {
-  if (plan->kind == PlanKind::kJoin && plan->join_kind == JoinKind::kInner &&
-      plan->join_filter == nullptr && !plan->join_on.empty()) {
+  if (plan->kind == PlanKind::kJoin && plan->join_filter == nullptr &&
+      ((plan->join_kind == JoinKind::kInner && !plan->join_on.empty()) ||
+       plan->join_kind == JoinKind::kCross)) {
     Flatten(plan->child(0), relations, edges);
     Flatten(plan->child(1), relations, edges);
     for (const auto& [l, r] : plan->join_on) {

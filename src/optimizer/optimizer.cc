@@ -13,6 +13,7 @@ using logical::PlanPtr;
 Optimizer Optimizer::Default() {
   Optimizer opt;
   opt.AddRule(MakeSimplifyExpressionsRule());
+  opt.AddRule(MakeSingleDistinctToGroupByRule());
   opt.AddRule(MakeOuterToInnerJoinRule());
   opt.AddRule(MakeFilterPushdownRule());
   opt.AddRule(MakeCommonSubexprEliminationRule());

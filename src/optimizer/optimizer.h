@@ -27,8 +27,9 @@ using OptimizerRulePtr = std::shared_ptr<OptimizerRule>;
 class Optimizer {
  public:
   /// The default rule set (paper §6.1): expression simplification,
-  /// outer-to-inner conversion, filter pushdown, limit pushdown, join
-  /// reordering, projection pushdown.
+  /// single-distinct-to-group-by, outer-to-inner conversion, filter
+  /// pushdown, common subexpression elimination, join reordering, limit
+  /// pushdown, projection pushdown.
   static Optimizer Default();
 
   /// An optimizer with no rules (for tests / EXPLAIN of raw plans).
@@ -62,6 +63,9 @@ OptimizerRulePtr MakeOuterToInnerJoinRule();
 OptimizerRulePtr MakeJoinReorderRule();
 /// Eliminate duplicated non-trivial subexpressions within a projection.
 OptimizerRulePtr MakeCommonSubexprEliminationRule();
+/// Plan an aggregate whose DISTINCT aggregates all count one argument x
+/// as GROUP BY g..., x under GROUP BY g..., two two-phase aggregates.
+OptimizerRulePtr MakeSingleDistinctToGroupByRule();
 
 }  // namespace optimizer
 }  // namespace fusion

@@ -86,17 +86,11 @@ struct PartitionedAggregateExec::BuildState {
   /// partials[0].groups is finished directly instead of merged.
   bool direct = false;
 
-  /// Cooperative-build coordination: every merge driver claims input
-  /// partitions from next_input and bumps inputs_done after each one
-  /// (claimed-but-skipped on failure still counts, so inputs_done always
-  /// reaches num_inputs). The first error wins; later claims drain as
-  /// no-ops.
-  int num_inputs = 0;
-  std::atomic<int> next_input{0};
-  std::atomic<int> inputs_done{0};
-  std::atomic<bool> build_failed{false};
-  std::mutex error_mu;
-  Status build_error;
+  /// Every merge driver claims input partitions to build.
+  CooperativeBuild build;
+
+  explicit BuildState(int num_inputs)
+      : partials(static_cast<size_t>(num_inputs)), build(num_inputs) {}
 };
 
 /// The grouping state one build or merge owns: a group table mapping
@@ -331,7 +325,7 @@ Status PartitionedAggregateExec::BuildPartition(BuildState* bs, int p,
 
   // One input, one output: this build's state is the result unless it
   // spills. Bypass saves merge work, so it needs group keys and a merge.
-  const bool single = bs->num_inputs == 1 && num_partitions_ == 1;
+  const bool single = bs->build.num_inputs() == 1 && num_partitions_ == 1;
   const BypassMode mode = BypassModeFromEnv();
   const bool may_bypass = !group_exprs_.empty() && !single;
   bool bypass = may_bypass && mode == BypassMode::kForce;
@@ -446,7 +440,7 @@ Status PartitionedAggregateExec::EnsureBuilt(const ExecContextPtr& ctx, bool wai
     if (built_) return build_status_;
     if (build_state_ == nullptr) {
       auto init = [&]() -> Status {
-        auto state = std::make_shared<BuildState>();
+        auto state = std::make_shared<BuildState>(input_->output_partitions());
         std::vector<Field> partial_fields;
         for (size_t g = 0; g < group_exprs_.size(); ++g) {
           state->key_types.push_back(group_exprs_[g]->type());
@@ -463,8 +457,6 @@ Status PartitionedAggregateExec::EnsureBuilt(const ExecContextPtr& ctx, bool wai
           }
         }
         state->partial_schema = std::make_shared<Schema>(std::move(partial_fields));
-        state->num_inputs = input_->output_partitions();
-        state->partials.resize(static_cast<size_t>(state->num_inputs));
         build_state_ = std::move(state);
         return Status::OK();
       };
@@ -478,43 +470,13 @@ Status PartitionedAggregateExec::EnsureBuilt(const ExecContextPtr& ctx, bool wai
     bs = build_state_;
   }
 
-  // Participate: claim and build input partitions until none remain
-  // unclaimed. After the first failure, later claims drain as no-ops so
-  // inputs_done still reaches num_inputs.
-  const exec::TaskGroupPtr& group = ctx->EnsureTaskGroup();
-  for (;;) {
-    const int p = bs->next_input.fetch_add(1, std::memory_order_relaxed);
-    if (p >= bs->num_inputs) break;
-    if (!bs->build_failed.load(std::memory_order_acquire)) {
-      Status st = BuildPartition(bs.get(), p, ctx);
-      if (!st.ok()) {
-        std::lock_guard<std::mutex> elock(bs->error_mu);
-        if (bs->build_error.ok()) bs->build_error = st;
-        bs->build_failed.store(true, std::memory_order_release);
-      }
-    }
-    bs->inputs_done.fetch_add(1, std::memory_order_acq_rel);
-    group->NotifyProgress();
-  }
-  if (!wait) return Status::OK();
-
-  // Wait for claims still in flight on other drivers, lending this
-  // thread to the query's other ready tasks meanwhile. Epoch protocol:
-  // snapshot the epoch, re-check the condition, then help-or-park —
-  // NotifyProgress() after the last inputs_done bump invalidates any
-  // stale epoch, so no wakeup is lost.
-  while (bs->inputs_done.load(std::memory_order_acquire) < bs->num_inputs) {
-    FUSION_RETURN_NOT_OK(ctx->CheckCancelled());
-    const uint64_t epoch = group->progress_epoch();
-    if (bs->inputs_done.load(std::memory_order_acquire) >= bs->num_inputs) break;
-    group->HelpOrWait(epoch, ctx->cancel.get());
-  }
-
+  Status st = bs->build.Run(
+      ctx, [&](int p) { return BuildPartition(bs.get(), p, ctx); }, wait);
+  if (!wait) return st;
   std::lock_guard<std::mutex> lock(build_mu_);
   if (!built_) {
     built_ = true;
-    std::lock_guard<std::mutex> elock(bs->error_mu);
-    build_status_ = bs->build_error;
+    build_status_ = std::move(st);
   }
   return build_status_;
 }

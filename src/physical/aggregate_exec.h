@@ -61,15 +61,10 @@ class PartitionedAggregateExec : public ExecutionPlan {
   class GroupState;
   struct BuildState;
 
-  /// Run the builds cooperatively: every merge-partition driver that lands
-  /// here claims unbuilt input partitions from a shared atomic counter
-  /// and pre-aggregates them on its own thread; drivers with nothing
-  /// left to claim lend their thread to the query's other ready tasks
-  /// (TaskGroup::HelpOrWait) until the last claim settles. No thread
-  /// ever blocks on a lock while work remains, so the scheduler's
-  /// deadlock-freedom contract holds even on a single-worker pool
-  /// (a driver run on a lent thread re-enters here and just helps).
-  /// Without `wait`, a driver returns once nothing is left to claim.
+  /// Run the builds as a CooperativeBuild: every merge-partition driver
+  /// that lands here pre-aggregates unclaimed input partitions on its own
+  /// thread. Without `wait`, a driver returns once nothing is left to
+  /// claim.
   Status EnsureBuilt(const ExecContextPtr& ctx, bool wait);
 
   /// Build input partition `p` into bs->partials[p].

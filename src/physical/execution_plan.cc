@@ -11,6 +11,37 @@
 namespace fusion {
 namespace physical {
 
+Status CooperativeBuild::Run(const ExecContextPtr& ctx,
+                             const std::function<Status(int)>& build, bool wait) {
+  const exec::TaskGroupPtr& group = ctx->EnsureTaskGroup();
+  for (;;) {
+    const int p = next_input_.fetch_add(1, std::memory_order_relaxed);
+    if (p >= num_inputs_) break;
+    if (!failed_.load(std::memory_order_acquire)) {
+      Status st = build(p);
+      if (!st.ok()) {
+        std::lock_guard<std::mutex> lock(error_mu_);
+        if (error_.ok()) error_ = st;
+        failed_.store(true, std::memory_order_release);
+      }
+    }
+    inputs_done_.fetch_add(1, std::memory_order_acq_rel);
+    group->NotifyProgress();
+  }
+  if (!wait) return Status::OK();
+  // Epoch protocol: snapshot the epoch, re-check the condition, then
+  // help-or-park. NotifyProgress() after the last inputs_done bump
+  // invalidates any stale epoch, so no wakeup is lost.
+  while (inputs_done_.load(std::memory_order_acquire) < num_inputs_) {
+    FUSION_RETURN_NOT_OK(ctx->CheckCancelled());
+    const uint64_t epoch = group->progress_epoch();
+    if (inputs_done_.load(std::memory_order_acquire) >= num_inputs_) break;
+    group->HelpOrWait(epoch, ctx->cancel.get());
+  }
+  std::lock_guard<std::mutex> lock(error_mu_);
+  return error_;
+}
+
 const exec::TaskGroupPtr& ExecContext::EnsureTaskGroup() {
   static std::mutex mu;
   std::lock_guard<std::mutex> lock(mu);

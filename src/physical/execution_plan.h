@@ -1,7 +1,10 @@
 #ifndef FUSION_PHYSICAL_EXECUTION_PLAN_H_
 #define FUSION_PHYSICAL_EXECUTION_PLAN_H_
 
+#include <atomic>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -121,6 +124,36 @@ Result<std::vector<RecordBatchPtr>> ExecuteCollect(const ExecPlanPtr& plan,
 /// Run all partitions for their side effects, discarding batches but
 /// counting rows.
 Result<int64_t> ExecuteCountRows(const ExecPlanPtr& plan, const ExecContextPtr& ctx);
+
+/// \brief Input partitions built once by whichever partition drivers
+/// arrive (a hash join's build side, an aggregate's per-partition
+/// tables). Each driver claims unbuilt partitions from a shared counter
+/// and builds them on its own thread. After the first failure, later
+/// claims are skipped but still counted, so every claim settles.
+class CooperativeBuild {
+ public:
+  explicit CooperativeBuild(int num_inputs) : num_inputs_(num_inputs) {}
+
+  int num_inputs() const { return num_inputs_; }
+
+  /// Claim and run `build(p)` until no partition is left unclaimed. With
+  /// `wait`, then lend this thread to the query's other ready tasks
+  /// (TaskGroup::HelpOrWait) until every claim has settled, and return
+  /// the first build error, or Cancelled. No thread blocks while work
+  /// remains, so even a one-worker scheduler finishes (a driver run on a
+  /// lent thread re-enters here and just helps). Without `wait`, return
+  /// OK once nothing is left to claim.
+  Status Run(const ExecContextPtr& ctx, const std::function<Status(int)>& build,
+             bool wait);
+
+ private:
+  const int num_inputs_;
+  std::atomic<int> next_input_{0};
+  std::atomic<int> inputs_done_{0};
+  std::atomic<bool> failed_{false};
+  std::mutex error_mu_;
+  Status error_;
+};
 
 /// \brief Aggregated metrics for one plan node, mirroring the plan tree
 /// (the structured form behind EXPLAIN ANALYZE and the bench JSON dump).

@@ -33,16 +33,14 @@ struct HashJoinExec::BuildState {
   /// last stream drops the state.
   std::unique_ptr<exec::MemoryReservation> reservation;
 
-  // Cooperative build (PR-6 scheduler path): drivers arriving at
-  // EnsureBuilt claim build input partitions via next_input and help
-  // until all are collected; the first past the final barrier runs the
+  // Drivers arriving at EnsureBuilt collect the build input partitions
+  // cooperatively; the first past the final barrier runs the
   // single-threaded finalize (concatenate + table + filter publish).
-  int num_inputs = 0;
-  std::atomic<int> next_input{0};
-  std::atomic<int> inputs_done{0};
-  std::atomic<bool> build_failed{false};
-  std::mutex error_mu;
-  Status build_error;
+  explicit BuildState(int num_inputs)
+      : build(num_inputs),
+        partial_batches(static_cast<size_t>(num_inputs)),
+        partial_blooms(static_cast<size_t>(num_inputs)) {}
+  CooperativeBuild build;
   /// Collected batches per build input partition; flattened in
   /// partition order by finalize, so the concatenated build batch is
   /// byte-identical to the old sequential collection.
@@ -116,11 +114,7 @@ Status HashJoinExec::EnsureBuilt(const ExecContextPtr& ctx) {
     std::lock_guard<std::mutex> lock(build_mu_);
     if (built_) return build_status_;
     if (build_state_ == nullptr) {
-      auto s = std::make_shared<BuildState>();
-      s->num_inputs = build_->output_partitions();
-      s->partial_batches.resize(static_cast<size_t>(s->num_inputs));
-      s->partial_blooms.resize(static_cast<size_t>(s->num_inputs));
-      build_state_ = std::move(s);
+      build_state_ = std::make_shared<BuildState>(build_->output_partitions());
     }
     state = build_state_;
   }
@@ -160,37 +154,12 @@ Status HashJoinExec::EnsureBuilt(const ExecContextPtr& ctx) {
     return Status::OK();
   };
 
-  const exec::TaskGroupPtr& group = ctx->EnsureTaskGroup();
-  for (;;) {
-    const int p = state->next_input.fetch_add(1, std::memory_order_relaxed);
-    if (p >= state->num_inputs) break;
-    if (!state->build_failed.load(std::memory_order_acquire)) {
-      Status st = build_one(p);
-      if (!st.ok()) {
-        std::lock_guard<std::mutex> elock(state->error_mu);
-        if (state->build_error.ok()) state->build_error = st;
-        state->build_failed.store(true, std::memory_order_release);
-      }
-    }
-    state->inputs_done.fetch_add(1, std::memory_order_acq_rel);
-    group->NotifyProgress();
-  }
-  while (state->inputs_done.load(std::memory_order_acquire) < state->num_inputs) {
-    FUSION_RETURN_NOT_OK(ctx->CheckCancelled());
-    const uint64_t epoch = group->progress_epoch();
-    if (state->inputs_done.load(std::memory_order_acquire) >= state->num_inputs) {
-      break;
-    }
-    group->HelpOrWait(epoch, ctx->cancel.get());
-  }
+  const Status collected = state->build.Run(ctx, build_one, /*wait=*/true);
 
   // Single-threaded tail: the first driver past the barrier builds the
   // shared table and publishes the runtime filters; the rest reuse it.
   auto finalize = [&]() -> Status {
-    {
-      std::lock_guard<std::mutex> elock(state->error_mu);
-      FUSION_RETURN_NOT_OK(state->build_error);
-    }
+    FUSION_RETURN_NOT_OK(collected);
     std::vector<RecordBatchPtr> batches;
     for (auto& part : state->partial_batches) {
       for (auto& b : part) batches.push_back(std::move(b));
@@ -258,7 +227,7 @@ Status HashJoinExec::EnsureBuilt(const ExecContextPtr& ctx) {
         }
         format::BloomFilter merged(bloom_keys);
         bool merge_ok = true;
-        for (int p = 0; p < state->num_inputs && merge_ok; ++p) {
+        for (size_t p = 0; p < state->partial_blooms.size() && merge_ok; ++p) {
           if (state->partial_blooms[p].empty()) continue;
           merge_ok = merged.MergeFrom(state->partial_blooms[p][f]);
         }

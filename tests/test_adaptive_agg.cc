@@ -1,8 +1,9 @@
 // Adaptive partitioned aggregation: randomized oracle checks against
 // the single-partition plan across group cardinalities (collapsing,
-// medium, ~unique), partition counts, and every FUSION_AGG_BYPASS mode —
-// plus morsel-split balance regression tests for the scan sources that
-// feed it.
+// medium, ~unique), partition counts, and every FUSION_AGG_BYPASS mode;
+// the COUNT(DISTINCT) rewrite checked against the plan without it; plus
+// morsel-split balance regression tests for the scan sources that feed
+// it.
 
 #include "tests/test_util.h"
 
@@ -10,6 +11,7 @@
 #include <cstdlib>
 
 #include "catalog/memory_table.h"
+#include "optimizer/optimizer.h"
 #include "physical/execution_plan.h"
 
 namespace fusion {
@@ -160,6 +162,130 @@ TEST(AdaptiveAggOracleTest, CountDistinctFloatsMatchSelectDistinct) {
     EXPECT_EQ(TotalRows(distinct), 3) << "partitions=" << partitions;
     EXPECT_EQ(ToStringRows(counted)[0][0], std::to_string(TotalRows(distinct)))
         << "partitions=" << partitions;
+  }
+}
+
+// --------------------------------------------- single_distinct_to_groupby
+
+/// A table for COUNT(DISTINCT) rewrites: an int key `k` whose group 0
+/// has only NULL `v`, a dictionary-encoded string key `ks`, a nullable
+/// int `v`, a float `f` drawn from -0.0, 0.0, two NaN payloads, 1.5 and
+/// NULL, and a float `w` whose sums are exact in any order.
+catalog::TableProviderPtr MakeDistinctTable(int64_t n, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const double kFloats[] = {-0.0, 0.0, std::bit_cast<double>(0x7ff8000000000001ULL),
+                            std::bit_cast<double>(0x7ff8000000000002ULL), 1.5};
+  Int64Builder k;
+  DictionaryBuilder ks;
+  Int64Builder v;
+  Float64Builder f;
+  Float64Builder w;
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t key = static_cast<int64_t>(rng() % 37);
+    k.Append(key);
+    ks.Append("s" + std::to_string(rng() % 11));
+    if (key == 0 || rng() % 9 == 0) {
+      v.AppendNull();
+    } else {
+      v.Append(static_cast<int64_t>(rng() % 300) - 150);
+    }
+    const uint64_t fi = rng() % 6;
+    if (fi == 5) {
+      f.AppendNull();
+    } else {
+      f.Append(kFloats[fi]);
+    }
+    w.Append(static_cast<double>(rng() % 4000) * 0.25 - 500);
+  }
+  auto schema = fusion::schema({Field("k", int64(), false), Field("ks", utf8(), false),
+                                Field("v", int64(), true), Field("f", float64(), true),
+                                Field("w", float64(), false)});
+  std::vector<ArrayPtr> cols = {k.Finish().ValueOrDie(), ks.Finish().ValueOrDie(),
+                                v.Finish().ValueOrDie(), f.Finish().ValueOrDie(),
+                                w.Finish().ValueOrDie()};
+  auto batch = std::make_shared<RecordBatch>(schema, n, std::move(cols));
+  return catalog::MemoryTable::Make(schema, SliceBatch(batch, 512)).ValueOrDie();
+}
+
+/// The default rules minus single_distinct_to_groupby: COUNT(DISTINCT)
+/// stays one aggregate over a table of (group, value) pairs.
+core::SessionContextPtr MakeSessionWithoutRewrite(
+    const catalog::TableProviderPtr& table, int partitions) {
+  auto ctx = MakeSession(table, partitions);
+  const optimizer::Optimizer defaults = optimizer::Optimizer::Default();
+  optimizer::Optimizer without;
+  for (const auto& rule : defaults.rules()) {
+    if (rule->name() != "single_distinct_to_groupby") without.AddRule(rule);
+  }
+  *ctx->optimizer() = without;
+  return ctx;
+}
+
+/// Does any aggregate of the optimized plan for `sql` still count
+/// DISTINCT values itself?
+bool PlansCountDistinct(core::SessionContext* ctx, const std::string& sql) {
+  auto plan = ctx->CreateLogicalPlan(sql).ValueOrDie();
+  plan = ctx->OptimizePlan(plan).ValueOrDie();
+  std::function<bool(const logical::PlanPtr&)> visit = [&](const logical::PlanPtr& p) {
+    for (const auto& a : p->aggr_exprs) {
+      if (logical::Unalias(a)->function_name == "count_distinct") return true;
+    }
+    return std::any_of(p->children.begin(), p->children.end(), visit);
+  };
+  return visit(plan);
+}
+
+TEST(SingleDistinctToGroupByTest, MatchesPlanWithoutRewrite) {
+  auto table = MakeDistinctTable(/*n=*/12000, /*seed=*/808);
+  const char* queries[] = {
+      "SELECT count(DISTINCT v), count(*), count(v), sum(w), min(v), max(w), avg(w) "
+      "FROM r",
+      "SELECT k, count(DISTINCT v), count(*), count(v), sum(v), min(w), max(v), "
+      "avg(v) FROM r GROUP BY k",
+      "SELECT ks, count(DISTINCT v) AS u, avg(w), count(*) FROM r GROUP BY ks",
+      "SELECT k, ks, count(DISTINCT v), sum(w) FROM r GROUP BY k, ks",
+      "SELECT k, count(DISTINCT ks) FROM r GROUP BY k",
+      "SELECT count(DISTINCT f), count(*), sum(w) FROM r",
+      "SELECT ks, count(DISTINCT f), count(f) FROM r GROUP BY ks",
+      // No group keys and no rows: the counts must be 0, not NULL.
+      "SELECT count(DISTINCT v), count(*), count(v), sum(v), avg(w) FROM r "
+      "WHERE false",
+      "SELECT k, count(DISTINCT v), count(*) FROM r WHERE false GROUP BY k",
+      "SELECT k, count(DISTINCT v) AS u FROM r GROUP BY k "
+      "HAVING count(DISTINCT v) > 40",
+      "SELECT k % 5, count(DISTINCT v % 7), count(DISTINCT v % 7) + 1 FROM r "
+      "GROUP BY k % 5",
+      "SELECT k, count(DISTINCT v), sum(w) FILTER (WHERE v > 0), "
+      "count(*) FILTER (WHERE v IS NULL) FROM r GROUP BY k",
+  };
+  auto reference = MakeSessionWithoutRewrite(table, /*partitions=*/1);
+  for (const char* sql : queries) {
+    ASSERT_TRUE(PlansCountDistinct(reference.get(), sql)) << sql;
+    ASSERT_FALSE(PlansCountDistinct(MakeSession(table, 1).get(), sql))
+        << "not rewritten: " << sql;
+    ASSERT_OK_AND_ASSIGN(auto expected_batches, reference->ExecuteSql(sql));
+    auto expected = SortedStringRows(expected_batches);
+    for (int partitions : {1, 4}) {
+      for (const char* bypass : {"off", "force", ""}) {
+        ScopedBypassEnv env(bypass);
+        auto session = MakeSession(table, partitions);
+        ASSERT_OK_AND_ASSIGN(auto batches, session->ExecuteSql(sql));
+        EXPECT_EQ(SortedStringRows(batches), expected)
+            << sql << " [partitions=" << partitions
+            << " bypass=" << (*bypass != '\0' ? bypass : "auto") << "]";
+      }
+    }
+  }
+}
+
+TEST(SingleDistinctToGroupByTest, OtherShapesKeepOneAggregate) {
+  auto session = MakeSession(MakeDistinctTable(1000, 910), 4);
+  for (const char* sql : {
+           "SELECT k, count(DISTINCT v), count(DISTINCT ks) FROM r GROUP BY k",
+           "SELECT count(DISTINCT v) FILTER (WHERE w > 0) FROM r",
+           "SELECT ks, count(DISTINCT v), median(w) FROM r GROUP BY ks",
+       }) {
+    EXPECT_TRUE(PlansCountDistinct(session.get(), sql)) << sql;
   }
 }
 

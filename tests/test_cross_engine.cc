@@ -68,6 +68,18 @@ class TpchCrossEngineTest : public ::testing::Test {
     FAIL() << "query not found";
   }
 
+  /// The physical plan EXPLAIN prints for query `number`.
+  std::string ExplainPhysical(int number) {
+    for (const auto& q : bench::TpchQueries()) {
+      if (q.number != number) continue;
+      auto batches = fusion_session_->ExecuteSql("EXPLAIN " + q.sql);
+      if (!batches.ok()) return batches.status().ToString();
+      const std::string text = (*batches)[0]->column(0)->ValueToString(0);
+      return text.substr(text.find("== Physical Plan =="));
+    }
+    return "query not found";
+  }
+
   static core::SessionContext* fusion_ctx_;
   static core::SessionContextPtr fusion_session_;
   static core::SessionContextPtr tie_session_;
@@ -87,6 +99,27 @@ INSTANTIATE_TEST_SUITE_P(All22, TpchQueryParam,
                          [](const auto& info) {
                            return "Q" + std::to_string(info.param);
                          });
+
+TEST_F(TpchCrossEngineTest, CommaJoinsCrossOnlyDisconnectedTables) {
+  // Q2, Q8 and Q9 list part and supplier side by side with no predicate
+  // between them; join reordering joins both through the other tables.
+  // Q22 crosses customer with a one-row aggregate nothing else joins.
+  for (int number : {2, 8, 9}) {
+    const std::string plan = ExplainPhysical(number);
+    EXPECT_EQ(plan.find("on=[]"), std::string::npos) << "TPC-H Q" << number << "\n"
+                                                     << plan;
+  }
+  EXPECT_NE(ExplainPhysical(22).find("on=[]"), std::string::npos) << ExplainPhysical(22);
+}
+
+TEST_F(TpchCrossEngineTest, SingleCountDistinctPlansTwoGroupBys) {
+  // Q16 counts one DISTINCT argument, so no aggregate keeps a pair
+  // table; Q21 counts two and keeps one.
+  EXPECT_EQ(ExplainPhysical(16).find("aggs=[count_distinct("), std::string::npos)
+      << ExplainPhysical(16);
+  EXPECT_NE(ExplainPhysical(21).find("aggs=[count_distinct("), std::string::npos)
+      << ExplainPhysical(21);
+}
 
 TEST(ClickBenchCrossEngine, AllQueriesAgree) {
   bench::ClickBenchSpec spec;

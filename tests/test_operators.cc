@@ -132,26 +132,29 @@ TEST(AggSpillTest, SpilledAggregationMatchesInMemory) {
   // Small batches: builds check memory every 16 batches.
   auto table =
       catalog::MemoryTable::Make(schema, SliceBatch(batch, 1024)).ValueOrDie();
-  const char* q = "SELECT k, count(*), sum(v), min(v), max(v), avg(v) "
-                  "FROM data GROUP BY k";
+  // count(DISTINCT v) plans as two ordinary group-bys, so its (k, v)
+  // table spills too instead of failing with OutOfMemory.
+  for (const char* q : {"SELECT k, count(*), sum(v), min(v), max(v), avg(v) "
+                        "FROM data GROUP BY k",
+                        "SELECT k, count(DISTINCT v), count(*) FROM data GROUP BY k"}) {
+    // Two partitions merge spilled builds; one partition spills the
+    // single build and falls back from finishing it directly to the merge.
+    for (int partitions : {2, 1}) {
+      exec::SessionConfig config;
+      config.target_partitions = partitions;
+      auto env_small = std::make_shared<exec::RuntimeEnv>();
+      env_small->memory_pool = std::make_shared<exec::GreedyMemoryPool>(256 * 1024);
+      auto small_ctx = core::SessionContext::Make(config, env_small);
+      auto big_ctx = core::SessionContext::Make(config);
+      small_ctx->RegisterTable("data", table).Abort();
+      big_ctx->RegisterTable("data", table).Abort();
 
-  // Two partitions merge spilled builds; one partition spills the
-  // single build and falls back from finishing it directly to the merge.
-  for (int partitions : {2, 1}) {
-    exec::SessionConfig config;
-    config.target_partitions = partitions;
-    auto env_small = std::make_shared<exec::RuntimeEnv>();
-    env_small->memory_pool = std::make_shared<exec::GreedyMemoryPool>(256 * 1024);
-    auto small_ctx = core::SessionContext::Make(config, env_small);
-    auto big_ctx = core::SessionContext::Make(config);
-    small_ctx->RegisterTable("data", table).Abort();
-    big_ctx->RegisterTable("data", table).Abort();
-
-    ASSERT_OK_AND_ASSIGN(auto spilled, small_ctx->ExecuteSqlWithMetrics(q));
-    ASSERT_OK_AND_ASSIGN(auto in_memory, big_ctx->ExecuteSql(q));
-    EXPECT_GT(TotalSpills(spilled.metrics), 0) << "partitions=" << partitions;
-    EXPECT_EQ(SortedStringRows(spilled.batches), SortedStringRows(in_memory))
-        << "partitions=" << partitions;
+      ASSERT_OK_AND_ASSIGN(auto spilled, small_ctx->ExecuteSqlWithMetrics(q));
+      ASSERT_OK_AND_ASSIGN(auto in_memory, big_ctx->ExecuteSql(q));
+      EXPECT_GT(TotalSpills(spilled.metrics), 0) << q << " partitions=" << partitions;
+      EXPECT_EQ(SortedStringRows(spilled.batches), SortedStringRows(in_memory))
+          << q << " partitions=" << partitions;
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "logical/simplify.h"
+#include "optimizer/cardinality.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/predicate_lowering.h"
 
@@ -206,6 +207,88 @@ TEST(OptimizerTest, JoinReorderStartsFromSmallest) {
   while (!node->children.empty()) node = node->child(0);
   ASSERT_EQ(node->kind, PlanKind::kTableScan);
   EXPECT_NE(node->table_name, "big");
+}
+
+TEST(OptimizerTest, CommaJoinPlansNoCrossJoin) {
+  // FROM a, b, c leaves a x b as a cross join (no predicate links the
+  // two); join reordering must join both through c instead.
+  auto ctx = core::SessionContext::Make();
+  // Column `name` of a table of `n` rows holds i % modulo.
+  auto register_table = [&](const std::string& table, int64_t n,
+                            std::vector<std::pair<std::string, int64_t>> cols) {
+    std::vector<Field> fields;
+    std::vector<ArrayPtr> arrays;
+    for (const auto& [name, modulo] : cols) {
+      Int64Builder b;
+      for (int64_t i = 0; i < n; ++i) b.Append(i % modulo);
+      fields.emplace_back(name, int64(), false);
+      arrays.push_back(b.Finish().ValueOrDie());
+    }
+    auto schema = fusion::schema(std::move(fields));
+    auto batch = std::make_shared<RecordBatch>(schema, n, std::move(arrays));
+    ctx->RegisterTable(table, catalog::MemoryTable::Make(schema, {batch}).ValueOrDie())
+        .Abort();
+  };
+  register_table("a", 10, {{"x", 10}});
+  register_table("b", 20, {{"y", 20}});
+  register_table("c", 30, {{"x", 10}, {"y", 20}});
+  const char* q = "SELECT count(*) FROM a, b, c WHERE a.x = c.x AND b.y = c.y";
+  std::function<int(const PlanPtr&)> cross_joins = [&](const PlanPtr& p) {
+    int n = p->kind == PlanKind::kJoin && p->join_on.empty() ? 1 : 0;
+    for (const auto& c : p->children) n += cross_joins(c);
+    return n;
+  };
+  EXPECT_EQ(cross_joins(PlanFor(ctx.get(), q)), 0)
+      << PlanFor(ctx.get(), q)->ToString();
+  ASSERT_OK_AND_ASSIGN(auto rows, ctx->ExecuteSql(q));
+  EXPECT_EQ(ToStringRows(rows), (std::vector<StringRow>{{"30"}}));
+}
+
+/// A memory table whose statistics report `ndv` distinct values in
+/// every column.
+class NdvTable : public catalog::MemoryTable {
+ public:
+  NdvTable(SchemaPtr schema, std::vector<RecordBatchPtr> batches, int64_t ndv)
+      : MemoryTable(std::move(schema), std::move(batches)), ndv_(ndv) {}
+  catalog::TableStatistics statistics() const override {
+    auto stats = MemoryTable::statistics();
+    for (auto& cs : stats.column_stats) cs.ndv = ndv_;
+    return stats;
+  }
+
+ private:
+  int64_t ndv_;
+};
+
+TEST(CardinalityTest, MultiKeyJoinEstimateIsAtLeastSmallerSide) {
+  // Keys need not be independent: a side's combined key NDV cannot
+  // exceed its rows, so two keys of 300 and 400 distinct values must not
+  // estimate 1000 x 2000 / (400 x 400) = 12.5 rows.
+  auto scan = [](const std::string& name, int64_t rows, int64_t ndv) {
+    Int64Builder k1, k2;
+    for (int64_t i = 0; i < rows; ++i) {
+      k1.Append(i % ndv);
+      k2.Append(i % ndv);
+    }
+    auto schema = fusion::schema(
+        {Field(name + "1", int64(), false), Field(name + "2", int64(), false)});
+    auto batch = std::make_shared<RecordBatch>(
+        schema, rows, std::vector<ArrayPtr>{k1.Finish().ValueOrDie(),
+                                            k2.Finish().ValueOrDie()});
+    auto table = std::make_shared<NdvTable>(schema, std::vector<RecordBatchPtr>{batch}, ndv);
+    return logical::MakeTableScan(name, table).ValueOrDie();
+  };
+  PlanPtr left = scan("l", 1000, 300);
+  PlanPtr right = scan("r", 2000, 400);
+  const std::pair<ExprPtr, ExprPtr> first{logical::Col("l1"), logical::Col("r1")};
+  const std::pair<ExprPtr, ExprPtr> second{logical::Col("l2"), logical::Col("r2")};
+  EXPECT_GE(optimizer::EstimateJoinRows(left, right, {first, second},
+                                        logical::JoinKind::kInner),
+            1000);
+  // One key: l * r / max(ndv_l, ndv_r), as before.
+  EXPECT_DOUBLE_EQ(
+      optimizer::EstimateJoinRows(left, right, {first}, logical::JoinKind::kInner),
+      1000.0 * 2000.0 / 400.0);
 }
 
 /// Column names of every table scan, keyed by table name.
