@@ -116,9 +116,8 @@ class GroupTable {
 /// \brief The same flat-table core specialized for hash joins: an
 /// open-addressing multimap from 64-bit key hashes to "head" entry ids,
 /// with duplicate hashes chained through a caller-owned next[] array
-/// (build rows for HashJoinExec, accumulated (batch,row) entries for
-/// SymmetricHashJoinExec). Replaces std::unordered_map buckets: probing
-/// is linear over two flat arrays, and inserts allocate nothing.
+/// (HashJoinExec's build rows). Replaces std::unordered_map buckets:
+/// probing is linear over two flat arrays, and inserts allocate nothing.
 class HashChainTable {
  public:
   HashChainTable();

@@ -28,10 +28,10 @@ namespace core {
 /// optimizer pass — the dominant cost of planning repeated templates.
 ///
 /// Entries are invalidated wholesale via Invalidate() on catalog or
-/// config changes; SessionContext folds a catalog epoch + config
-/// fingerprint into the key as well, so stale hits are impossible even
-/// if an invalidation is missed. Counters go to the shared
-/// exec::PlanCacheStats so the exec-layer footer can render them.
+/// optimizer-rule changes; SessionContext folds an epoch it bumps on
+/// each invalidation into the key as well, so a plan optimized before
+/// an invalidation and stored after it is never hit. Counters go to the
+/// shared exec::PlanCacheStats so the exec-layer footer can render them.
 class PlanCache {
  public:
   PlanCache(size_t capacity, exec::PlanCacheStatsPtr stats)
@@ -40,7 +40,7 @@ class PlanCache {
   /// Cached optimized plan for `key`, or nullptr. Counts hit/miss.
   logical::PlanPtr Get(const std::string& key);
   void Put(const std::string& key, logical::PlanPtr plan);
-  /// Drop everything (catalog/config change).
+  /// Drop everything (catalog or optimizer-rule change).
   void Invalidate();
   size_t entries() const;
 

@@ -27,7 +27,16 @@ std::shared_ptr<SessionContext> SessionContext::Make(exec::SessionConfig config,
 
 void SessionContext::SetCatalogProvider(catalog::CatalogProviderPtr catalog) {
   catalog_ = std::move(catalog);
-  catalog_epoch_.fetch_add(1, std::memory_order_relaxed);
+  InvalidatePlanCache();
+}
+
+void SessionContext::AddOptimizerRule(optimizer::OptimizerRulePtr rule) {
+  optimizer_.AddRule(std::move(rule));
+  InvalidatePlanCache();
+}
+
+void SessionContext::InvalidatePlanCache() {
+  plan_epoch_.fetch_add(1, std::memory_order_relaxed);
   plan_cache_.Invalidate();
 }
 
@@ -35,16 +44,14 @@ Status SessionContext::RegisterTable(const std::string& name,
                                      catalog::TableProviderPtr table) {
   FUSION_ASSIGN_OR_RAISE(auto schema, catalog_->GetSchema("public"));
   FUSION_RETURN_NOT_OK(schema->RegisterTable(name, std::move(table)));
-  catalog_epoch_.fetch_add(1, std::memory_order_relaxed);
-  plan_cache_.Invalidate();
+  InvalidatePlanCache();
   return Status::OK();
 }
 
 Status SessionContext::DeregisterTable(const std::string& name) {
   FUSION_ASSIGN_OR_RAISE(auto schema, catalog_->GetSchema("public"));
   FUSION_RETURN_NOT_OK(schema->DeregisterTable(name));
-  catalog_epoch_.fetch_add(1, std::memory_order_relaxed);
-  plan_cache_.Invalidate();
+  InvalidatePlanCache();
   return Status::OK();
 }
 
@@ -100,18 +107,6 @@ Result<logical::PlanPtr> SessionContext::OptimizePlan(
   return optimizer_.Optimize(plan);
 }
 
-std::string SessionContext::ConfigFingerprint() const {
-  // Only knobs that change what the optimizer/planner produces belong
-  // here; runtime-only knobs (timeouts, admission) are deliberately
-  // excluded so they don't fragment the cache.
-  std::ostringstream fp;
-  fp << config_.batch_size << '|' << config_.target_partitions << '|'
-     << config_.enable_predicate_pushdown << config_.enable_topk
-     << config_.enable_symmetric_hash_join << '|' << config_.runtime_filter_mode << '|'
-     << config_.rf_max_build_rows << '|' << config_.rf_min_probe_ratio;
-  return fp.str();
-}
-
 Result<logical::PlanPtr> SessionContext::OptimizeCached(
     const logical::PlanPtr& plan) {
   if (config_.plan_cache_entries <= 0) return optimizer_.Optimize(plan);
@@ -122,9 +117,7 @@ Result<logical::PlanPtr> SessionContext::OptimizeCached(
   }
   std::string key;
   key.reserve(serialized->size() + 32);
-  key += std::to_string(catalog_epoch_.load(std::memory_order_relaxed));
-  key += '|';
-  key += ConfigFingerprint();
+  key += std::to_string(plan_epoch_.load(std::memory_order_relaxed));
   key += '|';
   key.append(reinterpret_cast<const char*>(serialized->data()),
              serialized->size());
@@ -139,7 +132,10 @@ Result<exec::AdmissionTicket> SessionContext::AdmitQuery(
   exec::AdmissionLimits limits;
   limits.max_concurrent = config_.admission_max_concurrent;
   limits.max_queued = config_.admission_max_queued;
-  limits.memory_watermark = config_.admission_memory_watermark;
+  // New queries queue, even with a slot free, while the pool is above
+  // this fraction of its limit.
+  constexpr double kAdmissionMemoryWatermark = 0.9;
+  limits.memory_watermark = kAdmissionMemoryWatermark;
   return env_->scheduler()->Admit(limits, env_->memory_pool.get(),
                                   ctx->cancel.get());
 }

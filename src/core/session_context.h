@@ -120,9 +120,9 @@ class SessionContext : public std::enable_shared_from_this<SessionContext> {
 
   // Optimizer (paper §7.6) ---------------------------------------------
   optimizer::Optimizer* optimizer() { return &optimizer_; }
-  void AddOptimizerRule(optimizer::OptimizerRulePtr rule) {
-    optimizer_.AddRule(std::move(rule));
-  }
+  /// Append a rule; flushes the plan cache, whose plans the old rule
+  /// set optimized.
+  void AddOptimizerRule(optimizer::OptimizerRulePtr rule);
 
   // Planning & execution --------------------------------------------------
   /// Parse + bind SQL into an (unoptimized) logical plan.
@@ -179,10 +179,11 @@ class SessionContext : public std::enable_shared_from_this<SessionContext> {
   const exec::RuntimeEnvPtr& env() const { return env_; }
 
   /// The session's logical-plan cache (see core/plan_cache.h). Flushed
-  /// automatically on catalog changes; call InvalidatePlanCache() after
-  /// out-of-band changes (e.g. mutating a provider in place).
+  /// automatically on catalog and optimizer-rule changes; call
+  /// InvalidatePlanCache() after out-of-band changes (e.g. mutating a
+  /// provider in place, or editing optimizer()).
   PlanCache* plan_cache() { return &plan_cache_; }
-  void InvalidatePlanCache() { plan_cache_.Invalidate(); }
+  void InvalidatePlanCache();
 
   /// Build the per-query execution context. A session-level
   /// config().timeout_ms starts counting here; an explicit token is
@@ -194,15 +195,12 @@ class SessionContext : public std::enable_shared_from_this<SessionContext> {
   SessionContext(exec::SessionConfig config, exec::RuntimeEnvPtr env);
 
   /// Optimize `plan` through the plan cache: serialized-plan key + the
-  /// catalog epoch + a config fingerprint. Falls back to a plain
-  /// optimize whenever the plan cannot be serialized.
+  /// plan epoch. Falls back to a plain optimize whenever the plan cannot
+  /// be serialized.
   Result<logical::PlanPtr> OptimizeCached(const logical::PlanPtr& plan);
   /// Admission gate: derive limits from config and block/reject per the
   /// scheduler's admission policy.
   Result<exec::AdmissionTicket> AdmitQuery(const physical::ExecContextPtr& ctx);
-  /// Planning-relevant config rendered into the plan-cache key, so
-  /// flipping an ablation switch never serves a stale plan.
-  std::string ConfigFingerprint() const;
 
   exec::SessionConfig config_;
   exec::RuntimeEnvPtr env_;
@@ -211,8 +209,9 @@ class SessionContext : public std::enable_shared_from_this<SessionContext> {
   logical::FunctionRegistryPtr registry_;
   optimizer::Optimizer optimizer_;
   std::atomic<int64_t> next_query_id_{0};
-  /// Bumped on every catalog mutation; part of the plan-cache key.
-  std::atomic<int64_t> catalog_epoch_{0};
+  /// Bumped by every InvalidatePlanCache(); part of the plan-cache key,
+  /// so a plan optimized before a flush is never served after it.
+  std::atomic<int64_t> plan_epoch_{0};
   PlanCache plan_cache_;
 };
 

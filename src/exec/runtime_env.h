@@ -127,11 +127,6 @@ struct SessionConfig {
   /// by default; the TIE baseline stays pinned at one partition so the
   /// paper's single-threaded architectural comparison is preserved.
   int target_partitions = DefaultTargetPartitions();
-  /// Memory budget for pipeline breakers before spilling (0 = unbounded).
-  int64_t memory_limit = 0;
-  /// Rows a hash join's build side may hold before spilling is refused
-  /// (safety valve; 0 = unlimited).
-  int64_t max_build_rows = 0;
   /// Per-query deadline applied at execution start (0 = none). Queries
   /// exceeding it fail with Status::Cancelled("query deadline
   /// exceeded"). Explicit tokens passed to ExecuteSql get the same
@@ -140,15 +135,11 @@ struct SessionConfig {
   /// Enable/disable specific optimizations (ablation switches).
   bool enable_predicate_pushdown = true;
   bool enable_topk = true;
-  /// Use the streaming symmetric hash join for inner equi joins
-  /// (both inputs stream; paper §6.4).
-  bool enable_symmetric_hash_join = false;
   /// Adaptive pre-aggregation bypass: after `agg_bypass_probe_rows`
   /// input rows, a build task whose observed groups/rows ratio is at
-  /// least `agg_bypass_ratio` stops pre-aggregating and passes rows
-  /// through as per-row partial state (DataFusion's skip-partial
-  /// optimization). FUSION_AGG_BYPASS=off|force overrides per process.
-  double agg_bypass_ratio = 0.8;
+  /// least 0.8 stops pre-aggregating and passes rows through as per-row
+  /// partial state (DataFusion's skip-partial optimization).
+  /// FUSION_AGG_BYPASS=off|force overrides per process.
   int64_t agg_bypass_probe_rows = 100000;
   /// Logical-plan cache capacity (entries); 0 disables. Repeated query
   /// templates skip parse-independent optimize+normalize work.
@@ -159,20 +150,12 @@ struct SessionConfig {
   /// Queries allowed to queue behind the running set before new
   /// arrivals are rejected with ResourcesExhausted.
   int admission_max_queued = 64;
-  /// Fraction of the memory pool's limit above which new queries queue
-  /// even when a concurrency slot is free (<= 0 disables the check).
-  double admission_memory_watermark = 0.9;
   /// Runtime Bloom-filter pushdown (sideways information passing):
   /// "off" never installs filters (plans and results match a build
   /// without the feature), "force" installs one wherever structurally
   /// possible, "auto" (default) only when the build side is estimated
   /// both small and selective against the probe side.
   std::string runtime_filter_mode = DefaultRuntimeFilterMode();
-  /// auto mode: skip the filter when the build side is estimated above
-  /// this many rows (the filter itself would be large and late).
-  int64_t rf_max_build_rows = 4 * 1000 * 1000;
-  /// auto mode: require probe estimate >= ratio * build estimate.
-  double rf_min_probe_ratio = 2.0;
 };
 
 }  // namespace exec

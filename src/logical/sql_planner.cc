@@ -465,14 +465,22 @@ Result<PlanPtr> SqlPlanner::PlanSelectCore(const sql::SelectCore& core,
     FUSION_ASSIGN_OR_RAISE(having, Coerce(having, from_schema));
   }
 
-  // GROUP BY expressions (support ordinals and select aliases).
+  // GROUP BY expressions (support ordinals and select aliases). A key
+  // repeated in any spelling is kept once: two aggregate outputs of one
+  // name would make the select's column lookups ambiguous.
   std::vector<ExprPtr> group_exprs;
+  auto add_group = [&group_exprs](ExprPtr e) {
+    for (const auto& prev : group_exprs) {
+      if (prev->Equals(*e)) return;
+    }
+    group_exprs.push_back(std::move(e));
+  };
   for (const auto& g : core.group_by) {
     if (g->kind == sql::AstExpr::Kind::kNumber) {
       int64_t ordinal = 0;
       std::from_chars(g->text.data(), g->text.data() + g->text.size(), ordinal);
       if (ordinal >= 1 && ordinal <= static_cast<int64_t>(select_exprs.size())) {
-        group_exprs.push_back(Unalias(select_exprs[ordinal - 1]));
+        add_group(Unalias(select_exprs[ordinal - 1]));
         continue;
       }
     }
@@ -482,7 +490,7 @@ Result<PlanPtr> SqlPlanner::PlanSelectCore(const sql::SelectCore& core,
       if (!from_schema.IndexOf("", g->name).ok()) {
         for (const auto& se : select_exprs) {
           if (se->kind == Expr::Kind::kAlias && se->alias == g->name) {
-            group_exprs.push_back(Unalias(se));
+            add_group(Unalias(se));
             matched = true;
             break;
           }
@@ -492,7 +500,7 @@ Result<PlanPtr> SqlPlanner::PlanSelectCore(const sql::SelectCore& core,
     }
     FUSION_ASSIGN_OR_RAISE(ExprPtr e, ConvertExpr(g, from_schema, ctes));
     FUSION_ASSIGN_OR_RAISE(e, Coerce(e, from_schema));
-    group_exprs.push_back(std::move(e));
+    add_group(std::move(e));
   }
 
   // Aggregation.

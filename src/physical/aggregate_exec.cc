@@ -349,9 +349,11 @@ Status PartitionedAggregateExec::BuildPartition(BuildState* bs, int p,
       if (!decided && rows_seen >= ctx->config.agg_bypass_probe_rows) {
         decided = true;
         // Pre-aggregation is only worth its probes if it collapses
-        // rows; at >= ratio groups per row it degrades to passthrough.
+        // rows; at >= kBypassRatio groups per row it degrades to
+        // passthrough.
+        constexpr double kBypassRatio = 0.8;
         bypass = static_cast<double>(groups.num_groups()) >=
-                 ctx->config.agg_bypass_ratio * static_cast<double>(rows_seen);
+                 kBypassRatio * static_cast<double>(rows_seen);
       }
     } else {
       // Bypass: every row becomes its own group of one; serialize the

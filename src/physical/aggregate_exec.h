@@ -26,8 +26,8 @@ struct AggregateInfo {
 ///
 /// - A build adaptively degrades to passthrough when its group
 ///   cardinality approaches its row count: after `agg_bypass_probe_rows`
-///   rows, a build whose groups/rows ratio is >= `agg_bypass_ratio` stops
-///   probing its table and forwards rows as per-row partial state.
+///   rows, a build whose groups/rows ratio is >= 0.8 stops probing its
+///   table and forwards rows as per-row partial state.
 /// - With no group keys there is one implicit group with key hash 0: it
 ///   lands in bucket 0, so output partition 0 emits exactly one row and
 ///   the others emit none. Bypass needs group keys.

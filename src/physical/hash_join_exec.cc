@@ -167,10 +167,6 @@ Status HashJoinExec::EnsureBuilt(const ExecContextPtr& ctx) {
     state->partial_batches.clear();
     FUSION_ASSIGN_OR_RAISE(state->batch,
                            ConcatenateBatches(build_->schema(), batches));
-    if (ctx->config.max_build_rows > 0 &&
-        state->batch->num_rows() > ctx->config.max_build_rows) {
-      return Status::ExecutionError("hash join build side exceeds max_build_rows");
-    }
     // Memory accounting for the dominant consumer (the build table plus
     // any Bloom filters); released when the state is destroyed.
     int64_t bloom_bytes = 0;

@@ -10,11 +10,11 @@
 namespace fusion {
 namespace physical {
 
-/// \brief Parallel in-memory hash join (paper §6.4), the operator for
-/// every join the planner does not run as a merge join: the left child
-/// is the build side (collected once, shared across probe partitions —
-/// DataFusion's CollectLeft mode), the right child streams as the probe
-/// side. Vectorized hashing with chained collision resolution follows
+/// \brief Parallel in-memory hash join (paper §6.4), the one join
+/// operator the planner builds: the left child is the build side
+/// (collected once, charged to the memory pool and shared across probe
+/// partitions — DataFusion's CollectLeft mode), the right child streams as the probe side.
+/// Vectorized hashing with chained collision resolution follows
 /// the MonetDB-style scheme the paper cites.
 ///
 /// A join without equi keys (a cross join, or a condition with no

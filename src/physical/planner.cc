@@ -13,11 +13,9 @@
 #include "physical/aggregate_exec.h"
 #include "physical/exchange_exec.h"
 #include "physical/hash_join_exec.h"
-#include "physical/other_joins.h"
 #include "physical/scan_exec.h"
 #include "physical/simple_exec.h"
 #include "physical/sort_exec.h"
-#include "physical/symmetric_hash_join_exec.h"
 #include "physical/window_exec.h"
 
 namespace fusion {
@@ -414,40 +412,11 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanJoin(const PlanPtr& plan) {
   const PlanPtr& right = plan->child(1);
   SchemaPtr out_schema = PhysicalSchema(plan->schema());
 
-  PlanSchema combined = left->schema().Concat(right->schema());
-
-  // Streaming symmetric hash join (paper §6.4), opt-in: both sides
-  // stream, neither is fully buffered before output begins.
-  if (ctx_->config.enable_symmetric_hash_join &&
-      plan->join_kind == JoinKind::kInner && !plan->join_on.empty()) {
-    FUSION_ASSIGN_OR_RAISE(auto left_exec, Plan(left));
-    FUSION_ASSIGN_OR_RAISE(auto right_exec, Plan(right));
-    std::vector<std::pair<PhysicalExprPtr, PhysicalExprPtr>> on;
-    for (const auto& [l, r] : plan->join_on) {
-      FUSION_ASSIGN_OR_RAISE(auto lk, CreatePhysicalExpr(l, left->schema()));
-      FUSION_ASSIGN_OR_RAISE(auto rk, CreatePhysicalExpr(r, right->schema()));
-      if (lk->type() != rk->type()) {
-        FUSION_ASSIGN_OR_RAISE(DataType common,
-                               compute::CommonType(lk->type(), rk->type()));
-        if (lk->type() != common) lk = MakeCastExpr(std::move(lk), common);
-        if (rk->type() != common) rk = MakeCastExpr(std::move(rk), common);
-      }
-      on.emplace_back(std::move(lk), std::move(rk));
-    }
-    PhysicalExprPtr filter;
-    if (plan->join_filter != nullptr) {
-      FUSION_ASSIGN_OR_RAISE(filter, CreatePhysicalExpr(plan->join_filter, combined));
-    }
-    return ExecPlanPtr(std::make_shared<SymmetricHashJoinExec>(
-        CoalesceToOne(std::move(left_exec)), CoalesceToOne(std::move(right_exec)),
-        std::move(on), std::move(filter), out_schema));
-  }
-
-  // Hash join, keyless when the condition has no equality (a cross or
-  // theta join). Build on the smaller side (paper §6.4), with NDV-aware
-  // cardinality estimates. Decided BEFORE planning children so
-  // runtime-filter channels can be registered on probe-side scans (a
-  // scan may open its provider while its parents plan).
+  // Every join is a hash join, keyless when the condition has no
+  // equality (a cross or theta join). Build on the smaller side (paper
+  // §6.4), with NDV-aware cardinality estimates. Decided BEFORE planning
+  // children so runtime-filter channels can be registered on probe-side
+  // scans (a scan may open its provider while its parents plan).
   JoinKind kind = plan->join_kind;
   const double est_left = optimizer::EstimateRows(left);
   const double est_right = optimizer::EstimateRows(right);
@@ -493,11 +462,15 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanJoin(const PlanPtr& plan) {
   // skipped (both sides must hash identical bytes).
   std::vector<std::pair<int, exec::RuntimeFilterPtr>> rf_created;
   {
+    // auto mode skips a build estimated above kRfMaxBuildRows (its filter
+    // would be large and late) or a probe side estimated below
+    // kRfMinProbeRatio times the build side.
+    constexpr double kRfMaxBuildRows = 4e6;
+    constexpr double kRfMinProbeRatio = 2.0;
     const std::string& mode = ctx_->config.runtime_filter_mode;
     bool rf_on = mode != "off";
-    if (mode == "auto" &&
-        !(est_build <= static_cast<double>(ctx_->config.rf_max_build_rows) &&
-          est_probe >= ctx_->config.rf_min_probe_ratio * est_build)) {
+    if (mode == "auto" && !(est_build <= kRfMaxBuildRows &&
+                            est_probe >= kRfMinProbeRatio * est_build)) {
       rf_on = false;
     }
     const bool safe_kind = exec_kind == JoinKind::kInner ||
@@ -533,58 +506,11 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanJoin(const PlanPtr& plan) {
   FUSION_ASSIGN_OR_RAISE(auto left_exec, Plan(left));
   FUSION_ASSIGN_OR_RAISE(auto right_exec, Plan(right));
 
-  // Join algorithm selection (paper §6.4/§6.7): when both inputs already
-  // deliver the key columns in ascending order (e.g. scans of key-sorted
-  // files), a merge join avoids building a hash table.
-  {
-    auto keys_ordered = [&](const ExecPlanPtr& input, const PlanPtr& side,
-                            bool use_right_keys) {
-      std::vector<PhysicalSortExpr> want;
-      for (const auto& [l, r] : plan->join_on) {
-        PhysicalSortExpr pse;
-        auto pe = CreatePhysicalExpr(use_right_keys ? r : l, side->schema());
-        if (!pe.ok()) return false;
-        pse.expr = *pe;
-        want.push_back(std::move(pse));
-      }
-      return OrderingSatisfies(input->output_ordering(), want);
-    };
-    const bool smj_kind = plan->join_kind == JoinKind::kInner ||
-                          plan->join_kind == JoinKind::kLeft ||
-                          plan->join_kind == JoinKind::kRight ||
-                          plan->join_kind == JoinKind::kFull ||
-                          plan->join_kind == JoinKind::kLeftSemi ||
-                          plan->join_kind == JoinKind::kLeftAnti;
-    if (smj_kind && !plan->join_on.empty() &&
-        left_exec->output_partitions() == 1 &&
-        right_exec->output_partitions() == 1 &&
-        keys_ordered(left_exec, left, false) &&
-        keys_ordered(right_exec, right, true)) {
-      // The scans below already carry the runtime-filter channels; a
-      // merge join never publishes, so release them to pass-through.
-      for (auto& [key_index, rf] : rf_created) rf->Bypass();
-      std::vector<std::pair<PhysicalExprPtr, PhysicalExprPtr>> on;
-      for (const auto& [l, r] : plan->join_on) {
-        FUSION_ASSIGN_OR_RAISE(auto lk, CreatePhysicalExpr(l, left->schema()));
-        FUSION_ASSIGN_OR_RAISE(auto rk, CreatePhysicalExpr(r, right->schema()));
-        on.emplace_back(std::move(lk), std::move(rk));
-      }
-      PhysicalExprPtr filter;
-      if (plan->join_filter != nullptr) {
-        FUSION_ASSIGN_OR_RAISE(filter,
-                               CreatePhysicalExpr(plan->join_filter, combined));
-      }
-      return ExecPlanPtr(std::make_shared<SortMergeJoinExec>(
-          std::move(left_exec), std::move(right_exec), plan->join_kind,
-          std::move(on), std::move(filter), out_schema));
-    }
-  }
-
   std::vector<std::pair<PhysicalExprPtr, PhysicalExprPtr>> on;
   PhysicalExprPtr filter;
   ExecPlanPtr build_exec, probe_exec;
   bool needs_restore_projection = false;
-  PlanSchema exec_combined = combined;
+  PlanSchema exec_combined;
 
   auto compile_keys = [&](const PlanSchema& build_schema,
                           const PlanSchema& probe_schema,

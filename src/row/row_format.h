@@ -97,7 +97,8 @@ class GroupKeyEncoder {
 
 /// Compare row `li` of `left_cols` with row `ri` of `right_cols` under
 /// `options` without encoding (the oracle the RowEncoder is tested
-/// against, and the comparator for merge joins). Returns <0, 0, >0.
+/// against, and the comparator for window partitions and peers).
+/// Returns <0, 0, >0.
 int CompareRows(const std::vector<ArrayPtr>& left_cols, int64_t li,
                 const std::vector<ArrayPtr>& right_cols, int64_t ri,
                 const std::vector<SortOptions>& options);

@@ -466,65 +466,58 @@ TEST(StreamingAggTest, GroupRunsAcrossBatchBoundaries) {
 }
 
 
-TEST(SymmetricHashJoinTest, MatchesHashJoinResults) {
+TEST(HashJoinTest, KeyOrderedJoinAtOnePartitionChargesPool) {
+  // Key-ordered inputs at one partition plan the same hash join as any
+  // other join, so its build side is charged to the memory pool: a pool
+  // too small for it fails the query cleanly and is left empty.
   exec::SessionConfig config;
-  config.enable_symmetric_hash_join = true;
-  auto sym_ctx = MakeTestSession(80, config);
-  auto ref_ctx = MakeTestSession(80);
-  const char* q =
-      "SELECT a.id, b.v FROM t a JOIN t b ON a.grp = b.grp AND a.id = b.id";
-  ASSERT_OK_AND_ASSIGN(auto plan, sym_ctx->CreateLogicalPlan(q));
-  ASSERT_OK_AND_ASSIGN(auto optimized, sym_ctx->OptimizePlan(plan));
-  ASSERT_OK_AND_ASSIGN(auto exec_plan, sym_ctx->CreatePhysicalPlan(optimized));
-  EXPECT_NE(exec_plan->ToString().find("SymmetricHashJoinExec"),
-            std::string::npos)
+  config.target_partitions = 1;
+  const char* q = "SELECT count(*) FROM t a JOIN t b ON a.id = b.id";
+  auto env = std::make_shared<exec::RuntimeEnv>();
+  auto pool = std::make_shared<exec::GreedyMemoryPool>(64 * 1024);
+  env->memory_pool = pool;
+  auto ctx = MakeTestSession(20000, config, env);  // t is ordered by id
+  ASSERT_OK_AND_ASSIGN(auto plan, ctx->CreateLogicalPlan(q));
+  ASSERT_OK_AND_ASSIGN(auto optimized, ctx->OptimizePlan(plan));
+  ASSERT_OK_AND_ASSIGN(auto exec_plan, ctx->CreatePhysicalPlan(optimized));
+  EXPECT_NE(exec_plan->ToString().find("HashJoinExec: Inner"), std::string::npos)
       << exec_plan->ToString();
-  ASSERT_OK_AND_ASSIGN(auto sym_rows, sym_ctx->ExecutePhysical(exec_plan));
-  ASSERT_OK_AND_ASSIGN(auto ref_rows, ref_ctx->ExecuteSql(q));
-  EXPECT_EQ(SortedStringRows(sym_rows), SortedStringRows(ref_rows));
+  auto result = ctx->ExecuteSql(q);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsOutOfMemory()) << result.status().ToString();
+  EXPECT_EQ(pool->bytes_allocated(), 0);
+
+  ASSERT_OK_AND_ASSIGN(auto batches, MakeTestSession(20000, config)->ExecuteSql(q));
+  EXPECT_EQ(ToStringRows(batches)[0][0], "20000");
 }
 
-TEST(SymmetricHashJoinTest, ProducesOutputIncrementally) {
-  // With both sides streaming, output appears before either input is
-  // drained; verify through a LIMIT that stops the join early.
-  exec::SessionConfig config;
-  config.enable_symmetric_hash_join = true;
-  auto ctx = MakeTestSession(5000, config);
+TEST(HashJoinTest, ProducesOutputIncrementally) {
+  // The probe side streams: a LIMIT stops the join after its first
+  // output rows without draining the probe input.
+  auto ctx = MakeTestSession(5000);
   ASSERT_OK_AND_ASSIGN(
       auto batches,
       ctx->ExecuteSql("SELECT a.id FROM t a JOIN t b ON a.id = b.id LIMIT 5"));
   EXPECT_EQ(TotalRows(batches), 5);
 }
 
-TEST(SortMergeJoinTest, SelectedForKeySortedInputs) {
-  // Order-based plan selection requires unpartitioned inputs.
-  exec::SessionConfig config;
-  config.target_partitions = 1;
-  auto ctx = MakeTestSession(20, config);  // table t declares sort order (id)
-  ASSERT_OK_AND_ASSIGN(
-      auto plan,
-      ctx->CreateLogicalPlan("SELECT count(*) FROM t a JOIN t b ON a.id = b.id"));
-  ASSERT_OK_AND_ASSIGN(auto optimized, ctx->OptimizePlan(plan));
-  ASSERT_OK_AND_ASSIGN(auto exec_plan, ctx->CreatePhysicalPlan(optimized));
-  EXPECT_NE(exec_plan->ToString().find("SortMergeJoinExec"), std::string::npos);
-}
-
-TEST(SortMergeJoinTest, MatchesHashJoinResults) {
-  // Sorted inputs -> SMJ; the same join via unsorted derived tables ->
-  // hash join. Results must agree, including outer-join null extension.
+TEST(HashJoinTest, KeyOrderedInputsMatchUnorderedInputs) {
+  // The same join over key-ordered scans and over derived tables that
+  // carry no order must agree, including outer-join null extension.
   auto ctx = MakeTestSession(40);
-  const char* smj =
+  const char* ordered =
       "SELECT a.id, b.v FROM t a LEFT JOIN t b ON a.id = b.id";
-  const char* hash =
+  const char* unordered =
       "SELECT a.id, b.v FROM (SELECT * FROM t WHERE id >= 0) a "
       "LEFT JOIN (SELECT * FROM t WHERE id >= 0) b ON a.id = b.id";
-  ASSERT_OK_AND_ASSIGN(auto smj_rows, ctx->ExecuteSql(smj));
-  ASSERT_OK_AND_ASSIGN(auto hash_rows, ctx->ExecuteSql(hash));
-  EXPECT_EQ(SortedStringRows(smj_rows), SortedStringRows(hash_rows));
+  ASSERT_OK_AND_ASSIGN(auto ordered_rows, ctx->ExecuteSql(ordered));
+  ASSERT_OK_AND_ASSIGN(auto unordered_rows, ctx->ExecuteSql(unordered));
+  EXPECT_EQ(SortedStringRows(ordered_rows), SortedStringRows(unordered_rows));
 }
 
-TEST(SortMergeJoinTest, DuplicateKeyBlocks) {
-  // grp has duplicates; join on grp via sorted-by-grp derived tables.
+TEST(HashJoinTest, DuplicateKeysPairEveryMatch) {
+  // g has runs of duplicates; a self-join on g pairs every row of a run
+  // with every row of the same run.
   auto ctx = core::SessionContext::Make();
   StringBuilder g;
   Int64Builder v;

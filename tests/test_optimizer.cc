@@ -419,6 +419,10 @@ TEST(OptimizerTest, CustomRuleRuns) {
     }
   };
   auto ctx = MakeTestSession(50);
+  // Run the query first so its plan, optimized without the rule, sits in
+  // the plan cache; adding the rule must flush it.
+  ASSERT_OK_AND_ASSIGN(auto before, ctx->ExecuteSql("SELECT id FROM t LIMIT 10"));
+  EXPECT_EQ(TotalRows(before), 10);
   ctx->AddOptimizerRule(std::make_shared<ClampLimitRule>());
   ASSERT_OK_AND_ASSIGN(auto batches,
                        ctx->ExecuteSql("SELECT id FROM t LIMIT 10"));

@@ -56,15 +56,18 @@ TEST(SqlEndToEnd, AggregateCountSumAvg) {
 
 TEST(SqlEndToEnd, GroupBy) {
   auto ctx = MakeTestSession(99);
-  ASSERT_OK_AND_ASSIGN(
-      auto batches,
-      ctx->ExecuteSql(
-          "SELECT grp, count(*) AS c FROM t GROUP BY grp ORDER BY grp"));
-  auto rows = ToStringRows(batches);
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[0][0], "a");
-  EXPECT_EQ(rows[0][1], "33");
-  EXPECT_EQ(rows[2][0], "c");
+  // A key repeated by name or by ordinal groups like the key once.
+  for (const char* keys : {"grp", "grp, grp", "1, grp"}) {
+    ASSERT_OK_AND_ASSIGN(
+        auto batches,
+        ctx->ExecuteSql(std::string("SELECT grp, count(*) AS c FROM t GROUP BY ") +
+                        keys + " ORDER BY grp"));
+    auto rows = ToStringRows(batches);
+    ASSERT_EQ(rows.size(), 3u) << keys;
+    EXPECT_EQ(rows[0][0], "a") << keys;
+    EXPECT_EQ(rows[0][1], "33") << keys;
+    EXPECT_EQ(rows[2][0], "c") << keys;
+  }
 }
 
 TEST(SqlEndToEnd, GroupByHaving) {

@@ -68,9 +68,10 @@ inline int64_t TotalRows(const std::vector<RecordBatchPtr>& batches) {
 /// Session with a small, deterministic test table "t":
 ///   id int64 (0..n-1), grp string (cycling a,b,c), v int64 (id*2, null
 ///   every 7th row), f float64 (id*0.5), s string ("row<i>").
-inline core::SessionContextPtr MakeTestSession(int64_t n = 100,
-                                               exec::SessionConfig config = {}) {
-  auto ctx = core::SessionContext::Make(config);
+inline core::SessionContextPtr MakeTestSession(
+    int64_t n = 100, exec::SessionConfig config = {},
+    exec::RuntimeEnvPtr env = std::make_shared<exec::RuntimeEnv>()) {
+  auto ctx = core::SessionContext::Make(config, std::move(env));
   Int64Builder id;
   StringBuilder grp;
   Int64Builder v;
