@@ -2,7 +2,7 @@
 // core (thread) count grows. The paper sweeps 1..192 cores on a
 // c3-highcpu-176; this harness sweeps FUSION_BENCH_THREADS (default
 // "1,2,4,8") and reports per-query series for Fusion. The exercised
-// code path — morsel-fed scans, partitioned aggregation, per-partition
+// code path — partitioned scans, partitioned aggregation, per-partition
 // streams — is identical at any core count; on hosts with fewer
 // physical cores than threads, oversubscription effects are reported
 // as measured (EXPERIMENTS.md, substitution 5).

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "arrow/ipc.h"
 #include "exec/buffer_cache.h"
@@ -17,15 +18,39 @@ namespace catalog {
 
 namespace {
 
+/// Rows [rows.start, rows.end) of one row group of one file.
 struct ScanUnit {
   std::shared_ptr<format::fpq::Reader> reader;
   int row_group;
+  format::RowSelection::Range rows;
 };
+
+/// Cut a row group at the page boundaries of its first column into the
+/// whole number of ranges nearest rows / `target_rows` (at least one, at
+/// most one per page) whose page counts differ by at most one. (The
+/// writer pages every column alike; where another writer did not, a
+/// range only decodes part of some pages.)
+std::vector<format::RowSelection::Range> PageRanges(
+    const format::fpq::RowGroupMeta& rg, int64_t target_rows) {
+  const int64_t pages = rg.columns.empty() ? 0 : rg.columns[0].pages.size();
+  const int64_t ranges = std::clamp<int64_t>(
+      std::llround(static_cast<double>(rg.num_rows) / target_rows), 1,
+      std::max<int64_t>(1, pages));
+  std::vector<format::RowSelection::Range> out;
+  int64_t start = 0;
+  for (int64_t i = 1; i < ranges; ++i) {
+    const int64_t end = rg.columns[0].pages[i * pages / ranges].first_row;
+    out.push_back({start, end});
+    start = end;
+  }
+  out.push_back({start, rg.num_rows});
+  return out;
+}
 
 }  // namespace
 
-/// Iterator over a list of (file, row group) units: prunes with zone
-/// maps + Bloom filters, then runs the late-materialization scan —
+/// Iterator over a list of scan units: skips units a ready runtime
+/// filter rules out, then runs the late-materialization scan of each —
 /// served through the shared decoded-batch cache when one is attached
 /// to the ScanRequest.
 class FpqScanIterator : public BatchIterator {
@@ -58,18 +83,8 @@ class FpqScanIterator : public BatchIterator {
     while (pos_ < units_.size()) {
       if (limit_ >= 0 && rows_emitted_ >= limit_) return RecordBatchPtr(nullptr);
       ScanUnit& unit = units_[pos_++];
-      if (!predicates_.empty()) {
-        FUSION_ASSIGN_OR_RAISE(bool may_match,
-                               unit.reader->RowGroupMayMatch(unit.row_group,
-                                                             predicates_));
-        if (!may_match) {
-          ++metrics_.row_groups_pruned;
-          metrics_.rows_total += unit.reader->row_group(unit.row_group).num_rows;
-          continue;
-        }
-      }
       // Runtime-filter zone pruning: once a join build has published,
-      // its key min/max can rule out whole row groups. Checked before
+      // its key min/max can rule out the unit's row group. Checked before
       // the buffer cache — a pruned unit is never decoded or cached —
       // and deliberately NOT part of the cache key: pruning only skips
       // units, it never changes a decoded batch.
@@ -77,7 +92,7 @@ class FpqScanIterator : public BatchIterator {
         FUSION_ASSIGN_OR_RAISE(bool rf_match, RuntimeFilterMayMatch(unit));
         if (!rf_match) {
           ++metrics_.row_groups_pruned;
-          metrics_.rows_total += unit.reader->row_group(unit.row_group).num_rows;
+          metrics_.rows_total += unit.rows.end - unit.rows.start;
           continue;
         }
       }
@@ -86,9 +101,9 @@ class FpqScanIterator : public BatchIterator {
         FUSION_ASSIGN_OR_RAISE(batch, ScanUnitCached(unit));
       } else {
         FUSION_ASSIGN_OR_RAISE(
-            batch,
-            unit.reader->ScanRowGroup(unit.row_group, projection_, predicates_,
-                                      late_materialization_, &metrics_));
+            batch, unit.reader->ScanRowGroup(unit.row_group, unit.rows, projection_,
+                                             predicates_, late_materialization_,
+                                             &metrics_));
       }
       if (batch->num_rows() == 0) continue;
       if (limit_ >= 0 && rows_emitted_ + batch->num_rows() > limit_) {
@@ -121,15 +136,16 @@ class FpqScanIterator : public BatchIterator {
   /// batch without touching the file; a miss decodes once for all
   /// concurrent scans of this unit (scan sharing) and caches the result.
   Result<RecordBatchPtr> ScanUnitCached(const ScanUnit& unit) {
-    const std::string key =
-        exec::BufferCacheKey(unit.reader->cache_identity(), unit.row_group,
-                             projection_, selection_fingerprint_);
+    const std::string key = exec::BufferCacheKey(
+        unit.reader->cache_identity(), unit.row_group, unit.rows.start,
+        unit.rows.end, projection_, selection_fingerprint_);
     format::fpq::ScanMetrics decode_metrics;
     bool decoded = false;
     auto decode = [&]() -> Result<RecordBatchPtr> {
       decoded = true;
-      return unit.reader->ScanRowGroup(unit.row_group, projection_, predicates_,
-                                       late_materialization_, &decode_metrics);
+      return unit.reader->ScanRowGroup(unit.row_group, unit.rows, projection_,
+                                       predicates_, late_materialization_,
+                                       &decode_metrics);
     };
     FUSION_ASSIGN_OR_RAISE(
         auto pin, cache_->GetOrDecode(key, decode, group_.get(), cancel_.get()));
@@ -145,7 +161,7 @@ class FpqScanIterator : public BatchIterator {
       // Hit (or coalesced onto another scan's decode): account the rows
       // but none of the IO counters — no bytes were read or decoded.
       ++metrics_.buffer_cache_hits;
-      metrics_.rows_total += unit.reader->row_group(unit.row_group).num_rows;
+      metrics_.rows_total += unit.rows.end - unit.rows.start;
       if (pin.batch() != nullptr) metrics_.rows_selected += pin.batch()->num_rows();
     }
     RecordBatchPtr batch = pin.batch();
@@ -289,30 +305,45 @@ Result<std::vector<BatchIteratorPtr>> FpqTable::Scan(const ScanRequest& request)
   std::vector<format::ColumnPredicate> predicates =
       pushdown_enabled_ ? request.predicates
                         : std::vector<format::ColumnPredicate>{};
+  // Row groups are cut into page ranges of about 1/(kScanUnitsPerPartition
+  // x partitions) of the table, so a table of few row groups still keeps
+  // every partition busy; a row group under 1.5 times that size stays
+  // whole. One partition reads whole row groups.
+  int64_t table_rows = 0;
+  for (const auto& reader : readers_) table_rows += reader->num_rows();
+  const int64_t target_units =
+      int64_t{kScanUnitsPerPartition} * request.target_partitions;
+  const int64_t range_rows =
+      request.target_partitions > 1
+          ? std::max<int64_t>(1, (table_rows + target_units - 1) / target_units)
+          : INT64_MAX;
   std::vector<ScanUnit> units;
+  format::fpq::ScanMetrics pruned;
   for (const auto& reader : readers_) {
     for (int g = 0; g < reader->num_row_groups(); ++g) {
-      units.push_back({reader, g});
+      const format::fpq::RowGroupMeta& rg = reader->row_group(g);
+      // Zone maps and Bloom filters judge a row group once, before it
+      // is cut into ranges.
+      if (!predicates.empty()) {
+        FUSION_ASSIGN_OR_RAISE(bool may_match, reader->RowGroupMayMatch(g, predicates));
+        if (!may_match) {
+          ++pruned.row_groups_pruned;
+          pruned.rows_total += rg.num_rows;
+          continue;
+        }
+      }
+      for (const auto& rows : PageRanges(rg, range_rows)) {
+        units.push_back({reader, g, rows});
+      }
     }
   }
-  // Morsel mode: one iterator per row group (capped at max_morsels);
-  // otherwise one static split per target partition. Both distribute
-  // units round-robin, so unit counts stay balanced within one.
-  int partitions =
-      request.max_morsels > 0
-          ? std::max(1, std::min<int>(request.max_morsels,
-                                      std::max<size_t>(units.size(), 1)))
-          : std::max(1, std::min<int>(request.target_partitions,
-                                      std::max<size_t>(units.size(), 1)));
-  std::vector<std::vector<ScanUnit>> parts(partitions);
-  for (size_t i = 0; i < units.size(); ++i) {
-    parts[i % parts.size()].push_back(units[i]);
-  }
+  MergeMetrics(pruned);
   std::vector<BatchIteratorPtr> out;
-  out.reserve(parts.size());
-  for (auto& p : parts) {
+  auto unit_rows = [](const ScanUnit& u) { return u.rows.end - u.rows.start; };
+  for (auto& part :
+       DealScanUnits(std::move(units), request.target_partitions, unit_rows)) {
     out.push_back(std::make_unique<FpqScanIterator>(
-        this, std::move(p), projection, predicates, request.limit,
+        this, std::move(part), projection, predicates, request.limit,
         late_materialization_, request.buffer_cache, request.task_group,
         request.cancel, request.runtime_filters));
   }
@@ -345,6 +376,43 @@ format::fpq::ScanMetrics FpqTable::ConsumeMetrics() {
 // ---------------------------------------------------------------- CsvTable
 
 namespace {
+
+/// Drains a list of per-file iterators in order (one scan partition
+/// covering several files).
+class ChainedBatchIterator : public BatchIterator {
+ public:
+  explicit ChainedBatchIterator(std::vector<BatchIteratorPtr> inner)
+      : inner_(std::move(inner)) {}
+
+  Result<RecordBatchPtr> Next() override {
+    while (pos_ < inner_.size()) {
+      FUSION_ASSIGN_OR_RAISE(auto batch, inner_[pos_]->Next());
+      if (batch != nullptr) return batch;
+      ++pos_;
+    }
+    return RecordBatchPtr(nullptr);
+  }
+
+ private:
+  std::vector<BatchIteratorPtr> inner_;
+  size_t pos_ = 0;
+};
+
+/// One iterator per partition over the per-file iterators dealt to it.
+std::vector<BatchIteratorPtr> DealFiles(std::vector<BatchIteratorPtr> files,
+                                        int target_partitions) {
+  std::vector<BatchIteratorPtr> out;
+  // A file's rows are unknown before it is read: deal files round-robin.
+  auto one = [](const BatchIteratorPtr&) { return int64_t{1}; };
+  for (auto& part : DealScanUnits(std::move(files), target_partitions, one)) {
+    if (part.size() == 1) {
+      out.push_back(std::move(part[0]));
+    } else {
+      out.push_back(std::make_unique<ChainedBatchIterator>(std::move(part)));
+    }
+  }
+  return out;
+}
 
 /// Streams batches from one CSV file, applying projection and limit.
 class CsvScanIterator : public BatchIterator {
@@ -390,55 +458,14 @@ Result<std::shared_ptr<CsvTable>> CsvTable::Open(std::vector<std::string> paths,
       new CsvTable(std::move(schema), std::move(paths), std::move(options)));
 }
 
-namespace {
-
-/// Drains a list of per-file iterators in order (one scan partition
-/// covering several files).
-class ChainedBatchIterator : public BatchIterator {
- public:
-  explicit ChainedBatchIterator(std::vector<BatchIteratorPtr> inner)
-      : inner_(std::move(inner)) {}
-
-  Result<RecordBatchPtr> Next() override {
-    while (pos_ < inner_.size()) {
-      FUSION_ASSIGN_OR_RAISE(auto batch, inner_[pos_]->Next());
-      if (batch != nullptr) return batch;
-      ++pos_;
-    }
-    return RecordBatchPtr(nullptr);
-  }
-
- private:
-  std::vector<BatchIteratorPtr> inner_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
 Result<std::vector<BatchIteratorPtr>> CsvTable::Scan(const ScanRequest& request) {
   std::vector<int> projection = ResolveProjection(*schema_, request.projection);
-  // Respect the requested parallelism instead of one partition per file
-  // (which could exceed target_partitions and leave splits imbalanced):
-  // files are the units, grouped round-robin within one of each other.
-  const int cap = request.max_morsels > 0 ? request.max_morsels
-                                          : std::max(1, request.target_partitions);
-  const int partitions =
-      std::max(1, std::min<int>(cap, static_cast<int>(paths_.size())));
-  std::vector<std::vector<BatchIteratorPtr>> parts(partitions);
-  for (size_t i = 0; i < paths_.size(); ++i) {
-    parts[i % parts.size()].push_back(std::make_unique<CsvScanIterator>(
-        paths_[i], options_, projection, request.limit));
+  std::vector<BatchIteratorPtr> files;
+  for (const auto& path : paths_) {
+    files.push_back(
+        std::make_unique<CsvScanIterator>(path, options_, projection, request.limit));
   }
-  std::vector<BatchIteratorPtr> out;
-  out.reserve(parts.size());
-  for (auto& p : parts) {
-    if (p.size() == 1) {
-      out.push_back(std::move(p[0]));
-    } else {
-      out.push_back(std::make_unique<ChainedBatchIterator>(std::move(p)));
-    }
-  }
-  return out;
+  return DealFiles(std::move(files), request.target_partitions);
 }
 
 std::string CsvTable::ToString() const {
@@ -513,12 +540,12 @@ Result<std::shared_ptr<JsonTable>> JsonTable::Open(std::vector<std::string> path
 
 Result<std::vector<BatchIteratorPtr>> JsonTable::Scan(const ScanRequest& request) {
   std::vector<int> projection = ResolveProjection(*schema_, request.projection);
-  std::vector<BatchIteratorPtr> out;
+  std::vector<BatchIteratorPtr> files;
   for (const auto& path : paths_) {
-    out.push_back(std::make_unique<JsonScanIterator>(path, options_, projection,
-                                                     request.limit));
+    files.push_back(std::make_unique<JsonScanIterator>(path, options_, projection,
+                                                       request.limit));
   }
-  return out;
+  return DealFiles(std::move(files), request.target_partitions);
 }
 
 std::string JsonTable::ToString() const {
@@ -538,7 +565,7 @@ Result<std::shared_ptr<IpcTable>> IpcTable::Open(std::vector<std::string> paths)
 
 Result<std::vector<BatchIteratorPtr>> IpcTable::Scan(const ScanRequest& request) {
   std::vector<int> projection = ResolveProjection(*schema_, request.projection);
-  std::vector<BatchIteratorPtr> out;
+  std::vector<BatchIteratorPtr> files;
   for (const auto& path : paths_) {
     FUSION_ASSIGN_OR_RAISE(auto batches, ipc::ReadFile(path));
     std::vector<RecordBatchPtr> projected;
@@ -550,9 +577,9 @@ Result<std::vector<BatchIteratorPtr>> IpcTable::Scan(const ScanRequest& request)
       remaining -= p->num_rows();
       projected.push_back(std::move(p));
     }
-    out.push_back(std::make_unique<EagerBatchIterator>(std::move(projected)));
+    files.push_back(std::make_unique<EagerBatchIterator>(std::move(projected)));
   }
-  return out;
+  return DealFiles(std::move(files), request.target_partitions);
 }
 
 // ------------------------------------------------------------------ listing

@@ -17,8 +17,9 @@ namespace catalog {
 /// \brief Table over one or more FPQ files (the engine's Parquet
 /// stand-in). Implements exact filter pushdown via zone maps, Bloom
 /// filters and late materialization, plus projection and limit
-/// pushdown. Scan units are (file, row group) pairs distributed across
-/// partitions.
+/// pushdown. A scan unit is a row group, or a page range of one when the
+/// row group holds more than its share of the table for the partition
+/// count; units are dealt to fixed partitions (see DealScanUnits).
 class FpqTable : public TableProvider {
  public:
   /// Open all files (footers only) and verify schema compatibility.
@@ -73,7 +74,7 @@ class FpqTable : public TableProvider {
 };
 
 /// \brief Table over one or more CSV files; schema inferred from the
-/// first file. Each file is a scan partition.
+/// first file. Files are the scan units.
 class CsvTable : public TableProvider {
  public:
   static Result<std::shared_ptr<CsvTable>> Open(std::vector<std::string> paths,

@@ -83,17 +83,9 @@ TableStatistics MemoryTable::statistics() const {
 
 Result<std::vector<BatchIteratorPtr>> MemoryTable::Scan(const ScanRequest& request) {
   std::vector<int> projection = ResolveProjection(*schema_, request.projection);
-  // Morsel mode caps morsels at the batch count so each morsel is one
-  // batch where possible; the static split keeps one partition per
-  // target regardless. Both fill round-robin (balanced within one).
-  int partitions =
-      request.max_morsels > 0
-          ? std::max(1, std::min<int>(request.max_morsels,
-                                      std::max<size_t>(batches_.size(), 1)))
-          : std::max(1, request.target_partitions);
-  std::vector<std::vector<RecordBatchPtr>> parts(partitions);
+  // Each batch is a scan unit.
+  std::vector<RecordBatchPtr> units;
   int64_t remaining = request.limit < 0 ? INT64_MAX : request.limit;
-  size_t next = 0;
   for (const auto& batch : batches_) {
     if (remaining <= 0) break;
     FUSION_ASSIGN_OR_RAISE(auto projected, batch->Project(projection));
@@ -101,13 +93,13 @@ Result<std::vector<BatchIteratorPtr>> MemoryTable::Scan(const ScanRequest& reque
       projected = projected->Slice(0, remaining);
     }
     remaining -= projected->num_rows();
-    parts[next % parts.size()].push_back(std::move(projected));
-    ++next;
+    units.push_back(std::move(projected));
   }
   std::vector<BatchIteratorPtr> out;
-  out.reserve(parts.size());
-  for (auto& p : parts) {
-    out.push_back(std::make_unique<VectorBatchIterator>(std::move(p)));
+  auto batch_rows = [](const RecordBatchPtr& b) { return b->num_rows(); };
+  for (auto& part :
+       DealScanUnits(std::move(units), request.target_partitions, batch_rows)) {
+    out.push_back(std::make_unique<VectorBatchIterator>(std::move(part)));
   }
   return out;
 }

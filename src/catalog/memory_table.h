@@ -9,8 +9,8 @@ namespace fusion {
 namespace catalog {
 
 /// \brief In-memory table over pre-loaded RecordBatches. Supports
-/// projection pushdown and partitioned reads (batches are distributed
-/// round-robin across partitions).
+/// projection pushdown and partitioned reads (batches are dealt to
+/// fixed partitions by row count, see DealScanUnits).
 class MemoryTable : public TableProvider {
  public:
   MemoryTable(SchemaPtr schema, std::vector<RecordBatchPtr> batches);

@@ -1,6 +1,7 @@
 #ifndef FUSION_CATALOG_TABLE_PROVIDER_H_
 #define FUSION_CATALOG_TABLE_PROVIDER_H_
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -69,14 +70,9 @@ struct ScanRequest {
   std::vector<format::ColumnPredicate> predicates;
   /// Stop after this many rows (best effort), -1 = unlimited.
   int64_t limit = -1;
-  /// Desired parallelism; providers may return fewer partitions.
+  /// Desired parallelism; providers return at most this many
+  /// partitions (see DealScanUnits).
   int target_partitions = 1;
-  /// Morsel-driven scans: when > 0, return up to this many fine-grained
-  /// iterators (one per row group / batch / file where possible, grouped
-  /// round-robin beyond the cap so unit counts stay balanced within
-  /// one) instead of `target_partitions` static splits. Consumers pull
-  /// them from a shared queue, so skew no longer serializes a pipeline.
-  int max_morsels = 0;
   /// Serving-layer context, set by the physical planner. `buffer_cache`
   /// lets file scans serve decoded batches from (and coalesce decodes
   /// through) the shared cache; `task_group`/`cancel` are the query's
@@ -122,6 +118,35 @@ class TableProvider {
 };
 
 using TableProviderPtr = std::shared_ptr<TableProvider>;
+
+/// Scan units a provider aims to offer per partition. FpqTable cuts a
+/// row group into page ranges when it holds more than its share of
+/// 1/(kScanUnitsPerPartition x partitions) of the table.
+constexpr int kScanUnitsPerPartition = 4;
+
+/// Deal scan units, in table order, into min(target_partitions, units)
+/// partitions (one empty partition when there are no units). Each unit
+/// goes to the partition with the fewest rows so far (`rows_of(unit)`),
+/// the lowest index on a tie, so equal units go round-robin and no
+/// partition ends further ahead of another than the largest unit's
+/// rows. The assignment depends only on the units, never on timing, and
+/// each partition keeps its units in table order, so a sorted table
+/// stays sorted within every partition.
+template <typename Unit, typename RowsOf>
+std::vector<std::vector<Unit>> DealScanUnits(std::vector<Unit> units,
+                                             int target_partitions, RowsOf rows_of) {
+  const size_t parts = std::max<size_t>(
+      1, std::min<size_t>(static_cast<size_t>(std::max(1, target_partitions)),
+                          units.size()));
+  std::vector<std::vector<Unit>> out(parts);
+  std::vector<int64_t> rows(parts, 0);
+  for (auto& unit : units) {
+    const size_t p = std::min_element(rows.begin(), rows.end()) - rows.begin();
+    rows[p] += rows_of(unit);
+    out[p].push_back(std::move(unit));
+  }
+  return out;
+}
 
 /// Resolve a ScanRequest projection to concrete indices/schema.
 std::vector<int> ResolveProjection(const Schema& schema,

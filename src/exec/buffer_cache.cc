@@ -272,11 +272,16 @@ const BufferCachePtr& BufferCache::Default() {
 }
 
 std::string BufferCacheKey(const std::string& file_identity, int row_group,
+                           int64_t row_begin, int64_t row_end,
                            const std::vector<int>& projection,
                            const std::string& selection_fingerprint) {
   std::string key = file_identity;
   key += "|rg=";
   key += std::to_string(row_group);
+  key += "|rows=";
+  key += std::to_string(row_begin);
+  key += "..";
+  key += std::to_string(row_end);
   key += "|proj=";
   for (int col : projection) {
     key += std::to_string(col);

@@ -163,11 +163,13 @@ class BufferCache : public std::enable_shared_from_this<BufferCache> {
   Stats stats_;
 };
 
-/// Builds the canonical cache key for one scan unit. `file_identity`
-/// must change when the file's content may have (fpq::Reader exposes
-/// path+size+mtime); `selection_fingerprint` covers pushed predicates +
+/// Builds the canonical cache key for one scan unit: rows
+/// [row_begin, row_end) of a row group. `file_identity` must change when
+/// the file's content may have (fpq::Reader exposes path+size+mtime);
+/// `selection_fingerprint` covers pushed predicates +
 /// late-materialization mode, since they change the decoded rows.
 std::string BufferCacheKey(const std::string& file_identity, int row_group,
+                           int64_t row_begin, int64_t row_end,
                            const std::vector<int>& projection,
                            const std::string& selection_fingerprint);
 

@@ -87,8 +87,9 @@ inline constexpr const char kPartialGroups[] = "partial_groups";
 /// Rows the adaptive pre-aggregation passed through as per-row partial
 /// state after observing group cardinality ~ input cardinality.
 inline constexpr const char kBypassRows[] = "bypass_rows";
-/// Morsels a scan consumer claimed outside its nominal round-robin
-/// share (work stealing across scan partitions).
+/// Scan units a partition claimed outside its fixed share. Scans
+/// deal units to fixed partitions now, so nothing records it and it
+/// reads 0; perfbench still reports it as `physical.morsels_stolen`.
 inline constexpr const char kMorselsStolen[] = "morsels_stolen";
 /// Nanoseconds a hash join spent constructing/merging its runtime Bloom
 /// filters (sideways information passing), on top of the table build.

@@ -12,6 +12,9 @@ namespace format {
 /// False-positive rate ~1% at 16 bits/key.
 class BloomFilter {
  public:
+  /// Serialized filters are whole blocks of this many bytes.
+  static constexpr int64_t kBlockBytes = 32;
+
   /// Sized for roughly `expected_keys` distinct keys.
   explicit BloomFilter(int64_t expected_keys);
   /// Reconstruct from serialized blocks.

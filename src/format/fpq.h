@@ -114,12 +114,13 @@ Status WriteFile(const std::string& path, const SchemaPtr& schema,
 /// observe pruning effectiveness (row groups skipped, pages skipped...).
 struct ScanMetrics {
   int64_t row_groups_pruned = 0;
+  /// Scan units decoded: a whole row group or a page range of one.
   int64_t row_groups_read = 0;
   int64_t pages_skipped = 0;
   int64_t pages_read = 0;
   int64_t rows_selected = 0;
   int64_t rows_total = 0;
-  /// Row groups served from / decoded into the shared buffer cache
+  /// Scan units served from / decoded into the shared buffer cache
   /// (bumped by the catalog scan layer, not the reader; hits do not
   /// count toward pages_read/row_groups_read, which measure real IO).
   int64_t buffer_cache_hits = 0;
@@ -148,18 +149,15 @@ class Reader {
   /// conjunction? (Paper §6.8 step 1.)
   Result<bool> RowGroupMayMatch(int rg, const std::vector<ColumnPredicate>& preds);
 
-  /// Decode the given columns of a row group, optionally restricted to a
-  /// RowSelection (pages outside the selection are not decoded).
-  Result<RecordBatchPtr> ReadRowGroup(int rg, const std::vector<int>& columns,
-                                      const RowSelection* selection = nullptr,
-                                      ScanMetrics* metrics = nullptr);
-
-  /// Full scan of one row group with pushed predicates: evaluates
-  /// predicate columns first, refines a RowSelection, then decodes only
-  /// the needed pages of the remaining columns (steps 2-4 of §6.8).
-  /// When `late_materialization` is false, decodes all projected columns
-  /// then filters (the ablation baseline).
-  Result<RecordBatchPtr> ScanRowGroup(int rg, const std::vector<int>& projection,
+  /// Scan rows [rows.start, rows.end) of one row group with pushed
+  /// predicates: evaluates predicate columns first, refines a
+  /// RowSelection that starts from the range, then decodes only the
+  /// needed pages of the remaining columns (steps 2-4 of §6.8). When
+  /// `late_materialization` is false, decodes the range's projected
+  /// columns then filters (the ablation baseline). Only pages the range
+  /// overlaps are read or counted in `metrics`.
+  Result<RecordBatchPtr> ScanRowGroup(int rg, RowSelection::Range rows,
+                                      const std::vector<int>& projection,
                                       const std::vector<ColumnPredicate>& preds,
                                       bool late_materialization = true,
                                       ScanMetrics* metrics = nullptr);
@@ -168,7 +166,15 @@ class Reader {
   Reader(std::string path, int fd, FileMeta meta)
       : path_(std::move(path)), fd_(fd), meta_(std::move(meta)) {}
 
-  Result<ArrayPtr> ReadColumnChunk(int rg, int col, const RowSelection* selection,
+  /// Decode `columns` for `selection`, which lies inside `scope`. Pages
+  /// outside `scope` belong to other scan units and are ignored; pages
+  /// inside it that the selection misses count as skipped.
+  Result<RecordBatchPtr> ReadColumns(int rg, RowSelection::Range scope,
+                                     const std::vector<int>& columns,
+                                     const RowSelection& selection,
+                                     ScanMetrics* metrics);
+  Result<ArrayPtr> ReadColumnChunk(int rg, int col, RowSelection::Range scope,
+                                   const RowSelection& selection,
                                    ScanMetrics* metrics);
   Status ReadAt(uint64_t offset, uint64_t size, uint8_t* out) const;
 

@@ -44,7 +44,7 @@ class ByteReader {
   ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 
   Status Raw(void* out, size_t len) {
-    if (pos_ + len > size_) return Status::IOError("fpq: truncated metadata");
+    if (len > remaining()) return Status::IOError("fpq: truncated metadata");
     std::memcpy(out, data_ + pos_, len);
     pos_ += len;
     return Status::OK();
@@ -76,6 +76,8 @@ class ByteReader {
   }
   Result<std::string> Str() {
     FUSION_ASSIGN_OR_RAISE(uint32_t len, U32());
+    // Checked before allocating: a corrupt length must not reserve 4 GiB.
+    if (len > remaining()) return Status::IOError("fpq: truncated metadata");
     std::string s(len, '\0');
     FUSION_RETURN_NOT_OK(Raw(s.data(), len));
     return s;
@@ -83,7 +85,7 @@ class ByteReader {
   const uint8_t* cursor() const { return data_ + pos_; }
   size_t remaining() const { return size_ - pos_; }
   Status Skip(size_t len) {
-    if (pos_ + len > size_) return Status::IOError("fpq: truncated metadata");
+    if (len > remaining()) return Status::IOError("fpq: truncated metadata");
     pos_ += len;
     return Status::OK();
   }

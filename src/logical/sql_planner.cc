@@ -467,11 +467,21 @@ Result<PlanPtr> SqlPlanner::PlanSelectCore(const sql::SelectCore& core,
 
   // GROUP BY expressions (support ordinals and select aliases). A key
   // repeated in any spelling is kept once: two aggregate outputs of one
-  // name would make the select's column lookups ambiguous.
+  // name would make the select's column lookups ambiguous. Column
+  // references compare by the input field they resolve to, so `t.grp`
+  // and `grp` are one key; other expressions by their printed form.
   std::vector<ExprPtr> group_exprs;
-  auto add_group = [&group_exprs](ExprPtr e) {
+  auto same_key = [&from_schema](const Expr& a, const Expr& b) {
+    if (a.kind == Expr::Kind::kColumn && b.kind == Expr::Kind::kColumn) {
+      auto ia = from_schema.IndexOf(a.qualifier, a.name);
+      auto ib = from_schema.IndexOf(b.qualifier, b.name);
+      if (ia.ok() && ib.ok()) return *ia == *ib;
+    }
+    return a.Equals(b);
+  };
+  auto add_group = [&group_exprs, &same_key](ExprPtr e) {
     for (const auto& prev : group_exprs) {
-      if (prev->Equals(*e)) return;
+      if (same_key(*prev, *e)) return;
     }
     group_exprs.push_back(std::move(e));
   };

@@ -193,9 +193,6 @@ std::string RenderAnnotatedPlan(const ExecutionPlan& plan) {
           out << ", partial_groups=" << m.partial_groups
               << ", bypass_rows=" << m.bypass_rows;
         }
-        if (m.morsels_stolen > 0) {
-          out << ", morsels_stolen=" << m.morsels_stolen;
-        }
         if (m.rf_build_ns > 0) {
           out << ", rf_build=" << exec::FormatDuration(m.rf_build_ns);
         }
@@ -262,9 +259,6 @@ void MetricsNodeToJson(const PlanMetricsNode& node, std::string* out) {
   if (node.partial_groups > 0 || node.bypass_rows > 0) {
     *out += ",\"partial_groups\":" + std::to_string(node.partial_groups);
     *out += ",\"bypass_rows\":" + std::to_string(node.bypass_rows);
-  }
-  if (node.morsels_stolen > 0) {
-    *out += ",\"morsels_stolen\":" + std::to_string(node.morsels_stolen);
   }
   if (node.rf_build_ns > 0) {
     *out += ",\"rf_build_ns\":" + std::to_string(node.rf_build_ns);

@@ -183,7 +183,7 @@ struct PlanMetricsNode {
   int64_t partial_groups = 0;
   /// Rows forwarded as per-row partial state by the adaptive bypass.
   int64_t bypass_rows = 0;
-  /// Scan morsels claimed outside the consumer's round-robin share.
+  /// Always 0: scan partitions no longer steal units (kMorselsStolen).
   int64_t morsels_stolen = 0;
   /// Runtime-filter (sideways information passing) counters: time the
   /// join spent building/merging Bloom filters, and rows the scan

@@ -294,15 +294,6 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanScan(const PlanPtr& plan) {
   request.projection = plan->scan_projection;
   request.limit = plan->scan_limit;
   request.target_partitions = ctx_->config.target_partitions;
-  // Morsel-driven scans: hand out fine-grained chunks from a shared
-  // queue so a skewed static split cannot serialize the pipeline.
-  // Ordered providers keep static splits (stealing interleaves chunks
-  // and would void the per-partition ordering); limited scans too (a
-  // morsel per unit would re-apply the limit per chunk).
-  if (ctx_->config.target_partitions > 1 && plan->scan_limit < 0 &&
-      plan->provider->sort_order().empty()) {
-    request.max_morsels = ctx_->config.target_partitions * 4;
-  }
   if (ctx_->config.enable_predicate_pushdown) {
     for (const auto& f : plan->scan_filters) {
       auto lowered = optimizer::TryLowerPredicate(f);

@@ -1,8 +1,6 @@
 #ifndef FUSION_PHYSICAL_SCAN_EXEC_H_
 #define FUSION_PHYSICAL_SCAN_EXEC_H_
 
-#include <algorithm>
-#include <atomic>
 #include <mutex>
 #include <unordered_map>
 
@@ -121,14 +119,10 @@ class RuntimeFilterStream : public exec::RecordBatchStream {
 
 /// \brief Leaf operator wrapping a TableProvider scan. The provider
 /// receives the pushed projection/predicates/limit and decides its own
-/// partitioning (paper §7.3).
-///
-/// When the request carries `max_morsels`, the provider returns
-/// fine-grained iterators (morsels) and this node exposes
-/// `target_partitions` consumer streams that claim morsels from one
-/// shared queue (morsel-driven scheduling à la HyPer): a consumer that
-/// finishes its share early steals the remaining morsels instead of
-/// idling behind a skewed static split.
+/// partitioning (paper §7.3): it deals its scan units into at most
+/// `target_partitions` iterators (DealScanUnits), and each iterator is one
+/// partition of this node. The assignment is fixed, so which partition
+/// reads which rows never depends on thread timing.
 class ScanExec : public ExecutionPlan {
  public:
   ScanExec(std::string table_name, catalog::TableProviderPtr provider,
@@ -144,25 +138,13 @@ class ScanExec : public ExecutionPlan {
     // and the first ExecuteImpl returns it. Until the scan opens cleanly
     // this node reports a single partition.
     if (!EnsureOpened().ok()) return 1;
-    if (morsel_queue_ != nullptr) {
-      return std::max(1, std::min(request_.target_partitions,
-                                  static_cast<int>(morsel_queue_->morsels.size())));
-    }
     return static_cast<int>(iterators_.size());
   }
 
   Result<exec::StreamPtr> ExecuteImpl(int partition, const ExecContextPtr&) override {
     FUSION_RETURN_NOT_OK(EnsureOpened());
     exec::StreamPtr out;
-    if (morsel_queue_ != nullptr) {
-      const int consumers = output_partitions();
-      if (partition < 0 || partition >= consumers) {
-        return Status::ExecutionError("scan partition out of range");
-      }
-      auto stolen = metrics_->Counter(exec::metric::kMorselsStolen, partition);
-      out = std::make_unique<MorselStream>(schema_, morsel_queue_, partition,
-                                           consumers, std::move(stolen));
-    } else {
+    {
       std::lock_guard<std::mutex> lock(mu_);
       if (partition < 0 || partition >= static_cast<int>(iterators_.size()) ||
           iterators_[partition] == nullptr) {
@@ -192,9 +174,8 @@ class ScanExec : public ExecutionPlan {
 
   std::vector<OrderingInfo> output_ordering() const override {
     // Map the provider's declared order (paper §6.7) through the scan's
-    // projection; each scan partition individually satisfies it. (The
-    // planner never requests morsels from an ordered provider: stealing
-    // interleaves chunks and would break per-partition runs.)
+    // projection. Each scan partition individually satisfies it: a
+    // partition reads its units in table order (DealScanUnits).
     std::vector<OrderingInfo> out;
     for (const catalog::OrderedColumn& oc : provider_->sort_order()) {
       int idx = schema_->GetFieldIndex(oc.column);
@@ -215,9 +196,6 @@ class ScanExec : public ExecutionPlan {
       out += "]";
     }
     if (request_.limit >= 0) out += " limit=" + std::to_string(request_.limit);
-    if (request_.max_morsels > 0) {
-      out += " morsels=" + std::to_string(request_.max_morsels);
-    }
     if (!request_.runtime_filters.empty()) {
       out += " runtime_filter=[";
       for (size_t i = 0; i < request_.runtime_filters.size(); ++i) {
@@ -233,49 +211,6 @@ class ScanExec : public ExecutionPlan {
   const catalog::TableProviderPtr& provider() const { return provider_; }
 
  private:
-  /// All consumers share one queue; a morsel is claimed exclusively by
-  /// the fetch_add below, so moving its iterator out needs no lock.
-  struct MorselQueue {
-    std::vector<catalog::BatchIteratorPtr> morsels;
-    std::atomic<size_t> next{0};
-  };
-
-  class MorselStream : public exec::RecordBatchStream {
-   public:
-    MorselStream(SchemaPtr schema, std::shared_ptr<MorselQueue> queue,
-                 int partition, int consumers, exec::MetricValuePtr stolen)
-        : schema_(std::move(schema)), queue_(std::move(queue)),
-          partition_(partition), consumers_(consumers), stolen_(std::move(stolen)) {}
-
-    const SchemaPtr& schema() const override { return schema_; }
-
-    Result<RecordBatchPtr> Next() override {
-      for (;;) {
-        if (current_ == nullptr) {
-          const size_t i = queue_->next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= queue_->morsels.size()) return RecordBatchPtr(nullptr);
-          current_ = std::move(queue_->morsels[i]);
-          // Nominal assignment is round-robin; claiming outside it means
-          // this consumer out-ran its share and picked up someone else's.
-          if (static_cast<int>(i % static_cast<size_t>(consumers_)) != partition_) {
-            stolen_->Add(1);
-          }
-        }
-        FUSION_ASSIGN_OR_RAISE(auto batch, current_->Next());
-        if (batch != nullptr) return batch;
-        current_ = nullptr;
-      }
-    }
-
-   private:
-    SchemaPtr schema_;
-    std::shared_ptr<MorselQueue> queue_;
-    int partition_;
-    int consumers_;
-    exec::MetricValuePtr stolen_;
-    catalog::BatchIteratorPtr current_;
-  };
-
   Status EnsureOpened() const {
     std::lock_guard<std::mutex> lock(mu_);
     if (opened_) return open_status_;
@@ -294,11 +229,6 @@ class ScanExec : public ExecutionPlan {
       };
       iterators_.push_back(std::make_unique<EmptyIterator>());
     }
-    if (request_.max_morsels > 0) {
-      morsel_queue_ = std::make_shared<MorselQueue>();
-      morsel_queue_->morsels = std::move(iterators_);
-      iterators_.clear();
-    }
     return Status::OK();
   }
 
@@ -311,7 +241,6 @@ class ScanExec : public ExecutionPlan {
   mutable bool opened_ = false;
   mutable Status open_status_;
   mutable std::vector<catalog::BatchIteratorPtr> iterators_;
-  mutable std::shared_ptr<MorselQueue> morsel_queue_;
 };
 
 }  // namespace physical

@@ -2,15 +2,21 @@
 // the single-partition plan across group cardinalities (collapsing,
 // medium, ~unique), partition counts, and every FUSION_AGG_BYPASS mode;
 // the COUNT(DISTINCT) rewrite checked against the plan without it; plus
-// morsel-split balance regression tests for the scan sources that feed
-// it.
+// scan-unit balance regression tests for the scan sources that feed
+// it, and run-to-run determinism of float aggregates over a
+// multi-partition scan.
 
 #include "tests/test_util.h"
 
 #include <bit>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <set>
 
+#include "catalog/file_tables.h"
 #include "catalog/memory_table.h"
+#include "format/fpq.h"
 #include "optimizer/optimizer.h"
 #include "physical/execution_plan.h"
 
@@ -289,7 +295,7 @@ TEST(SingleDistinctToGroupByTest, OtherShapesKeepOneAggregate) {
   }
 }
 
-// ------------------------------------------------------- morsel balance
+// ------------------------------------------------------ scan unit balance
 
 /// Drain one iterator, counting rows.
 int64_t DrainRows(const catalog::BatchIteratorPtr& it) {
@@ -318,40 +324,86 @@ TEST(MorselBalanceTest, MemoryTableSplitsUnitsWithinOne) {
   EXPECT_EQ(*lo + *hi + rows[1] + rows[2], 10 * 512);
 }
 
-TEST(MorselBalanceTest, MorselRequestReturnsFineGrainedUnits) {
-  // max_morsels asks for one iterator per unit (capped): consumers then
-  // claim them dynamically, so static assignment can't skew.
-  auto table = MakeRandomTable(10 * 512, 100, 606);
-  catalog::ScanRequest request;
-  request.target_partitions = 4;
-  request.max_morsels = 16;
-  ASSERT_OK_AND_ASSIGN(auto morsels, table->Scan(request));
-  EXPECT_EQ(morsels.size(), 10u);  // one per batch, under the cap
-  int64_t total = 0;
-  for (auto& it : morsels) total += DrainRows(it);
-  EXPECT_EQ(total, 10 * 512);
-  // A cap below the unit count still balances within one unit.
-  catalog::ScanRequest capped;
-  capped.target_partitions = 4;
-  capped.max_morsels = 3;
-  ASSERT_OK_AND_ASSIGN(auto grouped, table->Scan(capped));
-  ASSERT_EQ(grouped.size(), 3u);
-  std::vector<int64_t> rows;
-  for (auto& it : grouped) rows.push_back(DrainRows(it));
-  const auto [lo, hi] = std::minmax_element(rows.begin(), rows.end());
-  EXPECT_LE(*hi - *lo, 512);
-}
-
 TEST(MorselBalanceTest, ParallelQueryOverManyUnitsStaysCorrect) {
-  // End-to-end: a 4-partition query over 40 units pulls morsels from
-  // the shared queue; every row is aggregated exactly once regardless
-  // of which consumer claims which morsel.
+  // End-to-end: a 4-partition query over 40 units dealt round-robin;
+  // every row is aggregated exactly once.
   auto table = MakeRandomTable(40 * 512, 37, 707);
   auto session = MakeSession(table, 4);
   ASSERT_OK_AND_ASSIGN(auto rows,
                        session->ExecuteSql("SELECT sum(cnt) FROM (SELECT k, "
                                            "count(*) AS cnt FROM r GROUP BY k)"));
   EXPECT_EQ(ToStringRows(rows)[0][0], std::to_string(40 * 512));
+}
+
+// ----------------------------------------------------------- determinism
+
+/// An FPQ table of 16 row groups of 8192 rows: g cycles through 8 groups
+/// and f is a float of mixed sign whose magnitude spans 1e-3 to 1e10, so
+/// the bits of sum(f) depend on which rows each partition adds up.
+catalog::TableProviderPtr MakeFloatSumTable() {
+  const int64_t n = 16 * 8192;
+  std::mt19937_64 rng(2026);
+  std::uniform_real_distribution<double> exponent(-3.0, 10.0);
+  Int64Builder g;
+  Float64Builder f;
+  for (int64_t i = 0; i < n; ++i) {
+    g.Append(i % 8);
+    const double magnitude = std::pow(10.0, exponent(rng));
+    f.Append(rng() % 2 == 0 ? magnitude : -magnitude);
+  }
+  auto schema = fusion::schema({Field("g", int64(), false), Field("f", float64(), false)});
+  auto batch = std::make_shared<RecordBatch>(
+      schema, n, std::vector<ArrayPtr>{g.Finish().ValueOrDie(), f.Finish().ValueOrDie()});
+  const std::string path = "/tmp/fusion_test_float_sum.fpq";
+  format::fpq::WriteOptions options;
+  options.row_group_rows = 8192;
+  format::fpq::WriteFile(path, schema, {batch}, options).Abort();
+  return catalog::FpqTable::Open({path}).ValueOrDie();
+}
+
+core::SessionContextPtr FourPartitionSession(const catalog::TableProviderPtr& table) {
+  exec::SessionConfig config;
+  config.target_partitions = 4;
+  auto ctx = core::SessionContext::Make(config);
+  ctx->RegisterTable("t", table).Abort();
+  return ctx;
+}
+
+TEST(ScanDeterminismTest, GroupedFloatSumIsBitIdenticalAcrossRuns) {
+  auto session = FourPartitionSession(MakeFloatSumTable());
+  std::set<std::string> results;
+  for (int run = 0; run < 30; ++run) {
+    ASSERT_OK_AND_ASSIGN(
+        auto batches,
+        session->ExecuteSql("SELECT g, sum(f) FROM t GROUP BY g ORDER BY g"));
+    std::string bits;
+    for (const auto& batch : batches) {
+      const auto& sums = checked_cast<Float64Array>(*batch->column(1));
+      for (int64_t i = 0; i < sums.length(); ++i) {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%a;", sums.Value(i));
+        bits += buf;
+      }
+    }
+    results.insert(bits);
+  }
+  EXPECT_EQ(results.size(), 1u) << "sum(f) took " << results.size()
+                                << " different bit patterns in 30 runs";
+}
+
+TEST(ScanDeterminismTest, MaxEqualityCteFindsItsRow) {
+  // The CTE is evaluated twice; both evaluations must sum alike for the
+  // group holding the maximum to equal it.
+  auto session = FourPartitionSession(MakeFloatSumTable());
+  int misses = 0;
+  for (int run = 0; run < 30; ++run) {
+    ASSERT_OK_AND_ASSIGN(
+        auto batches,
+        session->ExecuteSql("WITH r AS (SELECT g, sum(f) AS s FROM t GROUP BY g) "
+                            "SELECT count(*) FROM r WHERE s = (SELECT max(s) FROM r)"));
+    if (ToStringRows(batches)[0][0] != "1") ++misses;
+  }
+  EXPECT_EQ(misses, 0) << "of 30 runs";
 }
 
 }  // namespace

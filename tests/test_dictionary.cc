@@ -52,7 +52,9 @@ TEST(DictionaryReadTest, DictChunksDecodeToDictionaryArrays) {
   ASSERT_OK(fpq::WriteFile(path, batch->schema(), {batch}, options));
   ASSERT_OK_AND_ASSIGN(auto reader, fpq::Reader::Open(path));
   ASSERT_EQ(reader->row_group(0).columns[1].encoding, fpq::Encoding::kDictionary);
-  ASSERT_OK_AND_ASSIGN(auto back, reader->ReadRowGroup(0, {0, 1}));
+  ASSERT_OK_AND_ASSIGN(auto back,
+                       reader->ScanRowGroup(0, {0, reader->row_group(0).num_rows},
+                                            {0, 1}, {}));
   // The string column arrives still encoded, and all pages of the chunk
   // share one dictionary instance.
   ASSERT_TRUE(back->column(1)->type().is_dictionary());
@@ -75,7 +77,9 @@ TEST(DictionaryReadTest, NullableDictColumnRoundTrips) {
   ASSERT_OK(fpq::WriteFile(path, batch->schema(), {batch}, options));
   ASSERT_OK_AND_ASSIGN(auto reader, fpq::Reader::Open(path));
   ASSERT_EQ(reader->row_group(0).columns[1].encoding, fpq::Encoding::kDictionary);
-  ASSERT_OK_AND_ASSIGN(auto back, reader->ReadRowGroup(0, {0, 1}));
+  ASSERT_OK_AND_ASSIGN(auto back,
+                       reader->ScanRowGroup(0, {0, reader->row_group(0).num_rows},
+                                            {0, 1}, {}));
   ASSERT_TRUE(back->column(1)->type().is_dictionary());
   EXPECT_EQ(back->column(1)->null_count(), batch->column(1)->null_count());
   EXPECT_TRUE(ArraysEqual(*batch->column(1), *back->column(1)));
@@ -93,7 +97,8 @@ TEST(DictionaryReadTest, RowSelectionTakesCodesOnly) {
   for (bool late : {false, true}) {
     fpq::ScanMetrics metrics;
     ASSERT_OK_AND_ASSIGN(auto filtered,
-                         reader->ScanRowGroup(0, {0, 1}, preds, late, &metrics));
+                         reader->ScanRowGroup(0, {0, reader->row_group(0).num_rows},
+                                              {0, 1}, preds, late, &metrics));
     ASSERT_TRUE(filtered->column(1)->type().is_dictionary());
     const auto& ids = checked_cast<Int64Array>(*filtered->column(0));
     int64_t expected = 0;
@@ -114,7 +119,9 @@ TEST(DictionaryKernelTest, KernelsAgreeWithDenseExecution) {
   std::string path = "/tmp/fusion_test_dict_kernels.fpq";
   ASSERT_OK(fpq::WriteFile(path, batch->schema(), {batch}, options));
   ASSERT_OK_AND_ASSIGN(auto reader, fpq::Reader::Open(path));
-  ASSERT_OK_AND_ASSIGN(auto back, reader->ReadRowGroup(0, {1}));
+  ASSERT_OK_AND_ASSIGN(auto back,
+                       reader->ScanRowGroup(0, {0, reader->row_group(0).num_rows},
+                                            {1}, {}));
   ArrayPtr dict_col = back->column(0);
   ASSERT_TRUE(dict_col->type().is_dictionary());
   ArrayPtr dense_col = compute::EnsureDense(dict_col);

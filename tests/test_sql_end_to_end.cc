@@ -56,17 +56,20 @@ TEST(SqlEndToEnd, AggregateCountSumAvg) {
 
 TEST(SqlEndToEnd, GroupBy) {
   auto ctx = MakeTestSession(99);
-  // A key repeated by name or by ordinal groups like the key once.
-  for (const char* keys : {"grp", "grp, grp", "1, grp"}) {
-    ASSERT_OK_AND_ASSIGN(
-        auto batches,
-        ctx->ExecuteSql(std::string("SELECT grp, count(*) AS c FROM t GROUP BY ") +
-                        keys + " ORDER BY grp"));
-    auto rows = ToStringRows(batches);
-    ASSERT_EQ(rows.size(), 3u) << keys;
-    EXPECT_EQ(rows[0][0], "a") << keys;
-    EXPECT_EQ(rows[0][1], "33") << keys;
-    EXPECT_EQ(rows[2][0], "c") << keys;
+  // A key repeated by name, by ordinal, or qualified and unqualified
+  // groups like the key once, however the select list spells it.
+  for (const char* select : {"grp", "t.grp"}) {
+    for (const char* keys : {"grp", "grp, grp", "1, grp", "t.grp, grp", "grp, t.grp"}) {
+      const std::string sql = std::string("SELECT ") + select +
+                              ", count(*) AS c FROM t GROUP BY " + keys +
+                              " ORDER BY grp";
+      ASSERT_OK_AND_ASSIGN(auto batches, ctx->ExecuteSql(sql));
+      auto rows = ToStringRows(batches);
+      ASSERT_EQ(rows.size(), 3u) << sql;
+      EXPECT_EQ(rows[0][0], "a") << sql;
+      EXPECT_EQ(rows[0][1], "33") << sql;
+      EXPECT_EQ(rows[2][0], "c") << sql;
+    }
   }
 }
 
