@@ -58,21 +58,19 @@ class FpqScanIterator : public BatchIterator {
   FpqScanIterator(FpqTable* table, std::vector<ScanUnit> units,
                   std::vector<int> projection,
                   std::vector<format::ColumnPredicate> predicates, int64_t limit,
-                  bool late_materialization, exec::BufferCachePtr cache,
+                  exec::BufferCachePtr cache,
                   exec::TaskGroupPtr group, exec::CancellationTokenPtr cancel,
                   std::vector<RuntimeScanFilter> runtime_filters)
       : table_(table), units_(std::move(units)), projection_(std::move(projection)),
-        predicates_(std::move(predicates)), limit_(limit),
-        late_materialization_(late_materialization), cache_(std::move(cache)),
+        predicates_(std::move(predicates)), limit_(limit), cache_(std::move(cache)),
         group_(std::move(group)), cancel_(std::move(cancel)),
         runtime_filters_(std::move(runtime_filters)) {
-    // Predicates + late-materialization mode select which rows a decoded
-    // row group contains, so they are part of the cache key.
+    // Predicates select which rows a decoded row group contains, so they
+    // are part of the cache key.
     for (const auto& p : predicates_) {
       selection_fingerprint_ += p.ToString();
       selection_fingerprint_ += ';';
     }
-    if (!late_materialization_) selection_fingerprint_ += "|full";
   }
 
   ~FpqScanIterator() override { table_->MergeMetrics(metrics_); }
@@ -102,8 +100,8 @@ class FpqScanIterator : public BatchIterator {
       } else {
         FUSION_ASSIGN_OR_RAISE(
             batch, unit.reader->ScanRowGroup(unit.row_group, unit.rows, projection_,
-                                             predicates_, late_materialization_,
-                                             &metrics_));
+                                             predicates_,
+                                             /*late_materialization=*/true, &metrics_));
       }
       if (batch->num_rows() == 0) continue;
       if (limit_ >= 0 && rows_emitted_ + batch->num_rows() > limit_) {
@@ -144,7 +142,7 @@ class FpqScanIterator : public BatchIterator {
     auto decode = [&]() -> Result<RecordBatchPtr> {
       decoded = true;
       return unit.reader->ScanRowGroup(unit.row_group, unit.rows, projection_,
-                                       predicates_, late_materialization_,
+                                       predicates_, /*late_materialization=*/true,
                                        &decode_metrics);
     };
     FUSION_ASSIGN_OR_RAISE(
@@ -176,7 +174,6 @@ class FpqScanIterator : public BatchIterator {
   std::vector<int> projection_;
   std::vector<format::ColumnPredicate> predicates_;
   int64_t limit_;
-  bool late_materialization_;
   exec::BufferCachePtr cache_;
   exec::TaskGroupPtr group_;
   exec::CancellationTokenPtr cancel_;
@@ -344,8 +341,8 @@ Result<std::vector<BatchIteratorPtr>> FpqTable::Scan(const ScanRequest& request)
        DealScanUnits(std::move(units), request.target_partitions, unit_rows)) {
     out.push_back(std::make_unique<FpqScanIterator>(
         this, std::move(part), projection, predicates, request.limit,
-        late_materialization_, request.buffer_cache, request.task_group,
-        request.cancel, request.runtime_filters));
+        request.buffer_cache, request.task_group, request.cancel,
+        request.runtime_filters));
   }
   return out;
 }

@@ -39,9 +39,6 @@ class FpqTable : public TableProvider {
   void SetSortOrder(std::vector<OrderedColumn> order) { order_ = std::move(order); }
   std::vector<OrderedColumn> sort_order() const override { return order_; }
 
-  /// Disable scan-time predicate evaluation (zone maps and Bloom filters
-  /// still prune row groups) — used by ablation benchmarks.
-  void SetLateMaterialization(bool enabled) { late_materialization_ = enabled; }
   /// Disable all scan-time pruning (the tightly-integrated baseline
   /// configuration; see DESIGN.md §5.1).
   void SetPushdownEnabled(bool enabled) { pushdown_enabled_ = enabled; }
@@ -64,7 +61,6 @@ class FpqTable : public TableProvider {
   std::vector<std::shared_ptr<format::fpq::Reader>> readers_;
   exec::CacheManagerPtr meta_cache_;
   std::vector<OrderedColumn> order_;
-  bool late_materialization_ = true;
   bool pushdown_enabled_ = true;
 
   std::mutex metrics_mu_;

@@ -169,10 +169,7 @@ Status GroupTable::MergeFrom(const GroupTable& other,
 Result<std::vector<ArrayPtr>> GroupTable::DecodeGroupKeys() const {
   std::vector<std::string_view> keys;
   keys.reserve(groups_.size());
-  const char* base = reinterpret_cast<const char*>(arena_.data());
-  for (const GroupEntry& entry : groups_) {
-    keys.emplace_back(base + entry.key.offset, entry.key.length);
-  }
+  for (uint32_t g = 0; g < groups_.size(); ++g) keys.push_back(group_key(g));
   return encoder_.DecodeKeyViews(keys);
 }
 

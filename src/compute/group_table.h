@@ -39,6 +39,12 @@ class GroupTable {
   /// produced when the group was first inserted).
   uint64_t group_hash(uint32_t g) const { return groups_[g].hash; }
 
+  /// The GroupKeyEncoder bytes of group `g`'s key.
+  std::string_view group_key(uint32_t g) const {
+    return {reinterpret_cast<const char*>(arena_.data()) + groups_[g].key.offset,
+            groups_[g].key.length};
+  }
+
   /// Radix bucket of a key hash for `num_buckets`-way partitioned
   /// merging: a range partition of the high 32 bits. Deliberately
   /// disjoint from SlotFor's Fibonacci spread of the full hash, so a

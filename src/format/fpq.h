@@ -154,7 +154,8 @@ class Reader {
   /// RowSelection that starts from the range, then decodes only the
   /// needed pages of the remaining columns (steps 2-4 of §6.8). When
   /// `late_materialization` is false, decodes the range's projected
-  /// columns then filters (the ablation baseline). Only pages the range
+  /// columns then filters (the reference tests check late
+  /// materialization against). Only pages the range
   /// overlaps are read or counted in `metrics`.
   Result<RecordBatchPtr> ScanRowGroup(int rg, RowSelection::Range rows,
                                       const std::vector<int>& projection,

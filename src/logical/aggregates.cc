@@ -1,5 +1,8 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
 
 #include "arrow/builder.h"
 #include "common/hash_util.h"
@@ -7,6 +10,7 @@
 #include "compute/hash_kernels.h"
 #include "compute/selection.h"
 #include "logical/functions.h"
+#include "row/row_format.h"
 
 namespace fusion {
 namespace logical {
@@ -15,6 +19,45 @@ namespace {
 
 bool FilterIncludes(const uint8_t* opt_filter, int64_t row) {
   return opt_filter == nullptr || opt_filter[row] != 0;
+}
+
+/// ORDER BY's order. For doubles `<` is no strict weak order once a NaN
+/// is present, so a minimum, maximum or median found with it would
+/// depend on row order; ORDER BY puts every NaN above +inf.
+template <typename T>
+bool SortsBefore(const T& a, const T& b) {
+  return a < b;
+}
+
+bool SortsBefore(double a, double b) {
+  return row::OrderableBitsDouble(a) < row::OrderableBitsDouble(b);
+}
+
+/// The partial state of an aggregate that keeps every value (median,
+/// count_distinct): one utf8 row per group holding the group's values
+/// back to back, `row_bytes[g]` bytes for group g. `fill` writes the
+/// values at `cursors[g]`, each starting at its row's offset in `data`.
+Result<ArrayPtr> ValueListState(
+    const std::vector<int64_t>& row_bytes,
+    const std::function<void(std::vector<int64_t>* cursors, uint8_t* data)>& fill) {
+  const int64_t n = static_cast<int64_t>(row_bytes.size());
+  auto offsets = std::make_shared<Buffer>((n + 1) * static_cast<int64_t>(sizeof(int32_t)));
+  int32_t* off = offsets->mutable_data_as<int32_t>();
+  std::vector<int64_t> cursors(row_bytes.size());
+  int64_t total = 0;
+  for (int64_t g = 0; g < n; ++g) {
+    off[g] = static_cast<int32_t>(total);
+    cursors[g] = total;
+    total += row_bytes[g];
+    if (total > std::numeric_limits<int32_t>::max()) {
+      return Status::ResourcesExhausted("aggregate partial state exceeds 2 GiB");
+    }
+  }
+  off[n] = static_cast<int32_t>(total);
+  auto data = std::make_shared<Buffer>(total);
+  fill(&cursors, data->mutable_data());
+  return ArrayPtr(
+      std::make_shared<StringArray>(n, std::move(offsets), std::move(data), nullptr, 0));
 }
 
 // ------------------------------------------------------------------ COUNT
@@ -233,7 +276,8 @@ class MinMaxAccumulator : public GroupedAccumulator {
       int64_t row = static_cast<int64_t>(i);
       if (!FilterIncludes(opt_filter, row) || values.IsNull(row)) continue;
       uint32_t g = group_ids[i];
-      if (!seen_[g] || (kMin ? raw[i] < best_[g] : raw[i] > best_[g])) {
+      if (!seen_[g] || (kMin ? SortsBefore(raw[i], best_[g])
+                             : SortsBefore(best_[g], raw[i]))) {
         best_[g] = raw[i];
         seen_[g] = 1;
       }
@@ -747,7 +791,8 @@ class CorrAccumulator : public GroupedAccumulator {
 
 // ----------------------------------------------------------------- MEDIAN
 
-/// Exact median: buffers all values per group (single-phase only).
+/// Exact median: buffers every value per group. The partial state holds
+/// a group's values as raw doubles back to back.
 class MedianAccumulator : public GroupedAccumulator {
  public:
   void Resize(int64_t num_groups) override {
@@ -762,15 +807,43 @@ class MedianAccumulator : public GroupedAccumulator {
         [this](uint32_t g, double v) { values_[g].push_back(v); });
   }
 
-  std::vector<DataType> PartialTypes() const override { return {float64()}; }
+  std::vector<DataType> PartialTypes() const override { return {utf8()}; }
 
   Result<std::vector<ArrayPtr>> PartialState() override {
-    return Status::NotImplemented("median does not support two-phase execution");
+    std::vector<int64_t> row_bytes(values_.size());
+    for (size_t g = 0; g < values_.size(); ++g) {
+      row_bytes[g] = static_cast<int64_t>(values_[g].size() * sizeof(double));
+    }
+    FUSION_ASSIGN_OR_RAISE(
+        auto rows, ValueListState(row_bytes, [&](std::vector<int64_t>* cursors,
+                                                 uint8_t* data) {
+          for (size_t g = 0; g < values_.size(); ++g) {
+            if (row_bytes[g] > 0) {
+              std::memcpy(data + (*cursors)[g], values_[g].data(), row_bytes[g]);
+            }
+          }
+        }));
+    return std::vector<ArrayPtr>{std::move(rows)};
   }
 
-  Status UpdateFromPartial(const std::vector<ArrayPtr>&,
-                           const std::vector<uint32_t>&) override {
-    return Status::NotImplemented("median does not support two-phase execution");
+  Status UpdateFromPartial(const std::vector<ArrayPtr>& state,
+                           const std::vector<uint32_t>& group_ids) override {
+    const auto& rows = checked_cast<StringArray>(*state[0]);
+    for (size_t i = 0; i < group_ids.size(); ++i) {
+      const int64_t row = static_cast<int64_t>(i);
+      if (rows.IsNull(row)) continue;
+      const std::string_view bytes = rows.Value(row);
+      if (bytes.size() % sizeof(double) != 0) {
+        return Status::Invalid("median: partial state row of " +
+                               std::to_string(bytes.size()) +
+                               " bytes does not hold whole doubles");
+      }
+      std::vector<double>& values = values_[group_ids[i]];
+      const size_t old_size = values.size();
+      values.resize(old_size + bytes.size() / sizeof(double));
+      if (!bytes.empty()) std::memcpy(values.data() + old_size, bytes.data(), bytes.size());
+    }
+    return Status::OK();
   }
 
   Result<ArrayPtr> Finish() override {
@@ -780,13 +853,14 @@ class MedianAccumulator : public GroupedAccumulator {
       auto& v = values_[i];
       valid[i] = !v.empty();
       if (v.empty()) continue;
-      size_t mid = v.size() / 2;
-      std::nth_element(v.begin(), v.begin() + mid, v.end());
+      const size_t mid = v.size() / 2;
+      auto before = [](double a, double b) { return SortsBefore(a, b); };
+      std::nth_element(v.begin(), v.begin() + mid, v.end(), before);
       if (v.size() % 2 == 1) {
         out[i] = v[mid];
       } else {
         double hi = v[mid];
-        double lo = *std::max_element(v.begin(), v.begin() + mid);
+        double lo = *std::max_element(v.begin(), v.begin() + mid, before);
         out[i] = (lo + hi) / 2;
       }
     }
@@ -808,11 +882,16 @@ class MedianAccumulator : public GroupedAccumulator {
 /// Exact distinct count: one GroupTable over (group id, value) pairs. A
 /// value counts toward its group when its pair is first inserted, so
 /// values compare the way group keys do (-0.0 equals 0.0, NaNs are one
-/// value).
+/// value). The partial state holds a group's distinct values in their
+/// GroupKeyEncoder bytes, back to back; the merge splits them and inserts
+/// them as pairs again, so a value counts once per group across builds.
 class CountDistinctAccumulator : public GroupedAccumulator {
  public:
   explicit CountDistinctAccumulator(DataType value_type)
-      : pairs_({int64(), std::move(value_type)}) {}
+      : pairs_({int64(), value_type}),
+        // Dictionary values come back as plain strings: their key bytes
+        // and hashes are the same.
+        value_encoder_({value_type.is_dictionary() ? utf8() : value_type}) {}
 
   void Resize(int64_t num_groups) override {
     if (static_cast<int64_t>(counts_.size()) < num_groups) counts_.resize(num_groups);
@@ -831,35 +910,58 @@ class CountDistinctAccumulator : public GroupedAccumulator {
       KeepFirstPerCode(checked_cast<DictionaryArray>(*values), group_ids);
     }
     if (rows_.empty()) return Status::OK();
-    std::vector<int64_t> groups(rows_.size());
-    for (size_t i = 0; i < rows_.size(); ++i) groups[i] = group_ids[rows_[i]];
-    std::vector<ArrayPtr> pair{MakeInt64Array(groups), values};
-    if (rows_.size() != group_ids.size()) {
-      FUSION_ASSIGN_OR_RAISE(pair[1], compute::Take(*values, rows_));
-    }
-    FUSION_RETURN_NOT_OK(compute::HashColumns(pair, &hashes_));
-    // Pair ids are dense and handed out in row order, so a pair is new
-    // exactly when its id is the next one unassigned.
-    uint32_t next = static_cast<uint32_t>(pairs_.num_groups());
-    FUSION_RETURN_NOT_OK(pairs_.MapBatch(pair, hashes_, &pair_ids_));
-    for (size_t i = 0; i < pair_ids_.size(); ++i) {
-      if (pair_ids_[i] == next) {
-        ++counts_[groups[i]];
-        ++next;
-      }
-    }
-    return Status::OK();
+    groups_.resize(rows_.size());
+    for (size_t i = 0; i < rows_.size(); ++i) groups_[i] = group_ids[rows_[i]];
+    if (rows_.size() == group_ids.size()) return InsertPairs(values);
+    FUSION_ASSIGN_OR_RAISE(auto kept, compute::Take(*values, rows_));
+    return InsertPairs(kept);
   }
 
-  std::vector<DataType> PartialTypes() const override { return {int64()}; }
+  std::vector<DataType> PartialTypes() const override { return {utf8()}; }
 
   Result<std::vector<ArrayPtr>> PartialState() override {
-    return Status::NotImplemented("count distinct does not support two-phase");
+    // A pair's key is the group id (marker byte + int64) followed by the
+    // value's bytes; row g gathers the value bytes of group g's pairs.
+    constexpr size_t kGroupIdBytes = 9;
+    auto group_of = [](std::string_view key) {
+      int64_t g;
+      std::memcpy(&g, key.data() + 1, sizeof(g));
+      return static_cast<size_t>(g);
+    };
+    const uint32_t num_pairs = static_cast<uint32_t>(pairs_.num_groups());
+    std::vector<int64_t> row_bytes(counts_.size(), 0);
+    for (uint32_t p = 0; p < num_pairs; ++p) {
+      const std::string_view key = pairs_.group_key(p);
+      row_bytes[group_of(key)] += static_cast<int64_t>(key.size() - kGroupIdBytes);
+    }
+    FUSION_ASSIGN_OR_RAISE(
+        auto rows, ValueListState(row_bytes, [&](std::vector<int64_t>* cursors,
+                                                 uint8_t* data) {
+          for (uint32_t p = 0; p < num_pairs; ++p) {
+            const std::string_view key = pairs_.group_key(p);
+            int64_t& cursor = (*cursors)[group_of(key)];
+            std::memcpy(data + cursor, key.data() + kGroupIdBytes,
+                        key.size() - kGroupIdBytes);
+            cursor += static_cast<int64_t>(key.size() - kGroupIdBytes);
+          }
+        }));
+    return std::vector<ArrayPtr>{std::move(rows)};
   }
 
-  Status UpdateFromPartial(const std::vector<ArrayPtr>&,
-                           const std::vector<uint32_t>&) override {
-    return Status::NotImplemented("count distinct does not support two-phase");
+  Status UpdateFromPartial(const std::vector<ArrayPtr>& state,
+                           const std::vector<uint32_t>& group_ids) override {
+    const auto& rows = checked_cast<StringArray>(*state[0]);
+    views_.clear();
+    groups_.clear();
+    for (size_t i = 0; i < group_ids.size(); ++i) {
+      const int64_t row = static_cast<int64_t>(i);
+      if (rows.IsNull(row)) continue;
+      FUSION_RETURN_NOT_OK(value_encoder_.SplitKeys(rows.Value(row), &views_));
+      groups_.resize(views_.size(), group_ids[i]);
+    }
+    if (views_.empty()) return Status::OK();
+    FUSION_ASSIGN_OR_RAISE(auto values, value_encoder_.DecodeKeyViews(views_));
+    return InsertPairs(values[0]);
   }
 
   Result<ArrayPtr> Finish() override { return MakeInt64Array(counts_); }
@@ -869,6 +971,23 @@ class CountDistinctAccumulator : public GroupedAccumulator {
   }
 
  private:
+  /// Insert the pairs (groups_[i], values[i]); count each new one toward
+  /// its group. Pair ids are dense and handed out in row order, so a pair
+  /// is new exactly when its id is the next one unassigned.
+  Status InsertPairs(const ArrayPtr& values) {
+    std::vector<ArrayPtr> pair{MakeInt64Array(groups_), values};
+    FUSION_RETURN_NOT_OK(compute::HashColumns(pair, &hashes_));
+    uint32_t next = static_cast<uint32_t>(pairs_.num_groups());
+    FUSION_RETURN_NOT_OK(pairs_.MapBatch(pair, hashes_, &pair_ids_));
+    for (size_t i = 0; i < pair_ids_.size(); ++i) {
+      if (pair_ids_[i] == next) {
+        ++counts_[groups_[i]];
+        ++next;
+      }
+    }
+    return Status::OK();
+  }
+
   /// Dictionary values repeat codes: keep only each (group, code)'s first
   /// row of the batch, so the pair table probes every pair once.
   void KeepFirstPerCode(const DictionaryArray& values,
@@ -895,9 +1014,12 @@ class CountDistinctAccumulator : public GroupedAccumulator {
   }
 
   compute::GroupTable pairs_;
+  row::GroupKeyEncoder value_encoder_;
   std::vector<int64_t> counts_;
   // Scratch reused across batches.
   std::vector<int64_t> rows_;
+  std::vector<int64_t> groups_;
+  std::vector<std::string_view> views_;
   std::vector<uint64_t> seen_;
   std::vector<uint64_t> hashes_;
   std::vector<uint32_t> pair_ids_;
@@ -940,7 +1062,6 @@ void RegisterBuiltinAggregateFunctions(FunctionRegistry* registry) {
     fn->return_type = [](const std::vector<DataType>&) -> Result<DataType> {
       return int64();
     };
-    fn->supports_two_phase = false;
     fn->create = [](const std::vector<DataType>& args)
         -> Result<std::unique_ptr<GroupedAccumulator>> {
       if (args.size() != 1) return Status::PlanError("count_distinct expects 1 argument");
@@ -1079,7 +1200,6 @@ void RegisterBuiltinAggregateFunctions(FunctionRegistry* registry) {
     fn->return_type = [](const std::vector<DataType>&) -> Result<DataType> {
       return float64();
     };
-    fn->supports_two_phase = false;
     fn->create = [](const std::vector<DataType>&)
         -> Result<std::unique_ptr<GroupedAccumulator>> {
       return std::unique_ptr<GroupedAccumulator>(new MedianAccumulator());

@@ -37,9 +37,12 @@ using ScalarFunctionPtr = std::shared_ptr<ScalarFunctionDef>;
 /// accumulator instance covers *all* groups of a hash-aggregation
 /// partition; updates take a batch of values plus per-row group ids.
 ///
-/// Two-phase aggregation contract: the partial phase calls Update and
-/// serializes PartialState() columns; the final phase feeds those
-/// columns back through UpdateFromPartial.
+/// Every aggregate runs two-phase, so every accumulator implements the
+/// partial state: the partial phase calls Update and serializes
+/// PartialState() columns; the final phase feeds those columns back
+/// through UpdateFromPartial, in any grouping and order, and from spill
+/// files. An aggregate that keeps every value (median, count_distinct)
+/// serializes them into one utf8 row per group.
 class GroupedAccumulator {
  public:
   virtual ~GroupedAccumulator() = default;
@@ -78,8 +81,6 @@ struct AggregateFunctionDef {
   std::string name;
   ReturnTypeFn return_type;
   AccumulatorFactory create;
-  /// True when two-phase (partial/final) execution is supported.
-  bool supports_two_phase = true;
 };
 
 using AggregateFunctionPtr = std::shared_ptr<AggregateFunctionDef>;

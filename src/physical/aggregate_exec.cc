@@ -1,12 +1,11 @@
 #include "physical/aggregate_exec.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <functional>
 #include <numeric>
 
-#include "arrow/builder.h"
 #include "arrow/ipc.h"
-#include "compute/cast.h"
 #include "compute/group_table.h"
 #include "compute/hash_kernels.h"
 #include "compute/selection.h"
@@ -199,6 +198,20 @@ class PartitionedAggregateExec::GroupState {
     return out;
   }
 
+  /// Serialize every aggregate's state, then free the accumulators: the
+  /// merge reads only that state and the table's keys. The reservation
+  /// shrinks to what is left, and never grows here.
+  Result<std::vector<std::vector<ArrayPtr>>> Seal() {
+    FUSION_ASSIGN_OR_RAISE(auto state, PartialState());
+    accumulators_.clear();
+    std::vector<ArrayPtr> columns;
+    for (const auto& cols : state) columns.insert(columns.end(), cols.begin(), cols.end());
+    int64_t held = RecordBatch(nullptr, num_groups(), columns).TotalBufferSize();
+    if (table_ != nullptr) held += table_->SizeBytes();
+    FUSION_RETURN_NOT_OK(reservation_.ResizeTo(std::min(held, reservation_.held())));
+    return state;
+  }
+
   /// The groups as batches of `schema`: keys, then per aggregate either
   /// its partial state or its final value.
   Result<std::vector<RecordBatchPtr>> Emit(bool partial, const SchemaPtr& schema,
@@ -239,13 +252,6 @@ class PartitionedAggregateExec::GroupState {
 
   /// Write the groups to a spill file as partial state and start over.
   Status Spill(const ExecContextPtr& ctx) {
-    for (const auto& agg : op_->aggregates_) {
-      if (!agg.function->supports_two_phase) {
-        return Status::OutOfMemory(
-            "aggregate '" + agg.function->name +
-            "' cannot spill (no two-phase support); raise the memory limit");
-      }
-    }
     FUSION_ASSIGN_OR_RAISE(auto batches, Emit(/*partial=*/true,
                                               op_->build_state_->partial_schema,
                                               ctx->config.batch_size));
@@ -423,7 +429,7 @@ Status PartitionedAggregateExec::BuildPartition(BuildState* bs, int p,
   // group to its radix bucket by the stored hash.
   const int64_t num_groups = groups.num_groups();
   partial_groups->Add(num_groups);
-  FUSION_ASSIGN_OR_RAISE(out.state_arrays, groups.PartialState());
+  FUSION_ASSIGN_OR_RAISE(out.state_arrays, groups.Seal());
   out.bucket_groups.assign(buckets, {});
   for (uint32_t g = 0; g < static_cast<uint32_t>(num_groups); ++g) {
     out.bucket_groups[compute::GroupTable::RadixBucket(groups.group_hash(g), buckets)]
@@ -571,162 +577,6 @@ Result<exec::StreamPtr> PartitionedAggregateExec::ExecuteImpl(
         out, groups->Emit(/*partial=*/false, schema_, ctx->config.batch_size));
   }
   return exec::StreamPtr(std::make_unique<exec::VectorStream>(schema_, std::move(out)));
-}
-
-std::string StreamingAggregateExec::ToStringLine() const {
-  std::string out = "StreamingAggregateExec: groups=[";
-  for (size_t i = 0; i < group_names_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += group_names_[i];
-  }
-  out += "]";
-  return out;
-}
-
-Result<exec::StreamPtr> StreamingAggregateExec::ExecuteImpl(int partition,
-                                                        const ExecContextPtr& ctx) {
-  FUSION_ASSIGN_OR_RAISE(auto input_stream, input_->Execute(partition, ctx));
-  auto input = std::shared_ptr<exec::RecordBatchStream>(std::move(input_stream));
-  SchemaPtr schema = schema_;
-  auto group_exprs = group_exprs_;
-  auto aggregates = aggregates_;
-  int64_t batch_size = ctx->config.batch_size;
-
-  // Shared mutable stream state.
-  struct State {
-    // The in-flight group: one accumulator set sized for a single group,
-    // plus the builders the finished groups are appended to.
-    bool has_current = false;
-    std::vector<ArrayPtr> current_key_arrays;  // single-row key snapshot
-    std::vector<std::unique_ptr<logical::GroupedAccumulator>> accumulators;
-    std::vector<std::unique_ptr<ArrayBuilder>> out_builders;
-    int64_t pending_groups = 0;
-    bool done = false;
-  };
-  auto state = std::make_shared<State>();
-
-  auto make_accumulators = [aggregates]() -> Result<
-      std::vector<std::unique_ptr<logical::GroupedAccumulator>>> {
-    std::vector<std::unique_ptr<logical::GroupedAccumulator>> out;
-    for (const auto& agg : aggregates) {
-      FUSION_ASSIGN_OR_RAISE(auto acc, agg.function->create(agg.arg_types));
-      acc->Resize(1);
-      out.push_back(std::move(acc));
-    }
-    return out;
-  };
-  auto make_builders = [schema]() -> Result<
-      std::vector<std::unique_ptr<ArrayBuilder>>> {
-    std::vector<std::unique_ptr<ArrayBuilder>> out;
-    for (const Field& f : schema->fields()) {
-      FUSION_ASSIGN_OR_RAISE(auto b, MakeBuilder(f.type()));
-      out.push_back(std::move(b));
-    }
-    return out;
-  };
-
-  FUSION_ASSIGN_OR_RAISE(state->out_builders, make_builders());
-
-  // Close the in-flight group: append its key + results to the output
-  // builders.
-  auto flush_current = [state]() -> Status {
-    if (!state->has_current) return Status::OK();
-    size_t col = 0;
-    for (const auto& key : state->current_key_arrays) {
-      state->out_builders[col++]->AppendFrom(*key, 0);
-    }
-    for (auto& acc : state->accumulators) {
-      FUSION_ASSIGN_OR_RAISE(auto c, acc->Finish());
-      state->out_builders[col++]->AppendFrom(*c, 0);
-    }
-    state->has_current = false;
-    state->accumulators.clear();
-    ++state->pending_groups;
-    return Status::OK();
-  };
-
-  return exec::StreamPtr(std::make_unique<exec::GeneratorStream>(
-      schema,
-      [=]() mutable -> Result<RecordBatchPtr> {
-        auto emit_pending = [&]() -> Result<RecordBatchPtr> {
-          std::vector<ArrayPtr> columns;
-          for (auto& b : state->out_builders) {
-            FUSION_ASSIGN_OR_RAISE(auto arr, b->Finish());
-            columns.push_back(std::move(arr));
-          }
-          int64_t rows = state->pending_groups;
-          state->pending_groups = 0;
-          FUSION_ASSIGN_OR_RAISE(state->out_builders, make_builders());
-          return std::make_shared<RecordBatch>(schema, rows, std::move(columns));
-        };
-        for (;;) {
-          if (state->done) {
-            if (state->pending_groups > 0) return emit_pending();
-            return RecordBatchPtr(nullptr);
-          }
-          FUSION_ASSIGN_OR_RAISE(auto batch, input->Next());
-          if (batch == nullptr) {
-            state->done = true;
-            FUSION_RETURN_NOT_OK(flush_current());
-            continue;
-          }
-          if (batch->num_rows() == 0) continue;
-          FUSION_ASSIGN_OR_RAISE(auto keys, EvaluateToArrays(group_exprs, *batch));
-          std::vector<std::vector<ArrayPtr>> agg_args(aggregates.size());
-          std::vector<std::vector<uint8_t>> filter_masks(aggregates.size());
-          for (size_t a = 0; a < aggregates.size(); ++a) {
-            FUSION_ASSIGN_OR_RAISE(agg_args[a],
-                                   EvaluateToArrays(aggregates[a].args, *batch));
-            FUSION_ASSIGN_OR_RAISE(filter_masks[a],
-                                   EvaluateFilterMask(aggregates[a].filter, *batch));
-          }
-          const int64_t n = batch->num_rows();
-          auto same_key = [&](int64_t row, const std::vector<ArrayPtr>& other,
-                              int64_t other_row) {
-            for (size_t k = 0; k < keys.size(); ++k) {
-              if (!ArrayElementsEqual(*keys[k], row, *other[k], other_row)) {
-                return false;
-              }
-            }
-            return true;
-          };
-          // Walk key runs within the batch.
-          int64_t start = 0;
-          while (start < n) {
-            int64_t end = start + 1;
-            while (end < n && same_key(end, keys, start)) ++end;
-            const bool continues =
-                state->has_current && same_key(start, state->current_key_arrays, 0);
-            if (!continues) {
-              FUSION_RETURN_NOT_OK(flush_current());
-              FUSION_ASSIGN_OR_RAISE(state->accumulators, make_accumulators());
-              state->current_key_arrays.clear();
-              for (const auto& k : keys) {
-                FUSION_ASSIGN_OR_RAISE(auto one, compute::Take(*k, {start}));
-                state->current_key_arrays.push_back(std::move(one));
-              }
-              state->has_current = true;
-            }
-            // Feed the run's rows into the single-group accumulators.
-            std::vector<uint32_t> zeros(static_cast<size_t>(end - start), 0);
-            for (size_t a = 0; a < aggregates.size(); ++a) {
-              std::vector<ArrayPtr> sliced;
-              for (const auto& arg : agg_args[a]) {
-                sliced.push_back(arg->Slice(start, end - start));
-              }
-              std::vector<uint8_t> mask;
-              if (!filter_masks[a].empty()) {
-                mask.assign(filter_masks[a].begin() + start,
-                            filter_masks[a].begin() + end);
-              }
-              FUSION_RETURN_NOT_OK(state->accumulators[a]->Update(
-                  sliced, zeros, mask.empty() ? nullptr : mask.data()));
-            }
-            start = end;
-          }
-          if (state->pending_groups >= batch_size) return emit_pending();
-        }
-      }));
 }
 
 }  // namespace physical

@@ -32,12 +32,13 @@ struct AggregateInfo {
 ///   lands in bucket 0, so output partition 0 emits exactly one row and
 ///   the others emit none. Bypass needs group keys.
 /// - With one input and one output partition the build's table and
-///   accumulators are the result: no partial state, no merge, no bypass
-///   (aggregates without two-phase support are planned this way). After a
-///   spill it falls back to the merge.
+///   accumulators are the result: no partial state, no merge, no bypass.
+///   After a spill it falls back to the merge.
 ///
-/// Builds and merges spill partial-state batches to disk under memory
-/// pressure.
+/// Every aggregate function has a partial state, so every aggregate list
+/// plans this one way. A build that feeds the merge serializes its state
+/// and frees its accumulators. Builds and merges spill partial-state
+/// batches to disk under memory pressure.
 class PartitionedAggregateExec : public ExecutionPlan {
  public:
   PartitionedAggregateExec(ExecPlanPtr input,
@@ -84,47 +85,6 @@ class PartitionedAggregateExec : public ExecutionPlan {
   bool built_ = false;
   Status build_status_;
   std::shared_ptr<BuildState> build_state_;
-};
-
-/// \brief Streaming aggregation for input already ordered on the group
-/// keys (paper §6.3's "fully ordered group keys" fast path and §6.7's
-/// streaming Hash Aggregation): no hash table, one group in flight,
-/// groups emitted incrementally as their key run ends — bounded memory
-/// regardless of group cardinality.
-class StreamingAggregateExec : public ExecutionPlan {
- public:
-  StreamingAggregateExec(ExecPlanPtr input,
-                         std::vector<PhysicalExprPtr> group_exprs,
-                         std::vector<std::string> group_names,
-                         std::vector<AggregateInfo> aggregates,
-                         SchemaPtr output_schema)
-      : input_(std::move(input)), group_exprs_(std::move(group_exprs)),
-        group_names_(std::move(group_names)), aggregates_(std::move(aggregates)),
-        schema_(std::move(output_schema)) {}
-
-  std::string name() const override { return "StreamingAggregateExec"; }
-  SchemaPtr schema() const override { return schema_; }
-  int output_partitions() const override { return input_->output_partitions(); }
-  std::vector<ExecPlanPtr> children() const override { return {input_}; }
-  std::vector<OrderingInfo> output_ordering() const override {
-    // Group columns come out in key order (they are the leading output
-    // columns, one run each).
-    std::vector<OrderingInfo> in = input_->output_ordering();
-    std::vector<OrderingInfo> out;
-    for (size_t i = 0; i < group_exprs_.size() && i < in.size(); ++i) {
-      out.push_back({static_cast<int>(i), in[i].options});
-    }
-    return out;
-  }
-  Result<exec::StreamPtr> ExecuteImpl(int partition, const ExecContextPtr& ctx) override;
-  std::string ToStringLine() const override;
-
- private:
-  ExecPlanPtr input_;
-  std::vector<PhysicalExprPtr> group_exprs_;
-  std::vector<std::string> group_names_;
-  std::vector<AggregateInfo> aggregates_;
-  SchemaPtr schema_;
 };
 
 }  // namespace physical

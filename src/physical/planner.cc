@@ -1,7 +1,6 @@
 #include "physical/planner.h"
 
 #include <algorithm>
-#include <set>
 
 #include "arrow/builder.h"
 #include "compute/cast.h"
@@ -53,49 +52,16 @@ bool OrderingSatisfies(const std::vector<OrderingInfo>& have,
   return true;
 }
 
-/// Does `input` deliver rows grouped by the key columns (its ordering
-/// prefix covers exactly the group columns)?
-bool GroupsOrdered(const ExecutionPlan& input,
-                   const std::vector<PhysicalExprPtr>& group_exprs) {
-  if (group_exprs.empty()) return false;
-  auto ordering = input.output_ordering();
-  if (ordering.size() < group_exprs.size()) return false;
-  std::set<int> group_cols;
-  for (const auto& g : group_exprs) {
-    auto* col = dynamic_cast<const ColumnExpr*>(g.get());
-    if (col == nullptr) return false;
-    group_cols.insert(col->index());
-  }
-  std::set<int> prefix_cols;
-  for (size_t i = 0; i < group_exprs.size(); ++i) {
-    prefix_cols.insert(ordering[i].column);
-  }
-  return group_cols == prefix_cols;
-}
-
-/// Plan a grouping (aggregate or DISTINCT) over `input`, paper §6.3.
-/// Key-ordered one-partition input streams with one group in flight
-/// (§6.7). Otherwise PartitionedAggregateExec builds one table per input
-/// partition and merges them into `target_partitions` radix buckets —
-/// or into one when the input has one partition or an aggregate cannot
-/// merge partial state. A global aggregate's one group lands in bucket
+/// Plan a grouping (aggregate or DISTINCT) over `input`, paper §6.3:
+/// PartitionedAggregateExec builds one table per input partition and
+/// merges them into `target_partitions` radix buckets, or into one over
+/// one-partition input. A global aggregate's one group lands in bucket
 /// 0, so its output partitions are coalesced.
 ExecPlanPtr PlanGrouping(ExecPlanPtr input, std::vector<PhysicalExprPtr> group_exprs,
                          std::vector<std::string> group_names,
                          std::vector<AggregateInfo> aggregates, SchemaPtr schema,
                          int target_partitions) {
-  if (input->output_partitions() == 1 && GroupsOrdered(*input, group_exprs)) {
-    return std::make_shared<StreamingAggregateExec>(
-        std::move(input), std::move(group_exprs), std::move(group_names),
-        std::move(aggregates), std::move(schema));
-  }
-  const bool two_phase =
-      std::all_of(aggregates.begin(), aggregates.end(),
-                  [](const AggregateInfo& a) { return a.function->supports_two_phase; });
-  if (input->output_partitions() == 1 || !two_phase) {
-    input = CoalesceToOne(std::move(input));
-    target_partitions = 1;
-  }
+  if (input->output_partitions() == 1) target_partitions = 1;
   const bool global = group_exprs.empty();
   ExecPlanPtr aggregate = std::make_shared<PartitionedAggregateExec>(
       std::move(input), std::move(group_exprs), std::move(group_names),

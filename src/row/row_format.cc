@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <type_traits>
 
@@ -34,16 +35,6 @@ uint64_t OrderableBitsInt(int64_t v, int width) {
   return bits;
 }
 
-uint64_t OrderableBitsDouble(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  // Negative floats: invert all bits; positives: set the sign bit.
-  if (bits & (uint64_t(1) << 63)) {
-    return ~bits;
-  }
-  return bits | (uint64_t(1) << 63);
-}
-
 void AppendBigEndianDecimal(Decimal128 v, bool invert, std::string* out) {
   // High limb first with the sign bit flipped, then the unsigned low
   // limb: byte-wise memcmp then orders the full 128-bit value.
@@ -64,6 +55,21 @@ void AppendEscapedString(std::string_view s, bool invert, std::string* out) {
   out->push_back(invert ? static_cast<char>(~'\x00') : '\x00');
   out->push_back(invert ? static_cast<char>(~'\x00') : '\x00');
 }
+
+}  // namespace
+
+uint64_t OrderableBitsDouble(double v) {
+  if (v != v) v = std::numeric_limits<double>::quiet_NaN();
+  uint64_t bits;
+  std::memcpy(&bits, &v, 8);
+  // Negative floats: invert all bits; positives: set the sign bit.
+  if (bits & (uint64_t(1) << 63)) {
+    return ~bits;
+  }
+  return bits | (uint64_t(1) << 63);
+}
+
+namespace {
 
 Status EncodeValue(const Array& col, int64_t row, const SortOptions& opt,
                    std::string* key) {
@@ -387,6 +393,42 @@ Status GroupKeyEncoder::EncodeColumnsToArena(const std::vector<ArrayPtr>& column
         for (int64_t r = 0; r < rows; ++r) data[cursors[r]++] = 0;
         break;
     }
+  }
+  return Status::OK();
+}
+
+Status GroupKeyEncoder::SplitKeys(std::string_view bytes,
+                                  std::vector<std::string_view>* keys) const {
+  if (types_.empty()) return Status::Invalid("GroupKeyEncoder: no key columns");
+  size_t pos = 0;
+  while (pos < bytes.size()) {
+    const size_t start = pos;
+    for (DataType t : types_) {
+      if (pos == bytes.size()) return Status::Invalid("GroupKeyEncoder: short key");
+      if (bytes[pos++] != '\x01') continue;  // a null is its marker byte alone
+      uint64_t width = 0;
+      switch (t.id()) {
+        case TypeId::kNull: break;
+        case TypeId::kBool: width = 1; break;
+        case TypeId::kInt32:
+        case TypeId::kDate32: width = 4; break;
+        case TypeId::kInt64:
+        case TypeId::kTimestamp:
+        case TypeId::kFloat64: width = 8; break;
+        case TypeId::kDecimal128: width = 16; break;
+        case TypeId::kString:
+        case TypeId::kDictionary: {
+          uint32_t len = 0;
+          if (bytes.size() - pos < 4) return Status::Invalid("GroupKeyEncoder: short key");
+          std::memcpy(&len, bytes.data() + pos, 4);
+          width = 4 + uint64_t{len};
+          break;
+        }
+      }
+      if (width > bytes.size() - pos) return Status::Invalid("GroupKeyEncoder: short key");
+      pos += width;
+    }
+    keys->push_back(bytes.substr(start, pos - start));
   }
   return Status::OK();
 }

@@ -20,6 +20,10 @@ struct SortOptions {
   bool operator==(const SortOptions&) const = default;
 };
 
+/// A double's place in ORDER BY's order, as an unsigned integer: -0.0
+/// below 0.0, and every NaN, whatever its sign bit, above +inf.
+uint64_t OrderableBitsDouble(double v);
+
 /// \brief Normalized-key encoder (paper §6.6): encodes one row of the
 /// key columns into a byte string whose memcmp order equals the logical
 /// multi-column sort order.
@@ -81,6 +85,11 @@ class GroupKeyEncoder {
   Status EncodeColumnsToArena(const std::vector<ArrayPtr>& columns,
                               std::vector<uint8_t>* arena,
                               std::vector<KeySlice>* slices) const;
+
+  /// Split `bytes`, keys encoded back to back, appending one view per
+  /// key to `*keys`. A key cut short by the end of `bytes` is an error,
+  /// never a read past it: the bytes may come back from a spill file.
+  Status SplitKeys(std::string_view bytes, std::vector<std::string_view>* keys) const;
 
   /// Decode `num_keys` keys back into one array per key column.
   Result<std::vector<ArrayPtr>> DecodeKeys(const std::vector<std::string>& keys) const;

@@ -1,6 +1,7 @@
 // Adaptive partitioned aggregation: randomized oracle checks against
 // the single-partition plan across group cardinalities (collapsing,
-// medium, ~unique), partition counts, and every FUSION_AGG_BYPASS mode;
+// medium, ~unique), partition counts, and every FUSION_AGG_BYPASS mode,
+// including the value-list states of COUNT(DISTINCT) and median;
 // the COUNT(DISTINCT) rewrite checked against the plan without it; plus
 // scan-unit balance regression tests for the scan sources that feed
 // it, and run-to-run determinism of float aggregates over a
@@ -39,15 +40,25 @@ class ScopedBypassEnv {
 
 /// A table of `n` rows with int64/string keys of the given cardinality,
 /// a nullable value column and a float column, sliced into many small
-/// batches so multi-partition scans have units to distribute. No sort
-/// order: the planner must use the hash (not streaming) aggregate.
+/// batches so multi-partition scans have units to distribute. For the
+/// DISTINCT and median checks it also has a dictionary string `kd`, a
+/// decimal `d`, a nullable float `x` drawn from -0.0, 0.0, two NaN
+/// payloads, 1.5 and 2.25, and an int `z` that is NULL in every group
+/// whose key is a multiple of 3.
 catalog::TableProviderPtr MakeRandomTable(int64_t n, int64_t cardinality,
                                           uint64_t seed) {
   std::mt19937_64 rng(seed);
+  std::mt19937_64 extra(seed + 1);
+  const double kFloats[] = {-0.0, 0.0, std::bit_cast<double>(0x7ff8000000000001ULL),
+                            std::bit_cast<double>(0x7ff8000000000002ULL), 1.5, 2.25};
   Int64Builder k;
   StringBuilder ks;
   Int64Builder v;
   Float64Builder f;
+  DictionaryBuilder kd;
+  Decimal128Builder d(decimal128(12, 2));
+  Float64Builder x;
+  Int64Builder z;
   for (int64_t i = 0; i < n; ++i) {
     const int64_t key = static_cast<int64_t>(rng() % cardinality);
     k.Append(key);
@@ -58,13 +69,29 @@ catalog::TableProviderPtr MakeRandomTable(int64_t n, int64_t cardinality,
       v.Append(static_cast<int64_t>(rng() % 1000) - 500);
     }
     f.Append(static_cast<double>(rng() % 10000) * 0.25);
+    kd.Append("d" + std::to_string(extra() % 40));
+    d.Append(Decimal128(static_cast<int64_t>(extra() % 500) - 250));
+    const uint64_t xi = extra() % 7;
+    if (xi == 6) {
+      x.AppendNull();
+    } else {
+      x.Append(kFloats[xi]);
+    }
+    if (key % 3 == 0) {
+      z.AppendNull();
+    } else {
+      z.Append(static_cast<int64_t>(extra() % 20));
+    }
   }
-  auto schema = fusion::schema({Field("k", int64(), false),
-                                Field("ks", utf8(), false),
-                                Field("v", int64(), true),
-                                Field("f", float64(), false)});
-  std::vector<ArrayPtr> cols = {k.Finish().ValueOrDie(), ks.Finish().ValueOrDie(),
-                                v.Finish().ValueOrDie(), f.Finish().ValueOrDie()};
+  auto schema = fusion::schema(
+      {Field("k", int64(), false), Field("ks", utf8(), false), Field("v", int64(), true),
+       Field("f", float64(), false), Field("kd", utf8(), false),
+       Field("d", decimal128(12, 2), false), Field("x", float64(), true),
+       Field("z", int64(), true)});
+  std::vector<ArrayPtr> cols = {k.Finish().ValueOrDie(),  ks.Finish().ValueOrDie(),
+                                v.Finish().ValueOrDie(),  f.Finish().ValueOrDie(),
+                                kd.Finish().ValueOrDie(), d.Finish().ValueOrDie(),
+                                x.Finish().ValueOrDie(),  z.Finish().ValueOrDie()};
   auto batch = std::make_shared<RecordBatch>(schema, n, std::move(cols));
   return catalog::MemoryTable::Make(schema, SliceBatch(batch, 512)).ValueOrDie();
 }
@@ -92,6 +119,11 @@ const char* kQueries[] = {
     "SELECT k, count(DISTINCT v), count(DISTINCT ks) FROM r GROUP BY k",
     "SELECT count(DISTINCT v), count(DISTINCT ks) FILTER (WHERE v > 0) FROM r",
     "SELECT ks, median(f), count(*) FROM r GROUP BY ks",
+    "SELECT k, count(DISTINCT kd), count(DISTINCT d), count(DISTINCT x), median(x) "
+    "FROM r GROUP BY k",
+    "SELECT k % 7, count(DISTINCT z), median(z), count(DISTINCT kd) FILTER "
+    "(WHERE z IS NULL) FROM r GROUP BY k % 7",
+    "SELECT count(DISTINCT d), count(DISTINCT x), median(x), median(d) FROM r",
 };
 
 void CheckAgainstOracle(int64_t n, int64_t cardinality, uint64_t seed) {
@@ -100,7 +132,7 @@ void CheckAgainstOracle(int64_t n, int64_t cardinality, uint64_t seed) {
   for (const char* sql : kQueries) {
     ASSERT_OK_AND_ASSIGN(auto expected_batches, reference->ExecuteSql(sql));
     auto expected = SortedStringRows(expected_batches);
-    for (int partitions : {1, 4}) {
+    for (int partitions : {1, 3, 4}) {
       for (const char* bypass : {"off", "force", ""}) {
         ScopedBypassEnv env(bypass);
         auto session = MakeSession(table, partitions);
@@ -370,25 +402,30 @@ core::SessionContextPtr FourPartitionSession(const catalog::TableProviderPtr& ta
 }
 
 TEST(ScanDeterminismTest, GroupedFloatSumIsBitIdenticalAcrossRuns) {
+  // A median has a partial state too, so the aggregate beside it still
+  // builds per scan partition and merges in partition order.
   auto session = FourPartitionSession(MakeFloatSumTable());
-  std::set<std::string> results;
-  for (int run = 0; run < 30; ++run) {
-    ASSERT_OK_AND_ASSIGN(
-        auto batches,
-        session->ExecuteSql("SELECT g, sum(f) FROM t GROUP BY g ORDER BY g"));
-    std::string bits;
-    for (const auto& batch : batches) {
-      const auto& sums = checked_cast<Float64Array>(*batch->column(1));
-      for (int64_t i = 0; i < sums.length(); ++i) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%a;", sums.Value(i));
-        bits += buf;
+  for (const char* sql : {"SELECT g, sum(f) FROM t GROUP BY g ORDER BY g",
+                          "SELECT g, sum(f), median(f) FROM t GROUP BY g ORDER BY g"}) {
+    std::set<std::string> results;
+    for (int run = 0; run < 30; ++run) {
+      ASSERT_OK_AND_ASSIGN(auto batches, session->ExecuteSql(sql));
+      std::string bits;
+      for (const auto& batch : batches) {
+        for (int c = 1; c < batch->num_columns(); ++c) {
+          const auto& values = checked_cast<Float64Array>(*batch->column(c));
+          for (int64_t i = 0; i < values.length(); ++i) {
+            char buf[64];
+            std::snprintf(buf, sizeof(buf), "%a;", values.Value(i));
+            bits += buf;
+          }
+        }
       }
+      results.insert(bits);
     }
-    results.insert(bits);
+    EXPECT_EQ(results.size(), 1u) << sql << " took " << results.size()
+                                  << " different bit patterns in 30 runs";
   }
-  EXPECT_EQ(results.size(), 1u) << "sum(f) took " << results.size()
-                                << " different bit patterns in 30 runs";
 }
 
 TEST(ScanDeterminismTest, MaxEqualityCteFindsItsRow) {

@@ -121,6 +121,42 @@ TEST_F(TpchCrossEngineTest, SingleCountDistinctPlansTwoGroupBys) {
       << ExplainPhysical(21);
 }
 
+/// Does a PartitionedAggregateExec in `plan` read a CoalescePartitionsExec?
+bool AggregateReadsCoalesce(const physical::ExecutionPlan& plan) {
+  for (const auto& child : plan.children()) {
+    if (plan.name() == "PartitionedAggregateExec" &&
+        child->name() == "CoalescePartitionsExec") {
+      return true;
+    }
+    if (AggregateReadsCoalesce(*child)) return true;
+  }
+  return false;
+}
+
+TEST(TpchPlanShape, NoAggregateReadsACoalesceAtFourPartitions) {
+  // Every aggregate function has a partial state, so no aggregate
+  // gathers its input into one partition first, not even Q21's with
+  // two COUNT(DISTINCT) arguments.
+  bench::TpchSpec spec;
+  spec.scale_factor = 0.003;
+  spec.dir = "/tmp/fusion_test_tpch";
+  ::mkdir(spec.dir.c_str(), 0755);
+  ASSERT_OK_AND_ASSIGN(auto tables, bench::GenerateTpch(spec));
+  exec::SessionConfig config;
+  config.target_partitions = 4;
+  auto ctx = core::SessionContext::Make(config);
+  for (const auto& [name, path] : tables) {
+    ctx->RegisterTable(name, catalog::FpqTable::Open({path}).ValueOrDie()).Abort();
+  }
+  for (const auto& q : bench::TpchQueries()) {
+    ASSERT_OK_AND_ASSIGN(auto logical, ctx->CreateLogicalPlan(q.sql));
+    ASSERT_OK_AND_ASSIGN(auto optimized, ctx->OptimizePlan(logical));
+    ASSERT_OK_AND_ASSIGN(auto plan, ctx->CreatePhysicalPlan(optimized));
+    EXPECT_FALSE(AggregateReadsCoalesce(*plan)) << "TPC-H Q" << q.number << "\n"
+                                                << plan->ToString();
+  }
+}
+
 TEST(ClickBenchCrossEngine, AllQueriesAgree) {
   bench::ClickBenchSpec spec;
   spec.rows = 40000;

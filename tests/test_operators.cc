@@ -4,6 +4,8 @@
 
 #include "tests/test_util.h"
 
+#include <limits>
+
 #include "exec/cache_manager.h"
 #include "exec/disk_manager.h"
 #include "exec/memory_pool.h"
@@ -133,27 +135,36 @@ TEST(AggSpillTest, SpilledAggregationMatchesInMemory) {
   auto table =
       catalog::MemoryTable::Make(schema, SliceBatch(batch, 1024)).ValueOrDie();
   // count(DISTINCT v) plans as two ordinary group-bys, so its (k, v)
-  // table spills too instead of failing with OutOfMemory.
+  // table spills too instead of failing with OutOfMemory. Two DISTINCT
+  // arguments and a median keep every value as partial state, and spill
+  // that.
   for (const char* q : {"SELECT k, count(*), sum(v), min(v), max(v), avg(v) "
                         "FROM data GROUP BY k",
-                        "SELECT k, count(DISTINCT v), count(*) FROM data GROUP BY k"}) {
+                        "SELECT k, count(DISTINCT v), count(*) FROM data GROUP BY k",
+                        "SELECT k, count(DISTINCT v), count(DISTINCT v % 7), median(v) "
+                        "FROM data GROUP BY k"}) {
     // Two partitions merge spilled builds; one partition spills the
     // single build and falls back from finishing it directly to the merge.
     for (int partitions : {2, 1}) {
       exec::SessionConfig config;
       config.target_partitions = partitions;
+      auto pool = std::make_shared<exec::GreedyMemoryPool>(256 * 1024);
       auto env_small = std::make_shared<exec::RuntimeEnv>();
-      env_small->memory_pool = std::make_shared<exec::GreedyMemoryPool>(256 * 1024);
+      env_small->memory_pool = pool;
       auto small_ctx = core::SessionContext::Make(config, env_small);
       auto big_ctx = core::SessionContext::Make(config);
       small_ctx->RegisterTable("data", table).Abort();
       big_ctx->RegisterTable("data", table).Abort();
 
-      ASSERT_OK_AND_ASSIGN(auto spilled, small_ctx->ExecuteSqlWithMetrics(q));
       ASSERT_OK_AND_ASSIGN(auto in_memory, big_ctx->ExecuteSql(q));
-      EXPECT_GT(TotalSpills(spilled.metrics), 0) << q << " partitions=" << partitions;
-      EXPECT_EQ(SortedStringRows(spilled.batches), SortedStringRows(in_memory))
-          << q << " partitions=" << partitions;
+      {
+        // The result holds the plan, and the plan its builds' reservations.
+        ASSERT_OK_AND_ASSIGN(auto spilled, small_ctx->ExecuteSqlWithMetrics(q));
+        EXPECT_GT(TotalSpills(spilled.metrics), 0) << q << " partitions=" << partitions;
+        EXPECT_EQ(SortedStringRows(spilled.batches), SortedStringRows(in_memory))
+            << q << " partitions=" << partitions;
+      }
+      EXPECT_EQ(pool->bytes_allocated(), 0) << q << " partitions=" << partitions;
     }
   }
 }
@@ -303,6 +314,86 @@ TEST(AggregateTest, StddevVarCorrMedian) {
   EXPECT_NEAR(std::stod(rows[0][3]), 3.0, 1e-9);
 }
 
+TEST(AggregateTest, NanSortsAboveInfinityInAnyRowOrder) {
+  // min, max and median order doubles as ORDER BY does, NaN above +inf:
+  // max of a group holding a NaN is NaN, min skips NaN unless every
+  // value is NaN, and median sorts NaN last. One multiset in any row
+  // order, at 1, 3 and 4 partitions, gives one result.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<int64_t, double>> rows = {
+      {0, 3}, {0, 1}, {0, nan}, {0, 2}, {0, 4},  // with `<`, median read 2
+      {1, nan}, {1, nan}, {2, -inf}, {2, nan}, {2, inf}, {2, 0.5}};
+  const char* q = "SELECT g, min(x), max(x), median(x) FROM r GROUP BY g";
+  std::vector<StringRow> expected = {{"0", "1", "nan", "3"},
+                                     {"1", "nan", "nan", "nan"},
+                                     {"2", "-inf", "nan", "inf"}};
+  std::mt19937 rng(41);
+  for (int order = 0; order < 12; ++order) {
+    if (order > 0) std::shuffle(rows.begin(), rows.end(), rng);
+    Int64Builder g;
+    Float64Builder x;
+    for (const auto& [group, value] : rows) {
+      g.Append(group);
+      x.Append(value);
+    }
+    auto schema =
+        fusion::schema({Field("g", int64(), false), Field("x", float64(), false)});
+    auto batch = std::make_shared<RecordBatch>(
+        schema, static_cast<int64_t>(rows.size()),
+        std::vector<ArrayPtr>{g.Finish().ValueOrDie(), x.Finish().ValueOrDie()});
+    auto table = catalog::MemoryTable::Make(schema, SliceBatch(batch, 2)).ValueOrDie();
+    for (int partitions : {1, 3, 4}) {
+      exec::SessionConfig config;
+      config.target_partitions = partitions;
+      auto ctx = core::SessionContext::Make(config);
+      ctx->RegisterTable("r", table).Abort();
+      ASSERT_OK_AND_ASSIGN(auto batches, ctx->ExecuteSql(q));
+      EXPECT_EQ(SortedStringRows(batches), expected)
+          << "order " << order << " partitions=" << partitions;
+    }
+  }
+  // The same through a UNION, with the NaN first and second.
+  auto ctx = core::SessionContext::Make();
+  for (const char* sql :
+       {"SELECT min(x), max(x) FROM (SELECT CAST('NaN' AS DOUBLE) AS x UNION ALL "
+        "SELECT 1.0 UNION ALL SELECT 2.0) u",
+        "SELECT min(x), max(x) FROM (SELECT 1.0 AS x UNION ALL "
+        "SELECT CAST('NaN' AS DOUBLE) UNION ALL SELECT 2.0) u"}) {
+    ASSERT_OK_AND_ASSIGN(auto batches, ctx->ExecuteSql(sql));
+    EXPECT_EQ(ToStringRows(batches), (std::vector<StringRow>{{"1", "nan"}})) << sql;
+  }
+}
+
+TEST(AggregateTest, ValueListStatesRoundTripAndRejectShortRows) {
+  // count_distinct and median serialize every value of a group into one
+  // utf8 row. Merged back, the rows give the same result; a row cut
+  // short, as a damaged spill file would give, is an error.
+  auto registry = logical::FunctionRegistry::Default();
+  for (const char* name : {"count_distinct", "median"}) {
+    auto fn = registry->GetAggregate(name).ValueOrDie();
+    auto build = fn->create({float64()}).ValueOrDie();
+    build->Resize(2);
+    ASSERT_OK(build->Update({MakeFloat64Array({1.5, 2.5, 1.5, -0.0})}, {0, 0, 0, 1},
+                            nullptr));
+    ASSERT_OK_AND_ASSIGN(auto state, build->PartialState());
+    ASSERT_OK_AND_ASSIGN(auto expected, build->Finish());
+    auto merge = fn->create({float64()}).ValueOrDie();
+    merge->Resize(2);
+    ASSERT_OK(merge->UpdateFromPartial(state, {0, 1}));
+    ASSERT_OK_AND_ASSIGN(auto merged, merge->Finish());
+    EXPECT_TRUE(ArraysEqual(*merged, *expected)) << name;
+
+    const std::string row(checked_cast<StringArray>(*state[0]).Value(0));
+    auto cut = fn->create({float64()}).ValueOrDie();
+    cut->Resize(1);
+    EXPECT_FALSE(
+        cut->UpdateFromPartial({MakeStringArray({row.substr(0, row.size() - 1)})}, {0})
+            .ok())
+        << name;
+  }
+}
+
 TEST(AggregateTest, TwoPhaseMatchesSinglePhaseProperty) {
   // Three partitions build and radix-merge; one partition finishes its
   // single build directly.
@@ -394,29 +485,29 @@ TEST(FairPoolTest, QueryFailsCleanlyWhenShareExceeded) {
 }
 
 
-TEST(StreamingAggTest, SelectedForKeyOrderedInput) {
-  // Order-based plan selection: pin to one partition, since streaming
-  // needs key-ordered one-partition input.
+TEST(AggregatePlanTest, KeyOrderedInputPlansTheHashAggregate) {
+  // Key-ordered one-partition input plans the one hash aggregate like
+  // any other input. Its output declares no order, so ORDER BY on the
+  // group key sorts.
   exec::SessionConfig config;
   config.target_partitions = 1;
   auto ctx = MakeTestSession(100, config);  // t is sorted by id
-  ASSERT_OK_AND_ASSIGN(
-      auto plan, ctx->CreateLogicalPlan("SELECT id, count(*) FROM t GROUP BY id"));
-  ASSERT_OK_AND_ASSIGN(auto optimized, ctx->OptimizePlan(plan));
-  ASSERT_OK_AND_ASSIGN(auto exec_plan, ctx->CreatePhysicalPlan(optimized));
-  EXPECT_NE(exec_plan->ToString().find("StreamingAggregateExec"),
-            std::string::npos)
-      << exec_plan->ToString();
+  auto plan_text = [&](const char* sql) {
+    auto plan = ctx->CreateLogicalPlan(sql).ValueOrDie();
+    plan = ctx->OptimizePlan(plan).ValueOrDie();
+    return ctx->CreatePhysicalPlan(plan).ValueOrDie()->ToString();
+  };
+  const std::string grouped = plan_text("SELECT id, count(*) FROM t GROUP BY id");
+  EXPECT_NE(grouped.find("PartitionedAggregateExec"), std::string::npos) << grouped;
+  const std::string ordered =
+      plan_text("SELECT id, count(*) FROM t GROUP BY id ORDER BY id");
+  EXPECT_NE(ordered.find("SortExec"), std::string::npos) << ordered;
 }
 
 TEST(StreamingAggTest, MatchesHashAggregation) {
+  // Grouping on the declared sort key and on the same rows through a
+  // derived (order-destroying) table agree.
   auto ctx = MakeTestSession(500);
-  // Sorted key (id) -> streaming; unsorted key (grp) -> hash. Compare a
-  // streaming aggregation against the same computed via a derived
-  // (order-destroying) table.
-  const char* streaming = "SELECT id % 10 AS k, count(*), sum(v), avg(f) "
-                          "FROM t GROUP BY id % 10";
-  (void)streaming;
   ASSERT_OK_AND_ASSIGN(
       auto by_id,
       ctx->ExecuteSql("SELECT id, count(*) AS c, sum(v) AS s, min(f) AS m "
@@ -430,8 +521,8 @@ TEST(StreamingAggTest, MatchesHashAggregation) {
 }
 
 TEST(StreamingAggTest, GroupRunsAcrossBatchBoundaries) {
-  // 100 rows in batches of 32; ids repeat in runs of 7 so runs straddle
-  // batch boundaries. One partition so the streaming plan is chosen.
+  // 100 key-ordered rows in batches of 32; ids repeat in runs of 7 so
+  // runs straddle batch boundaries.
   exec::SessionConfig config;
   config.target_partitions = 1;
   auto ctx = core::SessionContext::Make(config);
@@ -449,14 +540,8 @@ TEST(StreamingAggTest, GroupRunsAcrossBatchBoundaries) {
       catalog::MemoryTable::Make(schema, SliceBatch(batch, 32)).ValueOrDie();
   table->SetSortOrder({{"k", {}}});
   ctx->RegisterTable("runs", table).Abort();
-  ASSERT_OK_AND_ASSIGN(auto plan,
-                       ctx->CreateLogicalPlan(
-                           "SELECT k, count(*), sum(v) FROM runs GROUP BY k"));
-  ASSERT_OK_AND_ASSIGN(auto optimized, ctx->OptimizePlan(plan));
-  ASSERT_OK_AND_ASSIGN(auto exec_plan, ctx->CreatePhysicalPlan(optimized));
-  ASSERT_NE(exec_plan->ToString().find("StreamingAggregateExec"),
-            std::string::npos);
-  ASSERT_OK_AND_ASSIGN(auto batches, ctx->ExecutePhysical(exec_plan));
+  ASSERT_OK_AND_ASSIGN(auto batches,
+                       ctx->ExecuteSql("SELECT k, count(*), sum(v) FROM runs GROUP BY k"));
   auto rows = SortedStringRows(batches);
   ASSERT_EQ(rows.size(), 15u);  // ceil(100/7)
   // Group 0 = rows 0..6: count 7, sum 21.

@@ -188,6 +188,30 @@ TEST(GroupKeyTest, NullDistinctFromZeroAndEmpty) {
   EXPECT_NE(k0, k1);
 }
 
+TEST(GroupKeyTest, SplitKeysFindsEachKeyAndRejectsShortOnes) {
+  auto i = MakeInt64Array({7, 0, -3}, {true, false, true});
+  auto s = MakeStringArray({"ab", "", "xyz"});
+  GroupKeyEncoder encoder({int64(), utf8()});
+  std::vector<std::string> keys(3);
+  std::string all;
+  for (int64_t r = 0; r < 3; ++r) {
+    encoder.EncodeRow({i, s}, r, &keys[r]);
+    all += keys[r];
+  }
+  std::vector<std::string_view> views;
+  ASSERT_OK(encoder.SplitKeys(all, &views));
+  ASSERT_EQ(views.size(), 3u);
+  for (size_t r = 0; r < 3; ++r) EXPECT_EQ(views[r], keys[r]);
+  // Every cut inside a key is an error, never a read past the end.
+  const size_t ends[] = {keys[0].size(), keys[0].size() + keys[1].size()};
+  for (size_t cut = 1; cut < all.size(); ++cut) {
+    if (cut == ends[0] || cut == ends[1]) continue;  // whole keys
+    views.clear();
+    EXPECT_FALSE(encoder.SplitKeys(std::string_view(all).substr(0, cut), &views).ok())
+        << "cut at " << cut;
+  }
+}
+
 }  // namespace
 }  // namespace test
 }  // namespace fusion
