@@ -67,31 +67,30 @@ bool RecordBatch::Equals(const RecordBatch& other) const {
   return true;
 }
 
+int64_t TotalBufferSize(const Array& array) {
+  int64_t total = array.validity() ? array.validity()->size() : 0;
+  switch (array.type().id()) {
+    case TypeId::kString: {
+      const auto& sa = checked_cast<StringArray>(array);
+      return total + sa.offsets()->size() + sa.data()->size();
+    }
+    case TypeId::kDictionary: {
+      const auto& da = checked_cast<DictionaryArray>(array);
+      return total + da.codes()->size() + da.dictionary()->offsets()->size() +
+             da.dictionary()->data()->size();
+    }
+    case TypeId::kBool:
+      return total + checked_cast<BooleanArray>(array).values()->size();
+    case TypeId::kNull:
+      return total;
+    default:
+      return total + array.length() * array.type().byte_width();
+  }
+}
+
 int64_t RecordBatch::TotalBufferSize() const {
   int64_t total = 0;
-  for (const auto& c : columns_) {
-    if (c->validity()) total += c->validity()->size();
-    switch (c->type().id()) {
-      case TypeId::kString: {
-        const auto& sa = checked_cast<StringArray>(*c);
-        total += sa.offsets()->size() + sa.data()->size();
-        break;
-      }
-      case TypeId::kDictionary: {
-        const auto& da = checked_cast<DictionaryArray>(*c);
-        total += da.codes()->size() + da.dictionary()->offsets()->size() +
-                 da.dictionary()->data()->size();
-        break;
-      }
-      case TypeId::kBool:
-        total += checked_cast<BooleanArray>(*c).values()->size();
-        break;
-      case TypeId::kNull:
-        break;
-      default:
-        total += c->length() * c->type().byte_width();
-    }
-  }
+  for (const auto& c : columns_) total += fusion::TotalBufferSize(*c);
   return total;
 }
 

@@ -57,6 +57,9 @@ class RecordBatch {
   std::vector<ArrayPtr> columns_;
 };
 
+/// Approximate in-memory footprint of one array's buffers.
+int64_t TotalBufferSize(const Array& array);
+
 /// Concatenate row-compatible batches into one (used by pipeline
 /// breakers and test helpers).
 Result<RecordBatchPtr> ConcatenateBatches(const SchemaPtr& schema,

@@ -1,8 +1,7 @@
 #include "arrow/scalar.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
+#include <cstring>
 #include <sstream>
 
 #include "arrow/builder.h"
@@ -39,125 +38,6 @@ Scalar Scalar::FromArray(const Array& arr, int64_t i) {
       return Scalar::String(std::string(StringLikeValue(arr, i)));
   }
   return Scalar();
-}
-
-namespace {
-
-/// double -> unscaled decimal with round-half-away-from-zero; false on
-/// overflow/NaN.
-bool DoubleToDecimal(double v, int scale, Decimal128* out) {
-  if (std::isnan(v) || std::isinf(v)) return false;
-  double scaled = v * DecimalPowerOfTen(scale).ToDouble();
-  scaled = std::round(scaled);
-  // 1.7e38 < 2^127; anything beyond cannot fit 38 digits anyway.
-  if (std::abs(scaled) >= 1.7e38) return false;
-  *out = Decimal128::FromInt128(static_cast<__int128>(scaled));
-  return true;
-}
-
-}  // namespace
-
-Result<Scalar> Scalar::CastTo(DataType target) const {
-  if (type_ == target) return *this;
-  if (is_null_) return Scalar::Null(target);
-  switch (target.id()) {
-    case TypeId::kBool:
-      if (type_.is_numeric()) return Scalar::Bool(AsDouble() != 0.0);
-      break;
-    case TypeId::kInt32:
-      if (type_.is_numeric() || type_.is_temporal()) {
-        return Scalar::Int32(static_cast<int32_t>(
-            type_.is_floating() ? static_cast<int64_t>(double_value()) : int_value()));
-      }
-      if (type_.is_string()) {
-        return Scalar::Int32(static_cast<int32_t>(std::strtoll(
-            string_value().c_str(), nullptr, 10)));
-      }
-      if (type_.is_bool()) return Scalar::Int32(bool_value() ? 1 : 0);
-      if (type_.is_decimal()) {
-        Decimal128 truncated;
-        if (DecimalRescale(decimal_value(), type_.scale(), 0, &truncated) &&
-            truncated.FitsInInt64()) {
-          return Scalar::Int32(static_cast<int32_t>(
-              static_cast<int64_t>(truncated.ToInt128())));
-        }
-      }
-      break;
-    case TypeId::kInt64:
-      if (type_.is_floating()) {
-        return Scalar::Int64(static_cast<int64_t>(double_value()));
-      }
-      if (type_.is_integer() || type_.is_temporal()) return Scalar::Int64(int_value());
-      if (type_.is_string()) {
-        return Scalar::Int64(std::strtoll(string_value().c_str(), nullptr, 10));
-      }
-      if (type_.is_bool()) return Scalar::Int64(bool_value() ? 1 : 0);
-      if (type_.is_decimal()) {
-        Decimal128 truncated;
-        if (DecimalRescale(decimal_value(), type_.scale(), 0, &truncated) &&
-            truncated.FitsInInt64()) {
-          return Scalar::Int64(static_cast<int64_t>(truncated.ToInt128()));
-        }
-      }
-      break;
-    case TypeId::kFloat64:
-      if (type_.is_integer() || type_.is_temporal()) {
-        return Scalar::Float64(static_cast<double>(int_value()));
-      }
-      if (type_.is_string()) {
-        return Scalar::Float64(std::strtod(string_value().c_str(), nullptr));
-      }
-      if (type_.is_bool()) return Scalar::Float64(bool_value() ? 1.0 : 0.0);
-      if (type_.is_decimal()) return Scalar::Float64(AsDouble());
-      break;
-    case TypeId::kDecimal128: {
-      Decimal128 v;
-      if (type_.is_decimal()) {
-        if (DecimalRescale(decimal_value(), type_.scale(), target.scale(), &v) &&
-            DecimalFitsPrecision(v, target.precision())) {
-          return Scalar::Decimal(v, target);
-        }
-        break;
-      }
-      if (type_.is_integer()) {
-        if (DecimalRescale(Decimal128(int_value()), 0, target.scale(), &v) &&
-            DecimalFitsPrecision(v, target.precision())) {
-          return Scalar::Decimal(v, target);
-        }
-        break;
-      }
-      if (type_.is_floating()) {
-        if (DoubleToDecimal(double_value(), target.scale(), &v) &&
-            DecimalFitsPrecision(v, target.precision())) {
-          return Scalar::Decimal(v, target);
-        }
-        break;
-      }
-      if (type_.is_string()) {
-        if (DecimalFromString(string_value(), target.precision(), target.scale(),
-                              &v)) {
-          return Scalar::Decimal(v, target);
-        }
-        break;
-      }
-      break;
-    }
-    case TypeId::kString:
-      return Scalar::String(ToString());
-    case TypeId::kDate32:
-      if (type_.is_integer()) return Scalar::Date32(static_cast<int32_t>(int_value()));
-      break;
-    case TypeId::kTimestamp:
-      if (type_.is_integer()) return Scalar::Timestamp(int_value());
-      if (type_.id() == TypeId::kDate32) {
-        return Scalar::Timestamp(int_value() * 86400LL * 1000000LL);
-      }
-      break;
-    default:
-      break;
-  }
-  return Status::TypeError("cannot cast scalar " + ToString() + " from " +
-                           type_.ToString() + " to " + target.ToString());
 }
 
 int Scalar::Compare(const Scalar& other) const {

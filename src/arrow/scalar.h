@@ -69,9 +69,6 @@ class Scalar {
   /// Value at position i of an array, as a Scalar.
   static Scalar FromArray(const Array& arr, int64_t i);
 
-  /// Cast to another type (numeric widening/narrowing, string parse).
-  Result<Scalar> CastTo(DataType target) const;
-
   /// Total ordering consistent with SQL comparison over non-null values;
   /// nulls compare equal to nulls and less than everything else (callers
   /// normally handle nulls explicitly).

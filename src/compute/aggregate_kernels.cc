@@ -1,59 +1,9 @@
 #include "compute/aggregate_kernels.h"
 
-#include <algorithm>
-
 namespace fusion {
 namespace compute {
 
 namespace {
-
-template <typename CType, typename Acc>
-Result<Scalar> SumImpl(const Array& input) {
-  const auto& arr = checked_cast<NumericArray<CType>>(input);
-  Acc sum{};
-  int64_t count = 0;
-  if (input.null_count() == 0) {
-    for (int64_t i = 0; i < input.length(); ++i) sum += arr.Value(i);
-    count = input.length();
-  } else {
-    for (int64_t i = 0; i < input.length(); ++i) {
-      if (input.IsValid(i)) {
-        sum += arr.Value(i);
-        ++count;
-      }
-    }
-  }
-  if (count == 0) {
-    return Scalar::Null(std::is_floating_point_v<Acc> ? float64() : int64());
-  }
-  if constexpr (std::is_floating_point_v<Acc>) {
-    return Scalar::Float64(sum);
-  } else {
-    return Scalar::Int64(sum);
-  }
-}
-
-// Decimal sums accumulate in the full 128-bit representation with
-// per-element overflow checks: 6M rows of DECIMAL(15,2) money stay far
-// inside the range, but a malicious column of near-max values must
-// error rather than wrap. The result widens to decimal(38, s).
-Result<Scalar> SumDecimal(const Array& input) {
-  const auto& arr = checked_cast<Decimal128Array>(input);
-  const Decimal128* values = arr.raw_values();
-  Decimal128 sum;
-  int64_t count = 0;
-  for (int64_t i = 0; i < input.length(); ++i) {
-    if (input.IsNull(i)) continue;
-    if (Decimal128::AddWithOverflow(sum, values[i], &sum)) {
-      return Status::Invalid("Sum: decimal overflow");
-    }
-    ++count;
-  }
-  const DataType out_type =
-      decimal128(kDecimalMaxPrecision, input.type().scale());
-  if (count == 0) return Scalar::Null(out_type);
-  return Scalar::Decimal(sum, out_type);
-}
 
 template <typename CType>
 Scalar MakeNumericScalar(const DataType& type, CType v) {
@@ -130,59 +80,8 @@ Result<Scalar> MinMaxDispatch(const Array& input) {
 
 }  // namespace
 
-Result<Scalar> SumArray(const Array& input) {
-  switch (input.type().id()) {
-    case TypeId::kInt32:
-      return SumImpl<int32_t, int64_t>(input);
-    case TypeId::kInt64:
-      return SumImpl<int64_t, int64_t>(input);
-    case TypeId::kFloat64:
-      return SumImpl<double, double>(input);
-    case TypeId::kDecimal128:
-      return SumDecimal(input);
-    case TypeId::kNull:
-      return Scalar::Null(int64());
-    case TypeId::kBool:
-    case TypeId::kString:
-    case TypeId::kDate32:
-    case TypeId::kTimestamp:
-    case TypeId::kDictionary:
-      break;
-  }
-  return Status::TypeError("Sum: unsupported type " + input.type().ToString());
-}
-
 Result<Scalar> MinArray(const Array& input) { return MinMaxDispatch<true>(input); }
 Result<Scalar> MaxArray(const Array& input) { return MinMaxDispatch<false>(input); }
-
-int64_t CountArray(const Array& input) {
-  return input.length() - input.null_count();
-}
-
-Result<Scalar> MeanArray(const Array& input) {
-  FUSION_ASSIGN_OR_RAISE(Scalar sum, SumArray(input));
-  int64_t count = CountArray(input);
-  if (input.type().is_decimal()) {
-    // Exact decimal average: widen the sum by four extra fractional
-    // digits, then divide by the row count with round-half-away.
-    const int s = input.type().scale();
-    const int out_scale = std::min<int>(kDecimalMaxPrecision, s + 4);
-    const DataType out_type = decimal128(kDecimalMaxPrecision, out_scale);
-    if (count == 0 || sum.is_null()) return Scalar::Null(out_type);
-    Decimal128 widened;
-    if (!DecimalRescale(sum.decimal_value(), s, out_scale, &widened)) {
-      return Status::Invalid("Avg: decimal overflow");
-    }
-    __int128 num = widened.ToInt128();
-    __int128 q = num / count;
-    __int128 rem = num % count;
-    if (rem < 0) rem = -rem;
-    if (2 * rem >= count) q += (num < 0) ? -1 : 1;
-    return Scalar::Decimal(Decimal128::FromInt128(q), out_type);
-  }
-  if (count == 0 || sum.is_null()) return Scalar::Null(float64());
-  return Scalar::Float64(sum.AsDouble() / static_cast<double>(count));
-}
 
 }  // namespace compute
 }  // namespace fusion

@@ -10,16 +10,11 @@
 namespace fusion {
 namespace compute {
 
-/// Whole-array reductions used by statistics collection, simple
-/// aggregates, and FPQ zone-map construction. Nulls are skipped; an
-/// all-null (or empty) input yields a null scalar (except Count*).
-Result<Scalar> SumArray(const Array& input);
+/// Whole-array min and max, used by FPQ zone maps, join runtime filters
+/// and memory-table statistics. Nulls are skipped; an all-null (or
+/// empty) input yields a null scalar.
 Result<Scalar> MinArray(const Array& input);
 Result<Scalar> MaxArray(const Array& input);
-/// COUNT(col): number of non-null values.
-int64_t CountArray(const Array& input);
-/// Mean as float64.
-Result<Scalar> MeanArray(const Array& input);
 
 }  // namespace compute
 }  // namespace fusion

@@ -262,6 +262,7 @@ Result<ArrayPtr> Arithmetic(ArithmeticOp op, const Array& lhs, const Array& rhs)
   auto [validity, nulls] = IntersectValidity(lhs, rhs);
   switch (lhs.type().id()) {
     case TypeId::kInt32:
+    case TypeId::kDate32:
       return ArithmeticImpl<int32_t>(op, lhs.type(), lhs.length(),
                                      checked_cast<Int32Array>(lhs).raw_values(),
                                      checked_cast<Int32Array>(rhs).raw_values(),
@@ -280,7 +281,6 @@ Result<ArrayPtr> Arithmetic(ArithmeticOp op, const Array& lhs, const Array& rhs)
     case TypeId::kNull:
     case TypeId::kBool:
     case TypeId::kString:
-    case TypeId::kDate32:
     case TypeId::kDictionary:
     case TypeId::kDecimal128:  // handled by the decimal path above
       break;
@@ -303,7 +303,8 @@ Result<ArrayPtr> ArithmeticScalar(ArithmeticOp op, const Array& lhs,
   if (rhs.is_null()) return MakeArrayOfNulls(lhs.type(), lhs.length());
   auto [validity, nulls] = CopyValidity(lhs);
   switch (lhs.type().id()) {
-    case TypeId::kInt32: {
+    case TypeId::kInt32:
+    case TypeId::kDate32: {
       auto b = BroadcastScalar<int32_t>(rhs, lhs.length());
       return ArithmeticImpl<int32_t>(op, lhs.type(), lhs.length(),
                                      checked_cast<Int32Array>(lhs).raw_values(),
@@ -325,7 +326,6 @@ Result<ArrayPtr> ArithmeticScalar(ArithmeticOp op, const Array& lhs,
     case TypeId::kNull:
     case TypeId::kBool:
     case TypeId::kString:
-    case TypeId::kDate32:
     case TypeId::kDictionary:
     case TypeId::kDecimal128:  // handled by the decimal path above
       break;
@@ -348,7 +348,8 @@ Result<ArrayPtr> ScalarArithmetic(ArithmeticOp op, const Scalar& lhs,
   if (lhs.is_null()) return MakeArrayOfNulls(rhs.type(), rhs.length());
   auto [validity, nulls] = CopyValidity(rhs);
   switch (rhs.type().id()) {
-    case TypeId::kInt32: {
+    case TypeId::kInt32:
+    case TypeId::kDate32: {
       auto a = BroadcastScalar<int32_t>(lhs, rhs.length());
       return ArithmeticImpl<int32_t>(op, rhs.type(), rhs.length(), a.data(),
                                      checked_cast<Int32Array>(rhs).raw_values(),
@@ -370,7 +371,6 @@ Result<ArrayPtr> ScalarArithmetic(ArithmeticOp op, const Scalar& lhs,
     case TypeId::kNull:
     case TypeId::kBool:
     case TypeId::kString:
-    case TypeId::kDate32:
     case TypeId::kDictionary:
     case TypeId::kDecimal128:  // handled by the decimal path above
       break;
@@ -404,6 +404,7 @@ Result<ArrayPtr> Negate(const Array& input) {
     case TypeId::kDecimal128:
       return NegateImpl<Decimal128>(input);
     case TypeId::kNull:
+      return MakeArrayOfNulls(null_type(), input.length());
     case TypeId::kBool:
     case TypeId::kString:
     case TypeId::kDate32:

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 #include "arrow/builder.h"
 #include "arrow/scalar.h"
 #include "compute/kernel_util.h"
+#include "compute/temporal.h"
 
 namespace fusion {
 namespace compute {
@@ -27,6 +29,19 @@ Result<ArrayPtr> NumericCast(const Array& input, DataType target) {
       target, input.length(), std::move(values), std::move(validity), nulls));
 }
 
+/// Number -> bool: nonzero (NaN too) is true.
+template <typename InT>
+Result<ArrayPtr> NumericToBool(const Array& input) {
+  auto [validity, nulls] = CopyValidity(input);
+  const InT* in = checked_cast<NumericArray<InT>>(input).raw_values();
+  auto bits = std::make_shared<Buffer>(bit_util::BytesForBits(input.length()));
+  for (int64_t i = 0; i < input.length(); ++i) {
+    if (in[i] != 0) bit_util::SetBit(bits->mutable_data(), i);
+  }
+  return ArrayPtr(std::make_shared<BooleanArray>(input.length(), std::move(bits),
+                                                 std::move(validity), nulls));
+}
+
 template <typename InT>
 Result<ArrayPtr> DispatchOut(const Array& input, DataType target) {
   switch (target.id()) {
@@ -38,10 +53,12 @@ Result<ArrayPtr> DispatchOut(const Array& input, DataType target) {
       return NumericCast<InT, int64_t>(input, target);
     case TypeId::kFloat64:
       return NumericCast<InT, double>(input, target);
-    case TypeId::kNull:
     case TypeId::kBool:
+      if (input.type().is_numeric()) return NumericToBool<InT>(input);
+      break;
+    case TypeId::kNull:
     case TypeId::kString:
-    case TypeId::kDecimal128:  // callers route decimal targets to ToDecimal
+    case TypeId::kDecimal128:  // numeric sources take NumericToDecimal
     case TypeId::kDictionary:
       break;
   }
@@ -85,6 +102,36 @@ Result<ArrayPtr> StringToNumeric(const StringArray& input, DataType target) {
   return builder->Finish();
 }
 
+/// string -> date32/timestamp through the parsers of SQL's DATE and
+/// TIMESTAMP literals; unparsable values become null.
+Result<ArrayPtr> StringToTemporal(const StringArray& input, DataType target) {
+  FUSION_ASSIGN_OR_RAISE(auto builder, MakeBuilder(target));
+  builder->Reserve(input.length());
+  for (int64_t i = 0; i < input.length(); ++i) {
+    if (input.IsNull(i)) {
+      builder->AppendNull();
+      continue;
+    }
+    const std::string text(input.Value(i));
+    if (target.id() == TypeId::kDate32) {
+      auto days = ParseDate32(text);
+      if (!days.ok()) {
+        builder->AppendNull();
+      } else {
+        static_cast<NumericBuilder<int32_t>*>(builder.get())->Append(*days);
+      }
+    } else {
+      auto micros = ParseTimestamp(text);
+      if (!micros.ok()) {
+        builder->AppendNull();
+      } else {
+        static_cast<NumericBuilder<int64_t>*>(builder.get())->Append(*micros);
+      }
+    }
+  }
+  return builder->Finish();
+}
+
 Result<ArrayPtr> ToStringArray(const Array& input) {
   StringBuilder builder;
   builder.Reserve(input.length());
@@ -116,29 +163,44 @@ Result<ArrayPtr> BoolToNumeric(const BooleanArray& input, DataType target) {
   return builder->Finish();
 }
 
+/// Unscaled value of `v` at `scale`, rounded half away from zero; false
+/// for NaN, infinities and values beyond 128 bits.
+bool DecimalFromDouble(double v, int scale, Decimal128* out) {
+  if (std::isnan(v) || std::isinf(v)) return false;
+  double scaled = std::round(v * DecimalPowerOfTen(scale).ToDouble());
+  // 1.7e38 < 2^127; anything beyond cannot fit 38 digits anyway.
+  if (std::abs(scaled) >= 1.7e38) return false;
+  *out = Decimal128::FromInt128(static_cast<__int128>(scaled));
+  return true;
+}
+
 Status DecimalCastError(DataType from, DataType to, const std::string& value) {
   return Status::Invalid("cast: value " + value + " does not fit " +
                          to.ToString() + " (from " + from.ToString() + ")");
 }
 
-/// Any fixed-point-representable source (decimal/int/double) -> decimal.
-Result<ArrayPtr> ToDecimal(const Array& input, DataType target) {
+/// int/double -> decimal. Doubles round half away from zero; values
+/// that do not fit the target are errors.
+Result<ArrayPtr> NumericToDecimal(const Array& input, DataType target) {
   auto [validity, nulls] = CopyValidity(input);
   const int64_t n = input.length();
   auto values = std::make_shared<Buffer>(n * int64_t{16});
   Decimal128* out = values->mutable_data_as<Decimal128>();
-  const uint8_t* valid_bits = validity ? validity->data() : nullptr;
-  auto is_valid = [&](int64_t i) {
-    return valid_bits == nullptr || bit_util::GetBit(valid_bits, i);
-  };
   for (int64_t i = 0; i < n; ++i) {
-    if (!is_valid(i)) continue;
-    Scalar v = Scalar::FromArray(input, i);
-    FUSION_ASSIGN_OR_RAISE(Scalar c, v.CastTo(target));
-    if (c.is_null()) {
-      return DecimalCastError(input.type(), target, v.ToString());
+    if (input.IsNull(i)) continue;
+    bool fits;
+    if (input.type().is_floating()) {
+      fits = DecimalFromDouble(checked_cast<Float64Array>(input).Value(i),
+                               target.scale(), &out[i]);
+    } else {
+      const int64_t v = input.type().id() == TypeId::kInt32
+                            ? checked_cast<Int32Array>(input).Value(i)
+                            : checked_cast<Int64Array>(input).Value(i);
+      fits = DecimalRescale(Decimal128(v), 0, target.scale(), &out[i]);
     }
-    out[i] = c.decimal_value();
+    if (!fits || !DecimalFitsPrecision(out[i], target.precision())) {
+      return DecimalCastError(input.type(), target, input.ValueToString(i));
+    }
   }
   return ArrayPtr(std::make_shared<Decimal128Array>(
       target, n, std::move(values), std::move(validity), nulls));
@@ -260,6 +322,9 @@ Result<ArrayPtr> Cast(const Array& input, DataType target) {
     if (target.is_string()) return dense;
     return Cast(*dense, target);
   }
+  if (input.type().is_numeric() && target.is_decimal()) {
+    return NumericToDecimal(input, target);
+  }
   switch (input.type().id()) {
     case TypeId::kInt32:
     case TypeId::kDate32:
@@ -277,16 +342,13 @@ Result<ArrayPtr> Cast(const Array& input, DataType target) {
                                                      std::move(validity), nulls));
       }
       if (target.is_string()) return ToStringArray(input);
-      if (target.is_decimal()) return ToDecimal(input, target);
       return DispatchOut<int32_t>(input, target);
     case TypeId::kInt64:
     case TypeId::kTimestamp:
       if (target.is_string()) return ToStringArray(input);
-      if (target.is_decimal()) return ToDecimal(input, target);
       return DispatchOut<int64_t>(input, target);
     case TypeId::kFloat64:
       if (target.is_string()) return ToStringArray(input);
-      if (target.is_decimal()) return ToDecimal(input, target);
       return DispatchOut<double>(input, target);
     case TypeId::kDecimal128:
       if (target.is_decimal()) return DecimalToDecimal(input, target);
@@ -297,8 +359,11 @@ Result<ArrayPtr> Cast(const Array& input, DataType target) {
       if (target.is_decimal()) {
         return StringToDecimal(checked_cast<StringArray>(input), target);
       }
-      if (target.is_numeric() || target.is_temporal()) {
+      if (target.is_numeric()) {
         return StringToNumeric(checked_cast<StringArray>(input), target);
+      }
+      if (target.is_temporal()) {
+        return StringToTemporal(checked_cast<StringArray>(input), target);
       }
       break;
     case TypeId::kBool:
@@ -313,6 +378,13 @@ Result<ArrayPtr> Cast(const Array& input, DataType target) {
   }
   return Status::TypeError("Cast: unsupported cast " + input.type().ToString() +
                            " -> " + target.ToString());
+}
+
+Result<Scalar> CastScalar(const Scalar& value, DataType target) {
+  if (value.type() == target) return value;
+  FUSION_ASSIGN_OR_RAISE(auto one, value.MakeArray(1));
+  FUSION_ASSIGN_OR_RAISE(auto out, Cast(*one, target));
+  return Scalar::FromArray(*out, 0);
 }
 
 ArrayPtr EnsureDense(const ArrayPtr& input) {

@@ -3,15 +3,21 @@
 
 #include "arrow/array.h"
 #include "arrow/record_batch.h"
+#include "arrow/scalar.h"
 #include "common/result.h"
 
 namespace fusion {
 namespace compute {
 
 /// Cast an array to a target type. Supported casts: any numeric <->
-/// numeric, numeric -> string, string -> numeric (unparsable -> null),
-/// date32 <-> timestamp, bool <-> numeric, null -> anything, identity.
+/// numeric, numeric -> string, string -> numeric or temporal
+/// (unparsable -> null), date32 <-> timestamp, bool <-> numeric
+/// (nonzero is true), null -> anything, identity.
 Result<ArrayPtr> Cast(const Array& input, DataType target);
+
+/// Cast one value exactly as Cast casts a one-row array: the cast of
+/// every constant and coerced literal.
+Result<Scalar> CastScalar(const Scalar& value, DataType target);
 
 /// Decode a dictionary-encoded array into its dense representation;
 /// any other array passes through unchanged. This is the single

@@ -2,6 +2,7 @@
 
 #include <unordered_set>
 
+#include "compute/cast.h"
 #include "compute/kernel_util.h"
 
 namespace fusion {
@@ -151,10 +152,7 @@ Result<ArrayPtr> CompareScalar(CompareOp op, const Array& lhs, const Scalar& rhs
     // Constant predicate fast path: resolve the comparison against each
     // distinct dictionary entry once, then answer per row by code.
     const auto& da = checked_cast<DictionaryArray>(lhs);
-    Scalar coerced = rhs;
-    if (!rhs.type().is_string()) {
-      FUSION_ASSIGN_OR_RAISE(coerced, rhs.CastTo(utf8()));
-    }
+    FUSION_ASSIGN_OR_RAISE(Scalar coerced, CastScalar(rhs, utf8()));
     const std::string_view b = coerced.string_value();
     const StringArray& dict = *da.dictionary();
     std::vector<bool> match(static_cast<size_t>(dict.length()));
@@ -169,10 +167,8 @@ Result<ArrayPtr> CompareScalar(CompareOp op, const Array& lhs, const Scalar& rhs
                                    match[static_cast<size_t>(codes[i])];
                           });
   }
-  Scalar coerced = rhs;
-  if (rhs.type() != lhs.type()) {
-    FUSION_ASSIGN_OR_RAISE(coerced, rhs.CastTo(lhs.type()));
-  }
+  FUSION_ASSIGN_OR_RAISE(Scalar coerced, CastScalar(rhs, lhs.type()));
+  if (coerced.is_null()) return MakeArrayOfNulls(boolean(), lhs.length());
   auto [validity, nulls] = CopyValidity(lhs);
   const int64_t n = lhs.length();
   switch (lhs.type().id()) {
@@ -248,57 +244,83 @@ ArrayPtr IsNotNull(const Array& input) {
 
 Result<ArrayPtr> InList(const Array& input, const std::vector<Scalar>& set) {
   const int64_t n = input.length();
-  auto [validity, nulls] = CopyValidity(input);
+  if (input.type().is_null()) return MakeArrayOfNulls(boolean(), n);
+  // Items are compared in the input's domain: int32 widens to int64 so
+  // an out-of-range item cannot wrap onto a value, and dictionary
+  // strings compare as strings.
+  DataType domain = input.type();
+  if (domain == int32()) domain = int64();
+  if (domain.is_dictionary()) domain = utf8();
+  std::vector<Scalar> items;
+  bool has_null = false;
+  for (const auto& s : set) {
+    auto c = CastScalar(s, domain);
+    if (!c.ok()) {
+      // A decimal item that does not fit the column's (precision,
+      // scale), e.g. 1.234 against decimal(15,2), can never match.
+      if (domain.is_decimal()) continue;
+      return c.status();
+    }
+    if (c->is_null()) {
+      has_null = true;
+    } else {
+      items.push_back(std::move(*c));
+    }
+  }
 
-  // Typed fast paths for the common cases.
+  // Three-valued answer: a matching row is true; any other valid row is
+  // false, or NULL when the list holds a NULL; a NULL row stays NULL.
+  auto membership = [&](auto&& matches) -> ArrayPtr {
+    auto bits = std::make_shared<Buffer>(bit_util::BytesForBits(n));
+    int64_t matched = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      if (input.IsValid(i) && matches(i)) {
+        bit_util::SetBit(bits->mutable_data(), i);
+        ++matched;
+      }
+    }
+    if (has_null && matched < n) {
+      BufferPtr validity = Buffer::CopyOf(bits->data(), bits->size());
+      return std::make_shared<BooleanArray>(n, std::move(bits), std::move(validity),
+                                            n - matched);
+    }
+    auto [validity, nulls] = CopyValidity(input);
+    return std::make_shared<BooleanArray>(n, std::move(bits), std::move(validity),
+                                          nulls);
+  };
+
   if (input.type().is_integer() || input.type().is_temporal()) {
     std::unordered_set<int64_t> values;
-    for (const auto& s : set) {
-      FUSION_ASSIGN_OR_RAISE(Scalar c, s.CastTo(input.type() == int32() ||
-                                                        input.type() == date32()
-                                                    ? int64()
-                                                    : input.type()));
-      values.insert(c.int_value());
+    for (const auto& s : items) values.insert(s.int_value());
+    if (input.type().byte_width() == 4) {
+      const int32_t* raw = checked_cast<Int32Array>(input).raw_values();
+      return membership([&](int64_t i) { return values.count(raw[i]) != 0; });
     }
-    auto bits = std::make_shared<Buffer>(bit_util::BytesForBits(n));
-    for (int64_t i = 0; i < n; ++i) {
-      int64_t v;
-      if (input.type().byte_width() == 4) {
-        v = checked_cast<Int32Array>(input).Value(i);
-      } else {
-        v = checked_cast<Int64Array>(input).Value(i);
-      }
-      if (values.count(v) != 0) bit_util::SetBit(bits->mutable_data(), i);
-    }
-    return ArrayPtr(std::make_shared<BooleanArray>(n, std::move(bits),
-                                                   std::move(validity), nulls));
+    const int64_t* raw = checked_cast<Int64Array>(input).raw_values();
+    return membership([&](int64_t i) { return values.count(raw[i]) != 0; });
   }
   if (input.type().is_decimal()) {
-    // Cast each list element onto the column's exact (precision, scale)
-    // so membership is decided on unscaled integers; elements that do
-    // not fit (e.g. 1.234 against decimal(15,2)) can never match.
     std::unordered_set<Decimal128> values;
-    for (const auto& s : set) {
-      auto c = s.CastTo(input.type());
-      if (c.ok() && !c.ValueOrDie().is_null()) {
-        values.insert(c.ValueOrDie().decimal_value());
-      }
-    }
+    for (const auto& s : items) values.insert(s.decimal_value());
     const Decimal128* raw = checked_cast<Decimal128Array>(input).raw_values();
-    auto bits = std::make_shared<Buffer>(bit_util::BytesForBits(n));
-    for (int64_t i = 0; i < n; ++i) {
-      if (values.count(raw[i]) != 0) bit_util::SetBit(bits->mutable_data(), i);
-    }
-    return ArrayPtr(std::make_shared<BooleanArray>(n, std::move(bits),
-                                                   std::move(validity), nulls));
+    return membership([&](int64_t i) { return values.count(raw[i]) != 0; });
+  }
+  if (input.type().is_floating()) {
+    // Equality as in `=`: NaN matches nothing, -0.0 matches 0.0.
+    std::unordered_set<double> values;
+    for (const auto& s : items) values.insert(s.double_value());
+    const double* raw = checked_cast<Float64Array>(input).raw_values();
+    return membership([&](int64_t i) { return values.count(raw[i]) != 0; });
+  }
+  if (input.type().is_bool()) {
+    bool want[2] = {false, false};
+    for (const auto& s : items) want[s.bool_value() ? 1 : 0] = true;
+    const auto& ba = checked_cast<BooleanArray>(input);
+    return membership([&](int64_t i) { return want[ba.Value(i) ? 1 : 0]; });
   }
   if (input.type().is_string_like()) {
-    std::unordered_set<std::string> values;
-    for (const auto& s : set) {
-      FUSION_ASSIGN_OR_RAISE(Scalar c, s.CastTo(utf8()));
-      values.insert(c.string_value());
-    }
-    auto bits = std::make_shared<Buffer>(bit_util::BytesForBits(n));
+    std::unordered_set<std::string_view> values;
+    for (const auto& s : items) values.insert(s.string_value());
     if (input.type().is_dictionary()) {
       // Membership resolves once per dictionary entry, then per row by
       // code.
@@ -306,39 +328,16 @@ Result<ArrayPtr> InList(const Array& input, const std::vector<Scalar>& set) {
       const StringArray& dict = *da.dictionary();
       std::vector<bool> match(static_cast<size_t>(dict.length()));
       for (int64_t c = 0; c < dict.length(); ++c) {
-        match[static_cast<size_t>(c)] =
-            values.count(std::string(dict.Value(c))) != 0;
+        match[static_cast<size_t>(c)] = values.count(dict.Value(c)) != 0;
       }
       const int32_t* codes = da.raw_codes();
-      for (int64_t i = 0; i < n; ++i) {
-        if (da.IsValid(i) && match[static_cast<size_t>(codes[i])]) {
-          bit_util::SetBit(bits->mutable_data(), i);
-        }
-      }
-    } else {
-      const auto& sa = checked_cast<StringArray>(input);
-      for (int64_t i = 0; i < n; ++i) {
-        if (values.count(std::string(sa.Value(i))) != 0) {
-          bit_util::SetBit(bits->mutable_data(), i);
-        }
-      }
+      return membership(
+          [&](int64_t i) { return match[static_cast<size_t>(codes[i])]; });
     }
-    return ArrayPtr(std::make_shared<BooleanArray>(n, std::move(bits),
-                                                   std::move(validity), nulls));
+    const auto& sa = checked_cast<StringArray>(input);
+    return membership([&](int64_t i) { return values.count(sa.Value(i)) != 0; });
   }
-  // Generic scalar-by-scalar fallback.
-  auto bits = std::make_shared<Buffer>(bit_util::BytesForBits(n));
-  for (int64_t i = 0; i < n; ++i) {
-    Scalar v = Scalar::FromArray(input, i);
-    for (const auto& s : set) {
-      if (v.Equals(s)) {
-        bit_util::SetBit(bits->mutable_data(), i);
-        break;
-      }
-    }
-  }
-  return ArrayPtr(std::make_shared<BooleanArray>(n, std::move(bits),
-                                                 std::move(validity), nulls));
+  return Status::TypeError("InList: unsupported type " + input.type().ToString());
 }
 
 }  // namespace compute

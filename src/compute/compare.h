@@ -21,8 +21,9 @@ Result<ArrayPtr> CompareScalar(CompareOp op, const Array& lhs, const Scalar& rhs
 ArrayPtr IsNull(const Array& input);
 ArrayPtr IsNotNull(const Array& input);
 
-/// x IN (set). Null x yields null; non-null x absent from the set yields
-/// false (the benchmark queries never put NULL in an IN-list).
+/// x IN (set), with items cast to x's type as Cast casts them. A null x
+/// yields null; a non-null x absent from the set yields false, or null
+/// when the set holds a null item.
 Result<ArrayPtr> InList(const Array& input, const std::vector<Scalar>& set);
 
 }  // namespace compute

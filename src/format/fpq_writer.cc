@@ -16,7 +16,7 @@ namespace fpq {
 using internal::ByteWriter;
 
 uint64_t BloomHashScalar(const Scalar& value, DataType column_type) {
-  auto casted_res = value.CastTo(column_type);
+  auto casted_res = compute::CastScalar(value, column_type);
   if (!casted_res.ok()) return 0;
   const Scalar& casted = *casted_res;
   if (casted.is_null()) return 0x9e3779b97f4a7c15ULL;

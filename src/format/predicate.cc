@@ -2,6 +2,7 @@
 
 #include <functional>
 
+#include "compute/cast.h"
 #include "compute/compare.h"
 
 namespace fusion {
@@ -44,8 +45,8 @@ namespace {
 std::optional<int> CompareToStat(const Scalar& value, const Scalar& stat) {
   if (value.is_null() || stat.is_null()) return std::nullopt;
   if (value.type() == stat.type()) return value.Compare(stat);
-  auto casted = value.CastTo(stat.type());
-  if (!casted.ok()) return std::nullopt;
+  auto casted = compute::CastScalar(value, stat.type());
+  if (!casted.ok() || casted->is_null()) return std::nullopt;
   return casted->Compare(stat);
 }
 

@@ -491,7 +491,7 @@ class AvgAccumulator : public GroupedAccumulator {
 
 /// AVG over DECIMAL(p,s): exact Decimal128 sum plus int64 count, divided
 /// once at Finish. The quotient widens by four fractional digits and rounds
-/// half away from zero, matching the ungrouped MeanArray kernel.
+/// half away from zero.
 class DecimalAvgAccumulator : public GroupedAccumulator {
  public:
   explicit DecimalAvgAccumulator(DataType input_type)

@@ -1,11 +1,9 @@
 #include "logical/expr_eval.h"
 
-#include <cmath>
+#include <algorithm>
 
-#include "compute/arithmetic.h"
-#include "compute/cast.h"
-#include "compute/string_kernels.h"
 #include "compute/temporal.h"
+#include "physical/physical_expr.h"
 
 namespace fusion {
 namespace logical {
@@ -55,244 +53,14 @@ Result<Scalar> AddInterval(const Scalar& temporal, int64_t months, int64_t days,
   return Status::TypeError("interval arithmetic requires a temporal operand");
 }
 
-Result<Scalar> EvaluateBinaryScalar(BinaryOp op, const Scalar& left,
-                                    const Scalar& right) {
-  // Kleene logic first (null short-circuits differ).
-  if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
-    auto as_bool = [](const Scalar& s) -> Result<Scalar> {
-      if (s.is_null()) return Scalar::Null(boolean());
-      return s.CastTo(boolean());
-    };
-    FUSION_ASSIGN_OR_RAISE(Scalar l, as_bool(left));
-    FUSION_ASSIGN_OR_RAISE(Scalar r, as_bool(right));
-    if (op == BinaryOp::kAnd) {
-      if ((!l.is_null() && !l.bool_value()) || (!r.is_null() && !r.bool_value())) {
-        return Scalar::Bool(false);
-      }
-      if (l.is_null() || r.is_null()) return Scalar::Null(boolean());
-      return Scalar::Bool(true);
-    }
-    if ((!l.is_null() && l.bool_value()) || (!r.is_null() && r.bool_value())) {
-      return Scalar::Bool(true);
-    }
-    if (l.is_null() || r.is_null()) return Scalar::Null(boolean());
-    return Scalar::Bool(false);
-  }
-  if (left.is_null() || right.is_null()) {
-    if (IsComparisonOp(op)) return Scalar::Null(boolean());
-    if (left.type().is_decimal() && right.type().is_decimal() &&
-        IsArithmeticOp(op)) {
-      // Match the kernel's result type, not the comparison common type.
-      compute::ArithmeticOp aop = compute::ArithmeticOp::kAdd;
-      switch (op) {
-        case BinaryOp::kMinus: aop = compute::ArithmeticOp::kSubtract; break;
-        case BinaryOp::kMultiply: aop = compute::ArithmeticOp::kMultiply; break;
-        case BinaryOp::kDivide: aop = compute::ArithmeticOp::kDivide; break;
-        case BinaryOp::kModulo: aop = compute::ArithmeticOp::kModulo; break;
-        default: break;
-      }
-      FUSION_ASSIGN_OR_RAISE(
-          DataType t,
-          compute::DecimalBinaryResultType(aop, left.type(), right.type()));
-      return Scalar::Null(t);
-    }
-    FUSION_ASSIGN_OR_RAISE(DataType t, compute::CommonType(left.type(), right.type()));
-    return Scalar::Null(t);
-  }
-  if (IsComparisonOp(op)) {
-    // Compare in a common domain.
-    Scalar l = left;
-    Scalar r = right;
-    if (l.type() != r.type()) {
-      FUSION_ASSIGN_OR_RAISE(DataType t, compute::CommonType(l.type(), r.type()));
-      FUSION_ASSIGN_OR_RAISE(l, l.CastTo(t));
-      FUSION_ASSIGN_OR_RAISE(r, r.CastTo(t));
-    }
-    int cmp = l.Compare(r);
-    switch (op) {
-      case BinaryOp::kEq: return Scalar::Bool(cmp == 0);
-      case BinaryOp::kNeq: return Scalar::Bool(cmp != 0);
-      case BinaryOp::kLt: return Scalar::Bool(cmp < 0);
-      case BinaryOp::kLtEq: return Scalar::Bool(cmp <= 0);
-      case BinaryOp::kGt: return Scalar::Bool(cmp > 0);
-      case BinaryOp::kGtEq: return Scalar::Bool(cmp >= 0);
-      default: break;
-    }
-  }
-  if (op == BinaryOp::kStringConcat) {
-    FUSION_ASSIGN_OR_RAISE(Scalar l, left.CastTo(utf8()));
-    FUSION_ASSIGN_OR_RAISE(Scalar r, right.CastTo(utf8()));
-    return Scalar::String(l.string_value() + r.string_value());
-  }
-  // Arithmetic.
-  if ((left.type().is_decimal() || right.type().is_decimal()) &&
-      !left.type().is_floating() && !right.type().is_floating()) {
-    // Exact decimal folding: run the compute kernel on 1-row arrays so
-    // constant folding shares the kernel's scale-propagation and
-    // overflow behavior exactly.
-    compute::ArithmeticOp aop;
-    switch (op) {
-      case BinaryOp::kPlus: aop = compute::ArithmeticOp::kAdd; break;
-      case BinaryOp::kMinus: aop = compute::ArithmeticOp::kSubtract; break;
-      case BinaryOp::kMultiply: aop = compute::ArithmeticOp::kMultiply; break;
-      case BinaryOp::kDivide: aop = compute::ArithmeticOp::kDivide; break;
-      case BinaryOp::kModulo: aop = compute::ArithmeticOp::kModulo; break;
-      default:
-        return Status::Internal("unhandled binary operator");
-    }
-    auto to_decimal = [](const Scalar& s) -> Result<Scalar> {
-      if (s.type().is_decimal()) return s;
-      const int digits = s.type().id() == TypeId::kInt32 ? 10 : 19;
-      return s.CastTo(decimal128(digits, 0));
-    };
-    FUSION_ASSIGN_OR_RAISE(Scalar l, to_decimal(left));
-    FUSION_ASSIGN_OR_RAISE(Scalar r, to_decimal(right));
-    FUSION_ASSIGN_OR_RAISE(auto larr, l.MakeArray(1));
-    FUSION_ASSIGN_OR_RAISE(auto rarr, r.MakeArray(1));
-    FUSION_ASSIGN_OR_RAISE(auto out, compute::Arithmetic(aop, *larr, *rarr));
-    return Scalar::FromArray(*out, 0);
-  }
-  FUSION_ASSIGN_OR_RAISE(DataType t, compute::CommonType(left.type(), right.type()));
-  if (t.is_temporal()) {
-    // date +/- integer days.
-    const Scalar& temporal = left.type().is_temporal() ? left : right;
-    const Scalar& amount = left.type().is_temporal() ? right : left;
-    if (op == BinaryOp::kPlus || op == BinaryOp::kMinus) {
-      return AddInterval(temporal, 0, amount.int_value(), op == BinaryOp::kMinus);
-    }
-    return Status::TypeError("unsupported temporal arithmetic");
-  }
-  FUSION_ASSIGN_OR_RAISE(Scalar l, left.CastTo(t));
-  FUSION_ASSIGN_OR_RAISE(Scalar r, right.CastTo(t));
-  if (t.is_floating()) {
-    double a = l.double_value();
-    double b = r.double_value();
-    switch (op) {
-      case BinaryOp::kPlus: return Scalar::Float64(a + b);
-      case BinaryOp::kMinus: return Scalar::Float64(a - b);
-      case BinaryOp::kMultiply: return Scalar::Float64(a * b);
-      case BinaryOp::kDivide: return Scalar::Float64(a / b);
-      case BinaryOp::kModulo: return Scalar::Float64(std::fmod(a, b));
-      default: break;
-    }
-  } else {
-    int64_t a = l.int_value();
-    int64_t b = r.int_value();
-    auto wrap = [&](int64_t v) -> Scalar {
-      return t.id() == TypeId::kInt32 ? Scalar::Int32(static_cast<int32_t>(v))
-                                      : Scalar::Int64(v);
-    };
-    switch (op) {
-      case BinaryOp::kPlus: return wrap(a + b);
-      case BinaryOp::kMinus: return wrap(a - b);
-      case BinaryOp::kMultiply: return wrap(a * b);
-      case BinaryOp::kDivide:
-        if (b == 0) return Scalar::Null(t);
-        return wrap(a / b);
-      case BinaryOp::kModulo:
-        if (b == 0) return Scalar::Null(t);
-        return wrap(a % b);
-      default: break;
-    }
-  }
-  return Status::Internal("unhandled binary operator");
-}
-
 Result<Scalar> EvaluateConstantExpr(const ExprPtr& expr) {
-  switch (expr->kind) {
-    case Expr::Kind::kLiteral:
-      return expr->literal;
-    case Expr::Kind::kAlias:
-      return EvaluateConstantExpr(expr->children[0]);
-    case Expr::Kind::kBinary: {
-      FUSION_ASSIGN_OR_RAISE(Scalar l, EvaluateConstantExpr(expr->children[0]));
-      FUSION_ASSIGN_OR_RAISE(Scalar r, EvaluateConstantExpr(expr->children[1]));
-      return EvaluateBinaryScalar(expr->op, l, r);
-    }
-    case Expr::Kind::kNot: {
-      FUSION_ASSIGN_OR_RAISE(Scalar v, EvaluateConstantExpr(expr->children[0]));
-      if (v.is_null()) return Scalar::Null(boolean());
-      FUSION_ASSIGN_OR_RAISE(Scalar b, v.CastTo(boolean()));
-      return Scalar::Bool(!b.bool_value());
-    }
-    case Expr::Kind::kNegative: {
-      FUSION_ASSIGN_OR_RAISE(Scalar v, EvaluateConstantExpr(expr->children[0]));
-      if (v.is_null()) return v;
-      if (v.type().is_decimal()) {
-        return Scalar::Decimal(-v.decimal_value(), v.type());
-      }
-      if (v.type().is_floating()) return Scalar::Float64(-v.double_value());
-      if (v.type().id() == TypeId::kInt32) {
-        return Scalar::Int32(static_cast<int32_t>(-v.int_value()));
-      }
-      return Scalar::Int64(-v.int_value());
-    }
-    case Expr::Kind::kIsNull: {
-      FUSION_ASSIGN_OR_RAISE(Scalar v, EvaluateConstantExpr(expr->children[0]));
-      return Scalar::Bool(expr->negated ? !v.is_null() : v.is_null());
-    }
-    case Expr::Kind::kIsNotNull: {
-      FUSION_ASSIGN_OR_RAISE(Scalar v, EvaluateConstantExpr(expr->children[0]));
-      return Scalar::Bool(!v.is_null());
-    }
-    case Expr::Kind::kCast: {
-      FUSION_ASSIGN_OR_RAISE(Scalar v, EvaluateConstantExpr(expr->children[0]));
-      return v.CastTo(expr->cast_type);
-    }
-    case Expr::Kind::kCase: {
-      size_t num_whens = expr->children.size() / 2;
-      for (size_t i = 0; i < num_whens; ++i) {
-        FUSION_ASSIGN_OR_RAISE(Scalar cond,
-                               EvaluateConstantExpr(expr->children[i * 2]));
-        if (!cond.is_null() && cond.bool_value()) {
-          return EvaluateConstantExpr(expr->children[i * 2 + 1]);
-        }
-      }
-      if (expr->case_has_else) return EvaluateConstantExpr(expr->children.back());
-      return Scalar();
-    }
-    case Expr::Kind::kInList: {
-      FUSION_ASSIGN_OR_RAISE(Scalar v, EvaluateConstantExpr(expr->children[0]));
-      if (v.is_null()) return Scalar::Null(boolean());
-      for (size_t i = 1; i < expr->children.size(); ++i) {
-        FUSION_ASSIGN_OR_RAISE(Scalar item, EvaluateConstantExpr(expr->children[i]));
-        FUSION_ASSIGN_OR_RAISE(Scalar casted, item.CastTo(v.type()));
-        if (!casted.is_null() && v.Compare(casted) == 0) {
-          return Scalar::Bool(!expr->negated);
-        }
-      }
-      return Scalar::Bool(expr->negated);
-    }
-    case Expr::Kind::kLike: {
-      FUSION_ASSIGN_OR_RAISE(Scalar v, EvaluateConstantExpr(expr->children[0]));
-      FUSION_ASSIGN_OR_RAISE(Scalar pattern,
-                             EvaluateConstantExpr(expr->children[1]));
-      if (v.is_null() || pattern.is_null()) return Scalar::Null(boolean());
-      compute::LikeMatcher matcher(pattern.string_value(), expr->case_insensitive);
-      return Scalar::Bool(matcher.Matches(v.string_value()) != expr->negated);
-    }
-    case Expr::Kind::kScalarFunction: {
-      std::vector<DataType> arg_types;
-      std::vector<ColumnarValue> args;
-      for (const auto& child : expr->children) {
-        FUSION_ASSIGN_OR_RAISE(Scalar v, EvaluateConstantExpr(child));
-        arg_types.push_back(v.type());
-        args.emplace_back(std::move(v));
-      }
-      // Validate arity/types before calling the implementation: impls
-      // are allowed to index args without re-checking.
-      FUSION_RETURN_NOT_OK(expr->scalar_function->return_type(arg_types).status());
-      FUSION_ASSIGN_OR_RAISE(ColumnarValue out,
-                             expr->scalar_function->impl(args, /*num_rows=*/1));
-      if (out.is_scalar()) return out.scalar();
-      if (out.array()->length() != 1) {
-        return Status::Internal("constant function produced multiple rows");
-      }
-      return Scalar::FromArray(*out.array(), 0);
-    }
-    default:
-      return Status::Invalid("expression is not constant: " + expr->ToString());
-  }
+  // Compile against no columns and run over one row of none: a constant
+  // folds through the kernels that evaluate columns.
+  FUSION_ASSIGN_OR_RAISE(auto compiled, physical::CreatePhysicalExpr(expr, PlanSchema()));
+  const RecordBatch one_row(std::make_shared<Schema>(), 1, {});
+  FUSION_ASSIGN_OR_RAISE(ColumnarValue value, compiled->Evaluate(one_row));
+  if (value.is_scalar()) return value.scalar();
+  return Scalar::FromArray(*value.array(), 0);
 }
 
 }  // namespace logical

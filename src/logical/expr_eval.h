@@ -8,13 +8,11 @@
 namespace fusion {
 namespace logical {
 
-/// Evaluate a constant (column-free) expression to a Scalar. Used by
+/// Evaluate a constant (column-free) expression to a Scalar with the
+/// physical expression and kernels that evaluate columns, so a folded
+/// constant and a column give the same value, type or error. Used by
 /// constant folding, scan-predicate lowering and interval arithmetic.
 Result<Scalar> EvaluateConstantExpr(const ExprPtr& expr);
-
-/// Apply a binary operator to two scalars with SQL null semantics.
-Result<Scalar> EvaluateBinaryScalar(BinaryOp op, const Scalar& left,
-                                    const Scalar& right);
 
 /// date/timestamp plus a (months, days) interval via civil-calendar math.
 Result<Scalar> AddInterval(const Scalar& temporal, int64_t months, int64_t days,

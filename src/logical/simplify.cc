@@ -18,12 +18,15 @@ bool IsFalseLiteral(const ExprPtr& e) {
 }
 
 Result<ExprPtr> SimplifyNode(const ExprPtr& expr) {
-  // Fold any fully-constant, non-trivial subtree to a literal.
+  // Fold any fully-constant, non-trivial subtree (a cast of a literal
+  // too) to a literal.
   if (expr->kind != Expr::Kind::kLiteral && expr->kind != Expr::Kind::kAlias &&
       IsConstant(expr)) {
     auto value = EvaluateConstantExpr(expr);
     if (value.ok()) return Lit(std::move(*value));
-    // Not foldable (e.g. unsupported op); fall through unchanged.
+    // It fails as a column would: leave it to fail at run time, with no
+    // rewrite below (`'abc' AND true` is not 'abc').
+    return expr;
   }
   switch (expr->kind) {
     case Expr::Kind::kBinary:
@@ -48,15 +51,6 @@ Result<ExprPtr> SimplifyNode(const ExprPtr& expr) {
       if (IsTrueLiteral(expr->children[0])) return Lit(Scalar::Bool(false));
       if (IsFalseLiteral(expr->children[0])) return Lit(Scalar::Bool(true));
       break;
-    case Expr::Kind::kCast: {
-      // Drop no-op casts.
-      const ExprPtr& child = expr->children[0];
-      if (child->kind == Expr::Kind::kLiteral) {
-        auto casted = child->literal.CastTo(expr->cast_type);
-        if (casted.ok()) return Lit(std::move(*casted));
-      }
-      break;
-    }
     default:
       break;
   }

@@ -572,8 +572,12 @@ Result<ExprPtr> SqlPlanner::Coerce(ExprPtr expr, const PlanSchema& schema) {
     FUSION_ASSIGN_OR_RAISE(DataType lt, e->children[0]->GetType(schema));
     FUSION_ASSIGN_OR_RAISE(DataType rt, e->children[1]->GetType(schema));
     if (lt == rt) return e;
-    // Temporal +/- integer (date math) keeps operands as-is.
-    if (IsArithmeticOp(e->op) && (lt.is_temporal() || rt.is_temporal())) return e;
+    // Temporal +/- integer (date math) keeps operands as-is, and so does
+    // arithmetic with NULL, which is NULL.
+    if (IsArithmeticOp(e->op) && (lt.is_temporal() || rt.is_temporal() ||
+                                  lt.is_null() || rt.is_null())) {
+      return e;
+    }
     if (IsArithmeticOp(e->op) && (lt.is_decimal() || rt.is_decimal())) {
       // Decimal arithmetic must NOT rescale decimal operands: the kernel
       // propagates (precision, scale) itself (multiplication adds scales,

@@ -1,6 +1,7 @@
 #include "physical/aggregate_exec.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <functional>
 #include <numeric>
@@ -88,8 +89,13 @@ struct PartitionedAggregateExec::BuildState {
   /// Every merge driver claims input partitions to build.
   CooperativeBuild build;
 
-  explicit BuildState(int num_inputs)
-      : partials(static_cast<size_t>(num_inputs)), build(num_inputs) {}
+  /// Merges still to read `partials`; the last one to finish frees them.
+  std::atomic<int> remaining_merges;
+
+  BuildState(int num_inputs, int num_merges)
+      : partials(static_cast<size_t>(num_inputs)),
+        build(num_inputs),
+        remaining_merges(num_merges) {}
 };
 
 /// The grouping state one build or merge owns: a group table mapping
@@ -448,7 +454,9 @@ Status PartitionedAggregateExec::EnsureBuilt(const ExecContextPtr& ctx, bool wai
     if (built_) return build_status_;
     if (build_state_ == nullptr) {
       auto init = [&]() -> Status {
-        auto state = std::make_shared<BuildState>(input_->output_partitions());
+        // A global aggregate merges in partition 0 only.
+        auto state = std::make_shared<BuildState>(
+            input_->output_partitions(), group_exprs_.empty() ? 1 : num_partitions_);
         std::vector<Field> partial_fields;
         for (size_t g = 0; g < group_exprs_.size(); ++g) {
           state->key_types.push_back(group_exprs_[g]->type());
@@ -571,7 +579,13 @@ Result<exec::StreamPtr> PartitionedAggregateExec::ExecuteImpl(
     if (build_state_->direct) {
       groups = std::move(build_state_->partials[0].groups);
     } else {
-      FUSION_ASSIGN_OR_RAISE(groups, Merge(partition, ctx));
+      auto merged = Merge(partition, ctx);
+      // The builds' tables, state and bypassed rows (and their memory
+      // reservations) go once every merge has read them, not with the plan.
+      if (build_state_->remaining_merges.fetch_sub(1) == 1) {
+        build_state_->partials.clear();
+      }
+      FUSION_ASSIGN_OR_RAISE(groups, std::move(merged));
     }
     FUSION_ASSIGN_OR_RAISE(
         out, groups->Emit(/*partial=*/false, schema_, ctx->config.batch_size));

@@ -1,5 +1,6 @@
 #include "physical/hash_join_exec.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "arrow/builder.h"
@@ -167,24 +168,38 @@ Status HashJoinExec::EnsureBuilt(const ExecContextPtr& ctx) {
     state->partial_batches.clear();
     FUSION_ASSIGN_OR_RAISE(state->batch,
                            ConcatenateBatches(build_->schema(), batches));
-    // Memory accounting for the dominant consumer (the build table plus
-    // any Bloom filters); released when the state is destroyed.
-    int64_t bloom_bytes = 0;
-    for (const auto& part : state->partial_blooms) {
-      for (const auto& b : part) bloom_bytes += b.size_bytes();
-    }
-    state->reservation = std::make_unique<exec::MemoryReservation>(
-        ctx->env->memory_pool, "hashjoin-" + std::to_string(ctx->query_id));
-    FUSION_RETURN_NOT_OK(state->reservation->ResizeTo(
-        state->batch->TotalBufferSize() + bloom_bytes));
-    metrics_->Gauge(exec::metric::kMemReservedBytes)
-        ->SetMax(state->reservation->held());
     std::vector<PhysicalExprPtr> key_exprs;
     for (const auto& [l, r] : on_) key_exprs.push_back(l);
     FUSION_ASSIGN_OR_RAISE(state->key_arrays,
                            EvaluateToArrays(key_exprs, *state->batch));
     const int64_t rows = state->batch->num_rows();
     state->next.assign(static_cast<size_t>(rows), -1);
+    state->table.Reserve(on_.empty() ? 1 : rows);
+    if (NeedsBuildMatchTracking(kind_)) {
+      state->matched.assign(static_cast<size_t>(rows), 0);
+    }
+    // Memory accounting for the build: the concatenated input, key
+    // columns computed from it, the chain table and its next[] links,
+    // the match flags and any Bloom filters. Released when the state is
+    // destroyed.
+    int64_t held = state->batch->TotalBufferSize() + state->table.SizeBytes() +
+                   rows * static_cast<int64_t>(sizeof(int64_t)) +
+                   static_cast<int64_t>(state->matched.size());
+    const auto& build_columns = state->batch->columns();
+    for (const auto& key : state->key_arrays) {
+      if (std::find(build_columns.begin(), build_columns.end(), key) ==
+          build_columns.end()) {
+        held += TotalBufferSize(*key);
+      }
+    }
+    for (const auto& part : state->partial_blooms) {
+      for (const auto& b : part) held += b.size_bytes();
+    }
+    state->reservation = std::make_unique<exec::MemoryReservation>(
+        ctx->env->memory_pool, "hashjoin-" + std::to_string(ctx->query_id));
+    FUSION_RETURN_NOT_OK(state->reservation->ResizeTo(held));
+    metrics_->Gauge(exec::metric::kMemReservedBytes)
+        ->SetMax(state->reservation->held());
     // Keyless: one chain under hash 0 holds every build row.
     std::vector<uint64_t> hashes;
     if (on_.empty()) {
@@ -192,7 +207,6 @@ Status HashJoinExec::EnsureBuilt(const ExecContextPtr& ctx) {
     } else if (rows > 0) {
       FUSION_RETURN_NOT_OK(compute::HashColumns(state->key_arrays, &hashes));
     }
-    state->table.Reserve(on_.empty() ? 1 : rows);
     for (int64_t r = 0; r < rows; ++r) {
       bool has_null_key = false;
       for (const auto& k : state->key_arrays) {
@@ -203,9 +217,6 @@ Status HashJoinExec::EnsureBuilt(const ExecContextPtr& ctx) {
       }
       if (has_null_key) continue;  // null keys never match
       state->next[r] = state->table.Insert(hashes[r], r);
-    }
-    if (NeedsBuildMatchTracking(kind_)) {
-      state->matched.assign(static_cast<size_t>(rows), 0);
     }
     state->remaining_probe_partitions.store(probe_->output_partitions());
 

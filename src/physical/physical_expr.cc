@@ -41,22 +41,38 @@ class BinaryExpr : public PhysicalExpr {
   Result<ColumnarValue> Evaluate(const RecordBatch& batch) const override {
     FUSION_ASSIGN_OR_RAISE(ColumnarValue l, left_->Evaluate(batch));
     FUSION_ASSIGN_OR_RAISE(ColumnarValue r, right_->Evaluate(batch));
-    // Scalar-scalar: evaluate once.
-    if (l.is_scalar() && r.is_scalar()) {
-      FUSION_ASSIGN_OR_RAISE(Scalar out,
-                             logical::EvaluateBinaryScalar(op_, l.scalar(),
-                                                           r.scalar()));
-      return ColumnarValue(std::move(out));
+    // A NULL operand gives NULL. AND and OR never see one: the compiler
+    // casts it to a boolean NULL for three-valued logic.
+    if (l.type().is_null() || r.type().is_null()) {
+      return ColumnarValue(Scalar::Null(type_));
     }
+    if (l.is_scalar() && r.is_scalar()) {
+      // Constant operands run the same kernels over one row, so a
+      // folded constant and a column agree.
+      FUSION_ASSIGN_OR_RAISE(auto la, l.ToArray(1));
+      FUSION_ASSIGN_OR_RAISE(auto ra, r.ToArray(1));
+      FUSION_ASSIGN_OR_RAISE(auto out, Apply(ColumnarValue(la), ColumnarValue(ra), 1));
+      return ColumnarValue(Scalar::FromArray(*out, 0));
+    }
+    FUSION_ASSIGN_OR_RAISE(auto out, Apply(l, r, batch.num_rows()));
+    return ColumnarValue(std::move(out));
+  }
+
+  std::string ToString() const override {
+    return left_->ToString() + " " + logical::BinaryOpName(op_) + " " +
+           right_->ToString();
+  }
+
+ private:
+  /// The operator over operands of which at most one is a scalar.
+  Result<ArrayPtr> Apply(const ColumnarValue& l, const ColumnarValue& r,
+                         int64_t num_rows) const {
     switch (op_) {
       case BinaryOp::kAnd:
       case BinaryOp::kOr: {
-        FUSION_ASSIGN_OR_RAISE(auto la, l.ToArray(batch.num_rows()));
-        FUSION_ASSIGN_OR_RAISE(auto ra, r.ToArray(batch.num_rows()));
-        FUSION_ASSIGN_OR_RAISE(auto out, op_ == BinaryOp::kAnd
-                                             ? compute::And(*la, *ra)
-                                             : compute::Or(*la, *ra));
-        return ColumnarValue(std::move(out));
+        FUSION_ASSIGN_OR_RAISE(auto la, l.ToArray(num_rows));
+        FUSION_ASSIGN_OR_RAISE(auto ra, r.ToArray(num_rows));
+        return op_ == BinaryOp::kAnd ? compute::And(*la, *ra) : compute::Or(*la, *ra);
       }
       case BinaryOp::kEq:
       case BinaryOp::kNeq:
@@ -74,11 +90,7 @@ class BinaryExpr : public PhysicalExpr {
           default: op = compute::CompareOp::kGtEq;
         }
         // Array-scalar fast path avoids materializing the literal.
-        if (r.is_scalar()) {
-          FUSION_ASSIGN_OR_RAISE(auto out,
-                                 compute::CompareScalar(op, *l.array(), r.scalar()));
-          return ColumnarValue(std::move(out));
-        }
+        if (r.is_scalar()) return compute::CompareScalar(op, *l.array(), r.scalar());
         if (l.is_scalar()) {
           // flip: scalar op array -> array flipped-op scalar
           compute::CompareOp flipped;
@@ -89,18 +101,14 @@ class BinaryExpr : public PhysicalExpr {
             case compute::CompareOp::kGtEq: flipped = compute::CompareOp::kLtEq; break;
             default: flipped = op;
           }
-          FUSION_ASSIGN_OR_RAISE(
-              auto out, compute::CompareScalar(flipped, *r.array(), l.scalar()));
-          return ColumnarValue(std::move(out));
+          return compute::CompareScalar(flipped, *r.array(), l.scalar());
         }
-        FUSION_ASSIGN_OR_RAISE(auto out, compute::Compare(op, *l.array(), *r.array()));
-        return ColumnarValue(std::move(out));
+        return compute::Compare(op, *l.array(), *r.array());
       }
       case BinaryOp::kStringConcat: {
-        FUSION_ASSIGN_OR_RAISE(auto la, l.ToArray(batch.num_rows()));
-        FUSION_ASSIGN_OR_RAISE(auto ra, r.ToArray(batch.num_rows()));
-        FUSION_ASSIGN_OR_RAISE(auto out, compute::ConcatStrings(*la, *ra));
-        return ColumnarValue(std::move(out));
+        FUSION_ASSIGN_OR_RAISE(auto la, l.ToArray(num_rows));
+        FUSION_ASSIGN_OR_RAISE(auto ra, r.ToArray(num_rows));
+        return compute::ConcatStrings(*la, *ra);
       }
       default: {
         compute::ArithmeticOp op;
@@ -111,29 +119,13 @@ class BinaryExpr : public PhysicalExpr {
           case BinaryOp::kDivide: op = compute::ArithmeticOp::kDivide; break;
           default: op = compute::ArithmeticOp::kModulo;
         }
-        if (r.is_scalar()) {
-          FUSION_ASSIGN_OR_RAISE(
-              auto out, compute::ArithmeticScalar(op, *l.array(), r.scalar()));
-          return ColumnarValue(std::move(out));
-        }
-        if (l.is_scalar()) {
-          FUSION_ASSIGN_OR_RAISE(
-              auto out, compute::ScalarArithmetic(op, l.scalar(), *r.array()));
-          return ColumnarValue(std::move(out));
-        }
-        FUSION_ASSIGN_OR_RAISE(auto out,
-                               compute::Arithmetic(op, *l.array(), *r.array()));
-        return ColumnarValue(std::move(out));
+        if (r.is_scalar()) return compute::ArithmeticScalar(op, *l.array(), r.scalar());
+        if (l.is_scalar()) return compute::ScalarArithmetic(op, l.scalar(), *r.array());
+        return compute::Arithmetic(op, *l.array(), *r.array());
       }
     }
   }
 
-  std::string ToString() const override {
-    return left_->ToString() + " " + logical::BinaryOpName(op_) + " " +
-           right_->ToString();
-  }
-
- private:
   BinaryOp op_;
   PhysicalExprPtr left_;
   PhysicalExprPtr right_;
@@ -206,7 +198,7 @@ class CastPhysExpr : public PhysicalExpr {
   Result<ColumnarValue> Evaluate(const RecordBatch& batch) const override {
     FUSION_ASSIGN_OR_RAISE(ColumnarValue v, child_->Evaluate(batch));
     if (v.is_scalar()) {
-      FUSION_ASSIGN_OR_RAISE(Scalar out, v.scalar().CastTo(target_));
+      FUSION_ASSIGN_OR_RAISE(Scalar out, compute::CastScalar(v.scalar(), target_));
       return ColumnarValue(std::move(out));
     }
     FUSION_ASSIGN_OR_RAISE(auto out, compute::Cast(*v.array(), target_));
@@ -280,6 +272,8 @@ class CasePhysExpr : public PhysicalExpr {
   DataType type() const override { return type_; }
 
   Result<ColumnarValue> Evaluate(const RecordBatch& batch) const override {
+    // Every branch is NULL.
+    if (type_.is_null()) return ColumnarValue(Scalar());
     const int64_t n = batch.num_rows();
     FUSION_ASSIGN_OR_RAISE(auto builder, MakeBuilder(type_));
     builder->Reserve(n);
@@ -363,6 +357,17 @@ PhysicalExprPtr MakeCastExpr(PhysicalExprPtr child, DataType target) {
   return std::make_shared<CastPhysExpr>(std::move(child), target);
 }
 
+namespace {
+
+/// A condition or logical operand as a boolean (NULL, or a number true
+/// when nonzero).
+PhysicalExprPtr AsBoolean(PhysicalExprPtr expr) {
+  if (expr->type().is_bool()) return expr;
+  return MakeCastExpr(std::move(expr), boolean());
+}
+
+}  // namespace
+
 Result<PhysicalExprPtr> CreatePhysicalExpr(const ExprPtr& expr,
                                            const logical::PlanSchema& input) {
   switch (expr->kind) {
@@ -379,18 +384,41 @@ Result<PhysicalExprPtr> CreatePhysicalExpr(const ExprPtr& expr,
       FUSION_ASSIGN_OR_RAISE(auto left, CreatePhysicalExpr(expr->children[0], input));
       FUSION_ASSIGN_OR_RAISE(auto right, CreatePhysicalExpr(expr->children[1], input));
       FUSION_ASSIGN_OR_RAISE(DataType type, expr->GetType(input));
-      // Insert implicit casts so kernel operand types match. Decimal
-      // arithmetic is exempt: the kernel consumes operands at their own
-      // scales (multiplication's result scale is s1+s2, which neither
-      // operand can be cast to without changing the value).
-      if (logical::IsArithmeticOp(expr->op) && !type.is_temporal() &&
-          !type.is_decimal()) {
-        if (left->type() != type && !left->type().is_null()) {
-          left = std::make_shared<CastPhysExpr>(std::move(left), type);
+      // Insert implicit casts so kernel operand types match. A NULL
+      // operand needs none: the result is NULL.
+      const bool null_operand = left->type().is_null() || right->type().is_null();
+      if (expr->op == BinaryOp::kAnd || expr->op == BinaryOp::kOr) {
+        // Three-valued logic on booleans: a NULL operand is a boolean
+        // NULL, a number is true when nonzero.
+        left = AsBoolean(std::move(left));
+        right = AsBoolean(std::move(right));
+      } else if (expr->op == BinaryOp::kStringConcat && !null_operand) {
+        if (!left->type().is_string_like()) left = MakeCastExpr(std::move(left), utf8());
+        if (!right->type().is_string_like()) right = MakeCastExpr(std::move(right), utf8());
+      } else if (logical::IsArithmeticOp(expr->op) && type.is_temporal() &&
+                 !null_operand) {
+        // date ± n and timestamp ± n add n days, as does n + date: the
+        // integer becomes a day offset of the temporal type.
+        const bool days_left = !left->type().is_temporal();
+        PhysicalExprPtr& days = days_left ? left : right;
+        if (!days->type().is_integer() ||
+            !(expr->op == BinaryOp::kPlus ||
+              (expr->op == BinaryOp::kMinus && !days_left))) {
+          return Status::TypeError("unsupported temporal arithmetic: " +
+                                   expr->ToString());
         }
-        if (right->type() != type && !right->type().is_null()) {
-          right = std::make_shared<CastPhysExpr>(std::move(right), type);
+        days = MakeCastExpr(std::move(days), date32());
+        if (type.id() == TypeId::kTimestamp) {
+          days = MakeCastExpr(std::move(days), timestamp());
         }
+      } else if (logical::IsArithmeticOp(expr->op) && !type.is_decimal() &&
+                 !null_operand) {
+        // Decimal arithmetic is exempt: the kernel consumes operands at
+        // their own scales (multiplication's result scale is s1+s2,
+        // which neither operand can be cast to without changing the
+        // value).
+        if (left->type() != type) left = MakeCastExpr(std::move(left), type);
+        if (right->type() != type) right = MakeCastExpr(std::move(right), type);
       } else if (logical::IsComparisonOp(expr->op) &&
                  left->type() != right->type()) {
         FUSION_ASSIGN_OR_RAISE(DataType common,
@@ -407,7 +435,7 @@ Result<PhysicalExprPtr> CreatePhysicalExpr(const ExprPtr& expr,
     }
     case Expr::Kind::kNot: {
       FUSION_ASSIGN_OR_RAISE(auto child, CreatePhysicalExpr(expr->children[0], input));
-      return PhysicalExprPtr(std::make_shared<NotExpr>(std::move(child)));
+      return PhysicalExprPtr(std::make_shared<NotExpr>(AsBoolean(std::move(child))));
     }
     case Expr::Kind::kNegative: {
       FUSION_ASSIGN_OR_RAISE(auto child, CreatePhysicalExpr(expr->children[0], input));
@@ -445,7 +473,10 @@ Result<PhysicalExprPtr> CreatePhysicalExpr(const ExprPtr& expr,
       FUSION_ASSIGN_OR_RAISE(auto child, CreatePhysicalExpr(expr->children[0], input));
       FUSION_ASSIGN_OR_RAISE(Scalar pattern,
                              logical::EvaluateConstantExpr(expr->children[1]));
-      if (pattern.is_null() || !pattern.type().is_string()) {
+      if (pattern.is_null()) {
+        return PhysicalExprPtr(std::make_shared<LiteralExpr>(Scalar::Null(boolean())));
+      }
+      if (!pattern.type().is_string()) {
         return Status::NotImplemented("LIKE pattern must be a string literal");
       }
       return PhysicalExprPtr(std::make_shared<LikePhysExpr>(
@@ -458,6 +489,7 @@ Result<PhysicalExprPtr> CreatePhysicalExpr(const ExprPtr& expr,
       for (size_t i = 0; i < num_whens; ++i) {
         FUSION_ASSIGN_OR_RAISE(auto when,
                                CreatePhysicalExpr(expr->children[i * 2], input));
+        when = AsBoolean(std::move(when));
         FUSION_ASSIGN_OR_RAISE(auto then,
                                CreatePhysicalExpr(expr->children[i * 2 + 1], input));
         when_then.emplace_back(std::move(when), std::move(then));

@@ -218,8 +218,9 @@ Result<ExecPlanPtr> PhysicalPlanner::Plan(const PlanPtr& plan) {
       }
       for (const auto& row : plan->values_rows) {
         for (size_t c = 0; c < row.size(); ++c) {
-          FUSION_ASSIGN_OR_RAISE(Scalar v, logical::EvaluateConstantExpr(row[c]));
-          FUSION_ASSIGN_OR_RAISE(v, v.CastTo(schema->field(static_cast<int>(c)).type()));
+          FUSION_ASSIGN_OR_RAISE(
+              Scalar v, logical::EvaluateConstantExpr(logical::CastExpr(
+                            row[c], schema->field(static_cast<int>(c)).type())));
           if (v.is_null()) {
             builders[c]->AppendNull();
           } else {

@@ -580,9 +580,15 @@ int CompareRows(const std::vector<ArrayPtr>& left_cols, int64_t li,
         break;
       }
       case TypeId::kFloat64: {
+        // As OrderableBitsDouble orders keys: NaN equals every NaN and
+        // sorts above +inf.
         double a = checked_cast<Float64Array>(l).Value(li);
         double b = checked_cast<Float64Array>(r).Value(ri);
-        cmp = a < b ? -1 : (a > b ? 1 : 0);
+        if (a != a || b != b) {
+          cmp = static_cast<int>(a != a) - static_cast<int>(b != b);
+        } else {
+          cmp = a < b ? -1 : (a > b ? 1 : 0);
+        }
         break;
       }
       case TypeId::kDecimal128: {

@@ -173,18 +173,6 @@ TEST(ScalarTest, CompareAcrossTypes) {
   EXPECT_LT(Scalar::Null(int64()).Compare(Scalar::Int64(0)), 0);
 }
 
-TEST(ScalarTest, CastTo) {
-  ASSERT_OK_AND_ASSIGN(auto as_double, Scalar::Int64(7).CastTo(float64()));
-  EXPECT_EQ(as_double.double_value(), 7.0);
-  ASSERT_OK_AND_ASSIGN(auto as_string, Scalar::Int64(7).CastTo(utf8()));
-  EXPECT_EQ(as_string.string_value(), "7");
-  ASSERT_OK_AND_ASSIGN(auto parsed, Scalar::String("42").CastTo(int64()));
-  EXPECT_EQ(parsed.int_value(), 42);
-  ASSERT_OK_AND_ASSIGN(auto null_cast, Scalar::Null(int64()).CastTo(utf8()));
-  EXPECT_TRUE(null_cast.is_null());
-  EXPECT_EQ(null_cast.type(), utf8());
-}
-
 TEST(ScalarTest, FromArrayRoundTrip) {
   auto arr = MakeStringArray({"hello"}, {true});
   Scalar s = Scalar::FromArray(*arr, 0);

@@ -173,6 +173,25 @@ TEST(CastTest, DateToTimestamp) {
   EXPECT_EQ(checked_cast<Int64Array>(*ts).Value(0), 86400LL * 1000000LL);
 }
 
+TEST(CastTest, CastScalarIsTheOneRowCast) {
+  ASSERT_OK_AND_ASSIGN(auto as_double, compute::CastScalar(Scalar::Int64(7), float64()));
+  EXPECT_EQ(as_double.double_value(), 7.0);
+  ASSERT_OK_AND_ASSIGN(auto as_string, compute::CastScalar(Scalar::Int64(7), utf8()));
+  EXPECT_EQ(as_string.string_value(), "7");
+  ASSERT_OK_AND_ASSIGN(auto parsed, compute::CastScalar(Scalar::String("42"), int64()));
+  EXPECT_EQ(parsed.int_value(), 42);
+  ASSERT_OK_AND_ASSIGN(auto null_cast,
+                       compute::CastScalar(Scalar::Null(int64()), utf8()));
+  EXPECT_TRUE(null_cast.is_null());
+  EXPECT_EQ(null_cast.type(), utf8());
+  // Unparsable text is NULL, as in a column; dates parse as DATE literals.
+  ASSERT_OK_AND_ASSIGN(auto garbage, compute::CastScalar(Scalar::String("abc"), int64()));
+  EXPECT_TRUE(garbage.is_null());
+  ASSERT_OK_AND_ASSIGN(auto date,
+                       compute::CastScalar(Scalar::String("2020-01-01"), date32()));
+  EXPECT_EQ(date.int_value(), 18262);
+}
+
 TEST(CastTest, CommonTypeLattice) {
   ASSERT_OK_AND_ASSIGN(auto t1, compute::CommonType(int32(), int64()));
   EXPECT_EQ(t1, int64());
@@ -360,24 +379,21 @@ TEST(HashKernelTest, NullsHashConsistently) {
 
 TEST(AggregateKernelTest, SumMinMaxCountMean) {
   auto arr = MakeInt64Array({5, 1, 9, 3}, {true, true, false, true});
-  ASSERT_OK_AND_ASSIGN(auto sum, compute::SumArray(*arr));
-  EXPECT_EQ(sum.int_value(), 9);
   ASSERT_OK_AND_ASSIGN(auto mn, compute::MinArray(*arr));
   EXPECT_EQ(mn.int_value(), 1);
   ASSERT_OK_AND_ASSIGN(auto mx, compute::MaxArray(*arr));
   EXPECT_EQ(mx.int_value(), 5);
-  EXPECT_EQ(compute::CountArray(*arr), 3);
-  ASSERT_OK_AND_ASSIGN(auto mean, compute::MeanArray(*arr));
-  EXPECT_DOUBLE_EQ(mean.double_value(), 3.0);
+  ASSERT_OK_AND_ASSIGN(auto batches,
+                       QueryColumn(arr, "SELECT sum(x), count(x), avg(x) FROM v"));
+  EXPECT_EQ(ToStringRows(batches), (std::vector<StringRow>{{"9", "3", "3"}}));
 }
 
 TEST(AggregateKernelTest, AllNullInput) {
   auto arr = MakeInt64Array({1, 2}, {false, false});
-  ASSERT_OK_AND_ASSIGN(auto sum, compute::SumArray(*arr));
-  EXPECT_TRUE(sum.is_null());
   ASSERT_OK_AND_ASSIGN(auto mn, compute::MinArray(*arr));
   EXPECT_TRUE(mn.is_null());
-  EXPECT_EQ(compute::CountArray(*arr), 0);
+  ASSERT_OK_AND_ASSIGN(auto batches, QueryColumn(arr, "SELECT sum(x), count(x) FROM v"));
+  EXPECT_EQ(ToStringRows(batches), (std::vector<StringRow>{{"null", "0"}}));
 }
 
 TEST(AggregateKernelTest, StringMinMax) {

@@ -209,7 +209,9 @@ TEST(Decimal, AggregatesMatchInt128Oracle) {
   }
   ArrayPtr arr = MakeDecimalArray(t, vals, valid);
 
-  ASSERT_OK_AND_ASSIGN(Scalar s, compute::SumArray(*arr));
+  ASSERT_OK_AND_ASSIGN(auto sql, QueryColumn(arr, "SELECT sum(x), avg(x) FROM v"));
+  ASSERT_EQ(TotalRows(sql), 1);
+  Scalar s = Scalar::FromArray(*sql[0]->column(0), 0);
   EXPECT_EQ(s.type(), decimal128(38, 2));
   EXPECT_EQ(s.decimal_value().ToInt128(), sum);
 
@@ -220,7 +222,7 @@ TEST(Decimal, AggregatesMatchInt128Oracle) {
   EXPECT_EQ(mx.decimal_value(), D(max_v));
 
   // avg widens by 4 fractional digits and rounds half away from zero.
-  ASSERT_OK_AND_ASSIGN(Scalar avg, compute::MeanArray(*arr));
+  Scalar avg = Scalar::FromArray(*sql[0]->column(1), 0);
   EXPECT_EQ(avg.type(), decimal128(38, 6));
   __int128 numer = sum * 10000;
   __int128 q = numer / count;
@@ -237,7 +239,7 @@ TEST(Decimal, SumOverflowIsError) {
   b.Append(big);
   b.Append(big);
   ArrayPtr arr = b.Finish().ValueOrDie();
-  EXPECT_RAISES(compute::SumArray(*arr));
+  EXPECT_RAISES(QueryColumn(arr, "SELECT sum(x) FROM v"));
 }
 
 // --------------------------------------------------------------- casts

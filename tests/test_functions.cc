@@ -3,6 +3,10 @@
 
 #include "tests/test_util.h"
 
+#include <array>
+#include <cmath>
+#include <limits>
+
 #include "logical/interval_analysis.h"
 #include "logical/expr_eval.h"
 
@@ -182,23 +186,240 @@ TEST(IntervalAnalysisTest, SelectivityHeuristics) {
   EXPECT_DOUBLE_EQ(EstimateSelectivity(nullptr), 1.0);
 }
 
-TEST(ConstantEvalTest, EvaluateBinaryScalar) {
-  using logical::EvaluateBinaryScalar;
-  ASSERT_OK_AND_ASSIGN(auto sum, EvaluateBinaryScalar(logical::BinaryOp::kPlus,
-                                                      Scalar::Int64(2),
-                                                      Scalar::Float64(0.5)));
+TEST(ConstantEvalTest, BinaryOperators) {
+  using logical::Binary;
+  using logical::BinaryOp;
+  using logical::EvaluateConstantExpr;
+  using logical::Lit;
+  ASSERT_OK_AND_ASSIGN(auto sum, EvaluateConstantExpr(Binary(
+                                     Lit(int64_t{2}), BinaryOp::kPlus, Lit(0.5))));
+  EXPECT_EQ(sum.type(), float64());
   EXPECT_DOUBLE_EQ(sum.double_value(), 2.5);
-  ASSERT_OK_AND_ASSIGN(auto div0, EvaluateBinaryScalar(logical::BinaryOp::kDivide,
-                                                       Scalar::Int64(1),
-                                                       Scalar::Int64(0)));
+  ASSERT_OK_AND_ASSIGN(auto div0, EvaluateConstantExpr(Binary(
+                                      Lit(int64_t{1}), BinaryOp::kDivide,
+                                      Lit(int64_t{0}))));
   EXPECT_TRUE(div0.is_null());
+  EXPECT_EQ(div0.type(), int64());
   // Kleene: false AND null = false.
   ASSERT_OK_AND_ASSIGN(auto kleene,
-                       EvaluateBinaryScalar(logical::BinaryOp::kAnd,
-                                            Scalar::Bool(false),
-                                            Scalar::Null(boolean())));
+                       EvaluateConstantExpr(Binary(Lit(Scalar::Bool(false)),
+                                                   BinaryOp::kAnd,
+                                                   Lit(Scalar::Null(boolean())))));
   EXPECT_FALSE(kleene.is_null());
   EXPECT_FALSE(kleene.bool_value());
+}
+
+/// One value per type the expression list uses, as the SQL literal that
+/// denotes it and as a column of a one-row table.
+struct ConstantOperand {
+  std::string name;
+  std::string literal;
+  ArrayPtr column;
+};
+
+std::vector<ConstantOperand> ConstantOperands() {
+  const double inf = std::numeric_limits<double>::infinity();
+  return {
+      {"i32", "CAST(7 AS INT4)", MakeInt32Array({7})},
+      {"i64", "5", MakeInt64Array({5})},
+      {"iz", "0", MakeInt64Array({0})},
+      {"dbl", "2.5", MakeFloat64Array({2.5})},
+      {"zero", "0.0", MakeFloat64Array({0.0})},
+      {"nan", "CAST('NaN' AS DOUBLE)", MakeFloat64Array({std::nan("")})},
+      {"pinf", "CAST('inf' AS DOUBLE)", MakeFloat64Array({inf})},
+      {"ninf", "CAST('-inf' AS DOUBLE)", MakeFloat64Array({-inf})},
+      {"dec", "CAST(1.50 AS DECIMAL(10,2))",
+       MakeDecimal128Array(10, 2, {Decimal128(150)})},
+      {"s", "'abc'", MakeStringArray({"abc"})},
+      {"sn", "' 12'", MakeStringArray({" 12"})},
+      {"sd", "'2020-01-01'", MakeStringArray({"2020-01-01"})},
+      {"snan", "'NaN'", MakeStringArray({"NaN"})},
+      {"d", "DATE '2020-01-01'", MakeDate32Array({18262})},
+      {"b", "true", MakeBooleanArray({true})},
+      {"n", "NULL", MakeArrayOfNulls(null_type(), 1).ValueOrDie()},
+  };
+}
+
+/// Replace each {name} in `pattern` with the operand's literal or column.
+std::string Instantiate(const std::string& pattern,
+                        const std::vector<ConstantOperand>& operands,
+                        bool literal) {
+  std::string out = pattern;
+  for (const auto& op : operands) {
+    const std::string hole = "{" + op.name + "}";
+    for (size_t at = out.find(hole); at != std::string::npos; at = out.find(hole)) {
+      out.replace(at, hole.size(), literal ? "(" + op.literal + ")" : op.name);
+    }
+  }
+  return out;
+}
+
+TEST(ConstantEvalTest, FoldedMatchesColumnEvaluation) {
+  const auto operands = ConstantOperands();
+  std::vector<Field> fields;
+  std::vector<ArrayPtr> columns;
+  for (const auto& op : operands) {
+    fields.emplace_back(op.name, op.column->type(), true);
+    columns.push_back(op.column);
+  }
+  auto schema = fusion::schema(fields);
+  auto batch = std::make_shared<RecordBatch>(schema, 1, std::move(columns));
+  auto ctx = core::SessionContext::Make();
+  ASSERT_OK(ctx->RegisterTable("t", catalog::MemoryTable::Make(schema, {batch})
+                                        .ValueOrDie()));
+
+  const std::vector<std::string> patterns = {
+      // Every binary operator, over int32, int64, double, decimal,
+      // string, date, bool and NULL operands.
+      "{i64} + {i32}", "{i32} - {i64}", "{i64} * {dbl}", "{i64} / {i32}",
+      "{i64} % {i32}", "{i64} / {iz}", "{i64} % {iz}", "{i64} / {zero}",
+      "{dbl} % {zero}", "{nan} + {dbl}", "{pinf} + {ninf}", "{pinf} * {zero}",
+      "{dec} + {dec}", "{dec} * {dec}", "{dec} / {dec}", "{dec} - {i64}",
+      "{dec} * {dbl}", "{dec} % {i32}", "{dec} / {iz}",
+      "{d} + {i64}", "{d} - {i32}", "{i64} + {d}", "{d} - {d}", "{i64} - {d}",
+      "{d} * {i64}", "{n} + {i64}", "{dbl} * {n}", "{dec} - {n}", "{d} + {n}",
+      "{i64} = {i32}", "{i64} <> {dbl}", "{i32} < {dbl}", "{dec} <= {dbl}",
+      "{dec} > {i64}", "{s} >= {sn}", "{nan} = {nan}", "{nan} > {pinf}",
+      "{ninf} < {i64}", "{d} = {sd}", "{i64} = {sn}", "{i64} = {n}",
+      "{b} = {b}", "{b} AND {n}", "NOT {b} AND {n}", "{b} OR {n}",
+      "NOT {b} OR {n}", "{b} AND NOT {b}", "{b} AND {i64}", "{zero} OR {n}",
+      "{nan} AND {b}", "{s} AND {b}", "{s} || {s}", "{s} || {i64}",
+      "{dbl} || {s}", "{s} || {n}",
+      // CAST.
+      "CAST({s} AS BIGINT)", "CAST({sn} AS BIGINT)", "CAST({sd} AS DATE)",
+      "CAST({snan} AS DOUBLE) = 1.0", "CAST({snan} AS DOUBLE)",
+      "CAST({i64} AS VARCHAR)", "CAST({dbl} AS INT4)", "CAST({dec} AS DOUBLE)",
+      "CAST({i64} AS DECIMAL(12,2))", "CAST({dbl} AS DECIMAL(10,1))",
+      "CAST({b} AS BIGINT)", "CAST({n} AS BIGINT)", "CAST({d} AS TIMESTAMP)",
+      "CAST({d} AS TIMESTAMP) + {i64}", "CAST({sd} AS TIMESTAMP)",
+      // CASE with and without ELSE.
+      "CASE WHEN {b} THEN {i64} ELSE {i32} END",
+      "CASE WHEN {i64} > {dbl} THEN {s} END",
+      "CASE WHEN {n} THEN 1 ELSE 2 END", "CASE WHEN NOT {b} THEN {n} END",
+      "CASE WHEN {iz} THEN 1 ELSE 2 END",
+      "CASE {i64} WHEN 5 THEN 'five' ELSE 'other' END",
+      // IN.
+      "{iz} IN (NULL, 5)", "{i64} IN (NULL, 5)", "{i32} IN (NULL, 5)",
+      "{i64} NOT IN (NULL, 6)", "{i64} NOT IN (6, 7)", "{s} IN ('abc', NULL)",
+      "{s} NOT IN ('x', NULL)", "{d} IN (DATE '2020-01-01', NULL)",
+      "{d} IN ('2020-01-01')", "CAST({d} AS TIMESTAMP) IN ('2020-01-01 00:00:00')",
+      "{dbl} IN (1, 2.5)", "{zero} IN (0, 1)", "{dec} IN (1.5, NULL)", "{dec} IN (1.2)",
+      "{nan} IN (CAST('NaN' AS DOUBLE), 1)", "{b} IN (false, NULL)",
+      "{n} IN (1, 2)",
+      // LIKE, NOT, IS NULL, negation, one scalar function.
+      "{s} LIKE 'a%'", "{s} NOT LIKE '%c'", "{n} LIKE 'a%'", "{s} LIKE NULL",
+      "NOT {b}", "NOT {n}", "NOT {i32}", "{n} IS NULL", "{i64} IS NOT NULL", "{nan} IS NULL",
+      "-{i64}", "-{i32}", "-{dbl}", "-{dec}", "-{ninf}", "-{n}",
+      "upper({s})", "length({s}) + {i32}", "abs(-{dbl})", "abs(-{dec})",
+  };
+  for (const auto& pattern : patterns) {
+    const std::string folded_sql = "SELECT " + Instantiate(pattern, operands, true);
+    const std::string column_sql =
+        "SELECT " + Instantiate(pattern, operands, false) + " FROM t";
+    auto folded = ctx->ExecuteSql(folded_sql);
+    auto column = ctx->ExecuteSql(column_sql);
+    ASSERT_EQ(folded.ok(), column.ok())
+        << folded_sql << " -> " << folded.status().ToString() << "\n"
+        << column_sql << " -> " << column.status().ToString();
+    if (!folded.ok()) {
+      EXPECT_EQ(folded.status().code(), column.status().code())
+          << folded_sql << " -> " << folded.status().ToString() << "\n"
+          << column_sql << " -> " << column.status().ToString();
+      continue;
+    }
+    ASSERT_EQ(TotalRows(*folded), 1) << folded_sql;
+    ASSERT_EQ(TotalRows(*column), 1) << column_sql;
+    EXPECT_EQ((*folded)[0]->schema()->field(0).type(),
+              (*column)[0]->schema()->field(0).type())
+        << folded_sql;
+    EXPECT_EQ(ToStringRows(*folded), ToStringRows(*column)) << folded_sql;
+  }
+}
+
+TEST(InListTest, NullItemGivesThreeValuedAnswer) {
+  // 64 rows in 8 batches; every column holds (id % 8) in its own type,
+  // and every 9th row is NULL.
+  const int64_t n = 64;
+  Int64Builder id, k;
+  NumericBuilder<int32_t> d(date32());
+  StringBuilder s;
+  DictionaryBuilder kd;
+  Decimal128Builder dec(decimal128(10, 2));
+  Float64Builder x;
+  int64_t fives = 0, valid = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t v = i % 8;
+    id.Append(i);
+    if (i % 9 == 4) {
+      k.AppendNull();
+      d.AppendNull();
+      s.AppendNull();
+      kd.AppendNull();
+      dec.AppendNull();
+      x.AppendNull();
+      continue;
+    }
+    ++valid;
+    fives += v == 5;
+    k.Append(v);
+    d.Append(static_cast<int32_t>(18262 + v));
+    s.Append("v" + std::to_string(v));
+    kd.Append("v" + std::to_string(v));
+    dec.Append(Decimal128(v * 100));
+    x.Append(static_cast<double>(v));
+  }
+  auto schema = fusion::schema(
+      {Field("id", int64(), false), Field("k", int64(), true), Field("d", date32(), true),
+       Field("s", utf8(), true), Field("kd", dictionary(), true),
+       Field("dec", decimal128(10, 2), true), Field("x", float64(), true)});
+  auto batch = std::make_shared<RecordBatch>(
+      schema, n,
+      std::vector<ArrayPtr>{id.Finish().ValueOrDie(), k.Finish().ValueOrDie(),
+                            d.Finish().ValueOrDie(), s.Finish().ValueOrDie(),
+                            kd.Finish().ValueOrDie(), dec.Finish().ValueOrDie(),
+                            x.Finish().ValueOrDie()});
+  auto table = catalog::MemoryTable::Make(schema, SliceBatch(batch, 8)).ValueOrDie();
+
+  // Each column with the list (NULL, <5 in its type>) and the value 0
+  // as a constant of the same type.
+  const std::vector<std::array<std::string, 3>> cases = {
+      {"k", "NULL, 5", "0"},
+      {"d", "NULL, DATE '2020-01-06'", "DATE '2020-01-01'"},
+      {"s", "NULL, 'v5'", "'v0'"},
+      {"kd", "NULL, 'v5'", "'v0'"},
+      {"dec", "NULL, 5", "CAST(0 AS DECIMAL(10,2))"},
+      {"x", "NULL, 5", "0.0"},
+  };
+  auto count = [](core::SessionContextPtr& ctx, const std::string& sql) {
+    auto batches = ctx->ExecuteSql(sql);
+    EXPECT_TRUE(batches.ok()) << sql << " -> " << batches.status().ToString();
+    return batches.ok() ? ToStringRows(*batches)[0][0] : "error";
+  };
+  for (int partitions : {1, 4}) {
+    exec::SessionConfig config;
+    config.target_partitions = partitions;
+    auto ctx = core::SessionContext::Make(config);
+    ASSERT_OK(ctx->RegisterTable("t", table));
+    for (const auto& [col, list, zero] : cases) {
+      const std::string in = col + " IN (" + list + ")";
+      const std::string not_in = col + " NOT IN (" + list + ")";
+      SCOPED_TRACE(in + " at " + std::to_string(partitions) + " partitions");
+      // A row matching no item is NULL, so NOT IN keeps no row.
+      EXPECT_EQ(count(ctx, "SELECT count(*) FROM t WHERE " + in), std::to_string(fives));
+      EXPECT_EQ(count(ctx, "SELECT count(*) FROM t WHERE " + not_in), "0");
+      EXPECT_EQ(count(ctx, "SELECT count(*) FROM t WHERE (" + in + ") IS NULL"),
+                std::to_string(n - fives));
+      EXPECT_EQ(count(ctx, "SELECT count(*) FROM t WHERE (" + not_in + ") = false"),
+                std::to_string(fives));
+      // Without the NULL item a non-match is false.
+      EXPECT_EQ(count(ctx, "SELECT count(*) FROM t WHERE " + col + " NOT IN (" +
+                               list.substr(6) + ")"),
+                std::to_string(valid - fives));
+      // The same lists over a constant.
+      EXPECT_EQ(count(ctx, "SELECT " + zero + " IN (" + list + ")"), "null");
+      EXPECT_EQ(count(ctx, "SELECT " + zero + " NOT IN (" + list + ")"), "null");
+    }
+  }
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include "tests/test_util.h"
 
+#include <cstdlib>
 #include <limits>
+#include <optional>
 
 #include "exec/cache_manager.h"
 #include "exec/disk_manager.h"
@@ -158,14 +160,111 @@ TEST(AggSpillTest, SpilledAggregationMatchesInMemory) {
 
       ASSERT_OK_AND_ASSIGN(auto in_memory, big_ctx->ExecuteSql(q));
       {
-        // The result holds the plan, and the plan its builds' reservations.
+        // The result holds the plan; the builds' partial state is freed
+        // once the merges have read it.
         ASSERT_OK_AND_ASSIGN(auto spilled, small_ctx->ExecuteSqlWithMetrics(q));
         EXPECT_GT(TotalSpills(spilled.metrics), 0) << q << " partitions=" << partitions;
         EXPECT_EQ(SortedStringRows(spilled.batches), SortedStringRows(in_memory))
             << q << " partitions=" << partitions;
+        EXPECT_EQ(pool->bytes_allocated(), 0) << q << " partitions=" << partitions;
       }
       EXPECT_EQ(pool->bytes_allocated(), 0) << q << " partitions=" << partitions;
     }
+  }
+}
+
+TEST(AggSpillTest, SpilledMedianFreedAfterMerge) {
+  // One partition, and a build that spills, charges its last rows after
+  // the spill and then merges: its state must go once the merge read it.
+  std::mt19937 rng(13);
+  Int64Builder key, value;
+  for (int64_t i = 0; i < 90000; ++i) {
+    key.Append(static_cast<int64_t>(rng() % 45000));
+    value.Append(static_cast<int64_t>(rng() % 100));
+  }
+  auto schema = fusion::schema({Field("k", int64(), false),
+                                Field("v", int64(), false)});
+  auto batch = std::make_shared<RecordBatch>(
+      schema, 90000,
+      std::vector<ArrayPtr>{key.Finish().ValueOrDie(), value.Finish().ValueOrDie()});
+  exec::SessionConfig config;
+  config.target_partitions = 1;
+  auto pool = std::make_shared<exec::GreedyMemoryPool>(1024 * 1024);
+  auto env = std::make_shared<exec::RuntimeEnv>();
+  env->memory_pool = pool;
+  auto ctx = core::SessionContext::Make(config, env);
+  ASSERT_OK(ctx->RegisterTable(
+      "data", catalog::MemoryTable::Make(schema, SliceBatch(batch, 1024)).ValueOrDie()));
+  ASSERT_OK_AND_ASSIGN(auto result, ctx->ExecuteSqlWithMetrics(
+                                        "SELECT k, median(v) FROM data GROUP BY k"));
+  EXPECT_GT(TotalSpills(result.metrics), 0);
+  EXPECT_GT(TotalRows(result.batches), 35000);
+  EXPECT_EQ(pool->bytes_allocated(), 0);
+}
+
+TEST(AggSpillTest, BypassedBuildsFreedAfterMerge) {
+  // Forced bypass: every build forwards its rows as per-row partial
+  // state batches, charged to the build until the merges have read them.
+  // The guard restores the variable, which a whole-suite run may set.
+  struct ForceBypass {
+    std::optional<std::string> saved;
+    ForceBypass() {
+      if (const char* v = std::getenv("FUSION_AGG_BYPASS")) saved = v;
+      ::setenv("FUSION_AGG_BYPASS", "force", 1);
+    }
+    ~ForceBypass() {
+      if (saved) {
+        ::setenv("FUSION_AGG_BYPASS", saved->c_str(), 1);
+      } else {
+        ::unsetenv("FUSION_AGG_BYPASS");
+      }
+    }
+  } force_bypass;
+  exec::SessionConfig config;
+  config.target_partitions = 4;
+  auto pool = std::make_shared<exec::GreedyMemoryPool>(64 * 1024 * 1024);
+  auto env = std::make_shared<exec::RuntimeEnv>();
+  env->memory_pool = pool;
+  auto ctx = MakeTestSession(2000, config, env);
+  ASSERT_OK_AND_ASSIGN(auto result,
+                       ctx->ExecuteSqlWithMetrics(
+                           "SELECT grp, count(*), sum(v), avg(f) FROM t GROUP BY grp"));
+  EXPECT_EQ(TotalRows(result.batches), 3);
+  EXPECT_EQ(pool->bytes_allocated(), 0);
+}
+
+TEST(HashJoinMemoryTest, BuildChargesChainTableAndLinks) {
+  // 100,000 build keys: 800,000 B of keys, a chain table of 262,144
+  // slots (4 MiB) and 800,000 B of next[] links.
+  Int64Builder ids;
+  for (int64_t i = 0; i < 100000; ++i) ids.Append(i);
+  auto schema = fusion::schema({Field("id", int64(), false)});
+  auto batch = std::make_shared<RecordBatch>(
+      schema, 100000, std::vector<ArrayPtr>{ids.Finish().ValueOrDie()});
+  auto table = catalog::MemoryTable::Make(schema, SliceBatch(batch, 8192)).ValueOrDie();
+  const std::string q = "SELECT count(*) FROM a JOIN b ON a.id = b.id";
+  // 3 MiB holds the keys but not the table; 16 MiB holds the whole build.
+  for (const auto& [limit, fits] :
+       {std::pair{int64_t{3} << 20, false}, std::pair{int64_t{16} << 20, true}}) {
+    exec::SessionConfig config;
+    config.target_partitions = 1;
+    auto pool = std::make_shared<exec::GreedyMemoryPool>(limit);
+    auto env = std::make_shared<exec::RuntimeEnv>();
+    env->memory_pool = pool;
+    auto ctx = core::SessionContext::Make(config, env);
+    ASSERT_OK(ctx->RegisterTable("a", table));
+    ASSERT_OK(ctx->RegisterTable("b", table));
+    {
+      auto result = ctx->ExecuteSql(q);
+      if (fits) {
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(ToStringRows(*result)[0][0], "100000");
+      } else {
+        ASSERT_FALSE(result.ok());
+        EXPECT_TRUE(result.status().IsOutOfMemory()) << result.status().ToString();
+      }
+    }
+    EXPECT_EQ(pool->bytes_allocated(), 0) << "limit " << limit;
   }
 }
 

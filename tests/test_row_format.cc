@@ -4,6 +4,8 @@
 
 #include "tests/test_util.h"
 
+#include <limits>
+
 #include "row/row_format.h"
 
 namespace fusion {
@@ -15,7 +17,9 @@ using row::RowEncoder;
 using row::SortOptions;
 
 /// Random array of the given type with ~20% nulls.
-ArrayPtr RandomArray(DataType type, int64_t n, std::mt19937* rng) {
+/// With `nan_and_inf`, doubles include NaNs of both signs and infinities.
+ArrayPtr RandomArray(DataType type, int64_t n, std::mt19937* rng,
+                     bool nan_and_inf = false) {
   std::vector<bool> valid(n);
   for (int64_t i = 0; i < n; ++i) valid[i] = (*rng)() % 5 != 0;
   switch (type.id()) {
@@ -30,9 +34,14 @@ ArrayPtr RandomArray(DataType type, int64_t n, std::mt19937* rng) {
       return MakeInt32Array(v, valid);
     }
     case TypeId::kFloat64: {
+      const double kSpecial[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 -std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
       std::vector<double> v(n);
       for (auto& x : v) {
         x = (static_cast<double>((*rng)()) / 1e6 - 2000.0);
+        if (nan_and_inf && (*rng)() % 8 == 0) x = kSpecial[(*rng)() % 4];
       }
       return MakeFloat64Array(v, valid);
     }
@@ -77,7 +86,7 @@ TEST_P(RowFormatOrderTest, EncodedOrderMatchesLogicalOrder) {
   const RowFormatCase& param = GetParam();
   std::mt19937 rng(12345);
   const int64_t n = 300;
-  auto arr = RandomArray(param.type, n, &rng);
+  auto arr = RandomArray(param.type, n, &rng, /*nan_and_inf=*/true);
   std::vector<ArrayPtr> columns = {arr};
   SortOptions opt{param.descending, param.nulls_first};
   RowEncoder encoder({param.type}, {opt});

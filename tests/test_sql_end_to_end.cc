@@ -3,6 +3,8 @@
 
 #include "tests/test_util.h"
 
+#include <limits>
+
 namespace fusion {
 namespace test {
 namespace {
@@ -321,6 +323,32 @@ TEST(SqlEndToEnd, WindowRowNumber) {
   // grp a = {0,3,6}; id 6 is first DESC -> rn 1; id 0 -> rn 3.
   EXPECT_EQ(rows[0][1], "3");
   EXPECT_EQ(rows[6][1], "1");
+}
+
+TEST(SqlEndToEnd, WindowOrderPlacesNanLast) {
+  // NaN sorts above every number, as ORDER BY and min/max place it,
+  // whatever the input row order.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::vector<double>& xs :
+       {std::vector<double>{2, nan, 1, 3}, std::vector<double>{nan, 2, 1, 3}}) {
+    exec::SessionConfig config;
+    config.target_partitions = 1;
+    auto ctx = core::SessionContext::Make(config);
+    auto schema = fusion::schema({Field("x", float64(), false)});
+    auto batch = std::make_shared<RecordBatch>(
+        schema, 4, std::vector<ArrayPtr>{MakeFloat64Array(xs)});
+    ASSERT_OK(ctx->RegisterTable("w", catalog::MemoryTable::Make(schema, {batch})
+                                          .ValueOrDie()));
+    ASSERT_OK_AND_ASSIGN(
+        auto batches,
+        ctx->ExecuteSql("SELECT x, row_number() OVER (ORDER BY x) AS rn FROM w "
+                        "ORDER BY rn"));
+    auto rows = ToStringRows(batches);
+    ASSERT_EQ(rows.size(), 4u);
+    EXPECT_EQ(rows[3][0], "nan");
+    EXPECT_EQ(rows[3][1], "4");
+    EXPECT_EQ(rows[0][0], "1");
+  }
 }
 
 TEST(SqlEndToEnd, WindowRunningSum) {

@@ -105,6 +105,20 @@ inline core::SessionContextPtr MakeTestSession(
   return ctx;
 }
 
+/// Run `sql` in a fresh session whose table "v" holds the one column
+/// `x`, in batches of 128 rows.
+inline Result<std::vector<RecordBatchPtr>> QueryColumn(const ArrayPtr& x,
+                                                       const std::string& sql) {
+  auto schema = fusion::schema({Field("x", x->type(), true)});
+  auto batch =
+      std::make_shared<RecordBatch>(schema, x->length(), std::vector<ArrayPtr>{x});
+  FUSION_ASSIGN_OR_RAISE(auto table,
+                         catalog::MemoryTable::Make(schema, SliceBatch(batch, 128)));
+  auto ctx = core::SessionContext::Make();
+  FUSION_RETURN_NOT_OK(ctx->RegisterTable("v", table));
+  return ctx->ExecuteSql(sql);
+}
+
 }  // namespace test
 }  // namespace fusion
 
