@@ -1,6 +1,7 @@
 #include "compute/cast.h"
 
 #include <algorithm>
+#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -66,6 +67,16 @@ Result<ArrayPtr> DispatchOut(const Array& input, DataType target) {
                            target.ToString());
 }
 
+/// A string casts to a number only when all of it but leading and
+/// trailing whitespace is one number of the target's kind: '12abc',
+/// '1.5x', and '1e3' as an integer, are null.
+std::string_view NumberText(std::string_view sv) {
+  auto space = [](char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; };
+  while (!sv.empty() && space(sv.front())) sv.remove_prefix(1);
+  while (!sv.empty() && space(sv.back())) sv.remove_suffix(1);
+  return sv;
+}
+
 Result<ArrayPtr> StringToNumeric(const StringArray& input, DataType target) {
   FUSION_ASSIGN_OR_RAISE(auto builder, MakeBuilder(target));
   builder->Reserve(input.length());
@@ -74,22 +85,23 @@ Result<ArrayPtr> StringToNumeric(const StringArray& input, DataType target) {
       builder->AppendNull();
       continue;
     }
-    std::string_view sv = input.Value(i);
+    std::string_view sv = NumberText(input.Value(i));
     if (target.id() == TypeId::kFloat64) {
       // from_chars for double is not universally available; strtod needs a
       // NUL-terminated buffer, so copy.
       std::string tmp(sv);
       char* end = nullptr;
       double v = std::strtod(tmp.c_str(), &end);
-      if (end == tmp.c_str()) {
+      if (tmp.empty() || end != tmp.c_str() + tmp.size()) {
         builder->AppendNull();
       } else {
         static_cast<Float64Builder*>(builder.get())->Append(v);
       }
     } else {
       int64_t v = 0;
-      auto res = std::from_chars(sv.data(), sv.data() + sv.size(), v);
-      if (res.ec != std::errc()) {
+      const char* last = sv.data() + sv.size();
+      auto res = std::from_chars(sv.data(), last, v);
+      if (res.ec != std::errc() || res.ptr != last) {
         builder->AppendNull();
       } else if (target.byte_width() == 4) {
         static_cast<NumericBuilder<int32_t>*>(builder.get())
@@ -289,7 +301,7 @@ Result<ArrayPtr> StringToDecimal(const StringArray& input, DataType target) {
       builder.AppendNull();
       continue;
     }
-    std::string_view sv = input.Value(i);
+    std::string_view sv = NumberText(input.Value(i));
     Decimal128 raw;
     int p = 0, s = 0;
     if (!DecimalFromString(sv, &raw, &p, &s)) {

@@ -263,9 +263,15 @@ Result<ArrayPtr> InList(const Array& input, const std::vector<Scalar>& set) {
     }
     if (c->is_null()) {
       has_null = true;
-    } else {
-      items.push_back(std::move(*c));
+      continue;
     }
+    // As with `=`, a number the domain cannot hold exactly (5.5 against
+    // an integer column) matches nothing; a string is parsed as `=` does.
+    if (!s.type().is_string_like()) {
+      auto back = CastScalar(*c, s.type());
+      if (!back.ok() || !back->Equals(s)) continue;
+    }
+    items.push_back(std::move(*c));
   }
 
   // Three-valued answer: a matching row is true; any other valid row is

@@ -14,6 +14,11 @@
 namespace fusion {
 namespace exec {
 
+/// A join build of more rows than this publishes no runtime filter: its
+/// Bloom filter, at 16 bits a build row, would take more than 8 MiB.
+/// `auto` mode plans none for a build estimated above it.
+inline constexpr int64_t kRfMaxBuildRows = 4'000'000;
+
 /// \brief One sideways-information-passing channel: a hash join's build
 /// side publishes a Bloom filter (plus min/max of the build keys) here,
 /// and the probe-side scan consults it per batch.

@@ -40,12 +40,6 @@ void BloomFilter::Insert(uint64_t hash) {
   for (int i = 0; i < kLanes; ++i) b[i] |= mask[i];
 }
 
-bool BloomFilter::MergeFrom(const BloomFilter& other) {
-  if (other.blocks_.size() != blocks_.size()) return false;
-  for (size_t i = 0; i < blocks_.size(); ++i) blocks_[i] |= other.blocks_[i];
-  return true;
-}
-
 bool BloomFilter::MightContain(uint64_t hash) const {
   uint64_t block = (hash >> 32) & (num_blocks_ - 1);
   uint32_t mask[kLanes];

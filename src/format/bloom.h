@@ -23,11 +23,6 @@ class BloomFilter {
   void Insert(uint64_t hash);
   bool MightContain(uint64_t hash) const;
 
-  /// OR-merge another filter into this one. Both filters must have been
-  /// sized for the same expected key count (identical block counts);
-  /// merging differently-sized filters is rejected.
-  bool MergeFrom(const BloomFilter& other);
-
   const std::vector<uint32_t>& blocks() const { return blocks_; }
   int64_t size_bytes() const { return static_cast<int64_t>(blocks_.size()) * 4; }
 

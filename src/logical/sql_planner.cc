@@ -564,11 +564,20 @@ Result<PlanPtr> SqlPlanner::PlanSelectCore(const sql::SelectCore& core,
 
 Result<ExprPtr> SqlPlanner::Coerce(ExprPtr expr, const PlanSchema& schema) {
   return TransformExpr(expr, [&](const ExprPtr& e) -> Result<ExprPtr> {
-    if (e->kind != Expr::Kind::kBinary) return e;
-    if (e->op == BinaryOp::kAnd || e->op == BinaryOp::kOr ||
-        e->op == BinaryOp::kStringConcat) {
-      return e;
+    // AND, OR and NOT take booleans: other operands are cast, so a
+    // rewrite that keeps one operand (`true AND k` -> k) keeps the type.
+    if (e->kind == Expr::Kind::kNot ||
+        (e->kind == Expr::Kind::kBinary &&
+         (e->op == BinaryOp::kAnd || e->op == BinaryOp::kOr))) {
+      auto copy = std::make_shared<Expr>(*e);
+      for (auto& c : copy->children) {
+        FUSION_ASSIGN_OR_RAISE(DataType t, c->GetType(schema));
+        if (!t.is_bool()) c = CastExpr(c, boolean());
+      }
+      return ExprPtr(copy);
     }
+    if (e->kind != Expr::Kind::kBinary) return e;
+    if (e->op == BinaryOp::kStringConcat) return e;
     FUSION_ASSIGN_OR_RAISE(DataType lt, e->children[0]->GetType(schema));
     FUSION_ASSIGN_OR_RAISE(DataType rt, e->children[1]->GetType(schema));
     if (lt == rt) return e;

@@ -38,20 +38,20 @@ struct HashJoinExec::BuildState {
   // cooperatively; the first past the final barrier runs the
   // single-threaded finalize (concatenate + table + filter publish).
   explicit BuildState(int num_inputs)
-      : build(num_inputs),
-        partial_batches(static_cast<size_t>(num_inputs)),
-        partial_blooms(static_cast<size_t>(num_inputs)) {}
+      : build(num_inputs), partial_batches(static_cast<size_t>(num_inputs)) {}
   CooperativeBuild build;
   /// Collected batches per build input partition; flattened in
   /// partition order by finalize, so the concatenated build batch is
   /// byte-identical to the old sequential collection.
   std::vector<std::vector<RecordBatchPtr>> partial_batches;
-  /// Per input partition, one partial Bloom filter per runtime filter
-  /// (all sized from the planner estimate so finalize can OR-merge).
-  std::vector<std::vector<format::BloomFilter>> partial_blooms;
 };
 
 namespace {
+
+/// Runtime filters are sized for at least this many keys: a sparse filter
+/// rejects most probe misses at its first lane, while one sized for a few
+/// dozen keys has dense lanes, so misses exit late and mispredict.
+constexpr int64_t kRfMinBloomKeys = 1024;
 
 bool NeedsBuildMatchTracking(JoinKind kind) {
   switch (kind) {
@@ -123,35 +123,10 @@ Status HashJoinExec::EnsureBuilt(const ExecContextPtr& ctx) {
   // publication below — never input execution — so a driver re-entering
   // here on a lent scheduler thread cannot self-deadlock.
 
-  const int64_t bloom_keys = std::max<int64_t>(rf_expected_rows_, 1024);
-  // Collect one build input partition; with runtime filters attached,
-  // also fold its keys into per-partition Bloom filters (merged by the
-  // finalize step, so filter construction parallelizes with collection).
   auto build_one = [&](int p) -> Status {
     FUSION_ASSIGN_OR_RAISE(auto stream, build_->Execute(p, ctx));
-    FUSION_ASSIGN_OR_RAISE(auto part, exec::CollectStream(stream.get()));
-    if (!runtime_filters_.empty()) {
-      exec::ScopedTimer rf_timer(metrics_->Time(exec::metric::kRfBuildNs, p));
-      std::vector<format::BloomFilter> blooms;
-      blooms.reserve(runtime_filters_.size());
-      std::vector<PhysicalExprPtr> rf_exprs;
-      for (const auto& [key_index, rf] : runtime_filters_) {
-        blooms.emplace_back(bloom_keys);
-        rf_exprs.push_back(on_[key_index].first);
-      }
-      for (const auto& b : part) {
-        FUSION_ASSIGN_OR_RAISE(auto keys, EvaluateToArrays(rf_exprs, *b));
-        for (size_t f = 0; f < keys.size(); ++f) {
-          std::vector<uint64_t> hashes;
-          FUSION_RETURN_NOT_OK(compute::HashArray(*keys[f], /*seed=*/0, &hashes));
-          for (int64_t r = 0; r < keys[f]->length(); ++r) {
-            if (keys[f]->IsValid(r)) blooms[f].Insert(hashes[r]);
-          }
-        }
-      }
-      state->partial_blooms[p] = std::move(blooms);
-    }
-    state->partial_batches[p] = std::move(part);
+    FUSION_ASSIGN_OR_RAISE(state->partial_batches[p],
+                           exec::CollectStream(stream.get()));
     return Status::OK();
   };
 
@@ -178,9 +153,17 @@ Status HashJoinExec::EnsureBuilt(const ExecContextPtr& ctx) {
     if (NeedsBuildMatchTracking(kind_)) {
       state->matched.assign(static_cast<size_t>(rows), 0);
     }
+    // Runtime filters are sized for the rows the build really holds, so
+    // their false-positive rate stays near 1% whatever the planner
+    // estimated; a build past kRfMaxBuildRows bypasses them instead.
+    std::vector<format::BloomFilter> blooms;
+    if (!runtime_filters_.empty() && rows <= exec::kRfMaxBuildRows) {
+      blooms.assign(runtime_filters_.size(),
+                    format::BloomFilter(std::max(rows, kRfMinBloomKeys)));
+    }
     // Memory accounting for the build: the concatenated input, key
     // columns computed from it, the chain table and its next[] links,
-    // the match flags and any Bloom filters. Released when the state is
+    // the match flags and the Bloom filters. Released when the state is
     // destroyed.
     int64_t held = state->batch->TotalBufferSize() + state->table.SizeBytes() +
                    rows * static_cast<int64_t>(sizeof(int64_t)) +
@@ -192,9 +175,7 @@ Status HashJoinExec::EnsureBuilt(const ExecContextPtr& ctx) {
         held += TotalBufferSize(*key);
       }
     }
-    for (const auto& part : state->partial_blooms) {
-      for (const auto& b : part) held += b.size_bytes();
-    }
+    for (const auto& b : blooms) held += b.size_bytes();
     state->reservation = std::make_unique<exec::MemoryReservation>(
         ctx->env->memory_pool, "hashjoin-" + std::to_string(ctx->query_id));
     FUSION_RETURN_NOT_OK(state->reservation->ResizeTo(held));
@@ -220,29 +201,26 @@ Status HashJoinExec::EnsureBuilt(const ExecContextPtr& ctx) {
     }
     state->remaining_probe_partitions.store(probe_->output_partitions());
 
-    // Merge and publish the runtime filters. A build far beyond the
-    // planner's estimate degrades the filters' false-positive rate to
-    // uselessness — bypass instead of shipping noise.
+    // Fill and publish the runtime filters. The probe scan hashes its
+    // key column with HashArray and seed 0, which is also the table's
+    // hash of a one-key build.
     if (!runtime_filters_.empty()) {
       exec::ScopedTimer rf_timer(metrics_->Time(exec::metric::kRfBuildNs));
-      const bool degraded = rows > 8 * bloom_keys;
       for (size_t f = 0; f < runtime_filters_.size(); ++f) {
-        const auto& rf = runtime_filters_[f].second;
-        if (degraded) {
+        const auto& [key_index, rf] = runtime_filters_[f];
+        if (blooms.empty()) {
           rf->Bypass();
           continue;
         }
-        format::BloomFilter merged(bloom_keys);
-        bool merge_ok = true;
-        for (size_t p = 0; p < state->partial_blooms.size() && merge_ok; ++p) {
-          if (state->partial_blooms[p].empty()) continue;
-          merge_ok = merged.MergeFrom(state->partial_blooms[p][f]);
+        const auto& key = state->key_arrays[key_index];
+        std::vector<uint64_t> key_hashes;
+        if (on_.size() > 1) {
+          FUSION_RETURN_NOT_OK(compute::HashArray(*key, /*seed=*/0, &key_hashes));
         }
-        if (!merge_ok) {
-          rf->Bypass();
-          continue;
+        const std::vector<uint64_t>& h = on_.size() > 1 ? key_hashes : hashes;
+        for (int64_t r = 0; r < rows; ++r) {
+          if (key->IsValid(r)) blooms[f].Insert(h[r]);
         }
-        const auto& key = state->key_arrays[runtime_filters_[f].first];
         Scalar min_key = Scalar::Null(key->type());
         Scalar max_key = Scalar::Null(key->type());
         if (rows > 0) {
@@ -253,10 +231,9 @@ Status HashJoinExec::EnsureBuilt(const ExecContextPtr& ctx) {
             max_key = *mx;
           }
         }
-        rf->Publish(std::move(merged), std::move(min_key), std::move(max_key),
+        rf->Publish(std::move(blooms[f]), std::move(min_key), std::move(max_key),
                     rows);
       }
-      state->partial_blooms.clear();
     }
     return Status::OK();
   };

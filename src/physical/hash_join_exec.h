@@ -42,17 +42,14 @@ class HashJoinExec : public ExecutionPlan {
   Result<exec::StreamPtr> ExecuteImpl(int partition, const ExecContextPtr& ctx) override;
   std::string ToStringLine() const override;
 
-  /// Sideways information passing: once the build completes, publish a
-  /// Bloom filter over build key `key_index` (an index into `on`)
-  /// through `filter`; the probe-side scan holding the other end tests
-  /// its rows against it. Set by the physical planner at plan time.
+  /// Sideways information passing: the build's finalize step fills a
+  /// Bloom filter over build key `key_index` (an index into `on`), sized
+  /// for the build's real row count and charged to its reservation, and
+  /// publishes it with the key's min/max through `filter` to the probe
+  /// scan holding the other end; a build of more than
+  /// exec::kRfMaxBuildRows rows bypasses instead. Set at plan time.
   void AddRuntimeFilter(int key_index, exec::RuntimeFilterPtr filter) {
     runtime_filters_.emplace_back(key_index, std::move(filter));
-  }
-  /// Build-side row estimate used to size the Bloom filters (planner
-  /// statistics; per-partition filters must agree on size to OR-merge).
-  void SetRuntimeFilterExpectedRows(int64_t rows) {
-    rf_expected_rows_ = rows;
   }
   /// Planner estimates rendered by EXPLAIN (negative = unknown).
   void SetEstimatedRows(double build, double probe, double output) {
@@ -76,7 +73,6 @@ class HashJoinExec : public ExecutionPlan {
   /// (key index into on_, channel to publish) pairs; empty = no
   /// sideways passing for this join.
   std::vector<std::pair<int, exec::RuntimeFilterPtr>> runtime_filters_;
-  int64_t rf_expected_rows_ = 1024;
   double est_build_rows_ = -1;
   double est_probe_rows_ = -1;
   double est_output_rows_ = -1;

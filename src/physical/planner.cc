@@ -1,7 +1,5 @@
 #include "physical/planner.h"
 
-#include <algorithm>
-
 #include "arrow/builder.h"
 #include "compute/cast.h"
 #include "logical/expr_eval.h"
@@ -80,12 +78,22 @@ ExecPlanPtr PlanGrouping(ExecPlanPtr input, std::vector<PhysicalExprPtr> group_e
 /// safe for any join kind: every output row it derives from (or
 /// null-pads because of) a pruned scan row carries either the pruned
 /// key value or NULL in the traced column, and the receiving join —
-/// which only gets a filter for RF-safe kinds — drops both. Operators
-/// where pruning one row can change surviving rows' values (windows,
-/// aggregates, unions) stop the trace.
+/// which only gets a filter for RF-safe kinds — drops both. A plain-column
+/// group key of an aggregate or a DISTINCT passes the trace on: pruning
+/// on it drops whole groups, each of which the join would drop (Calcite's
+/// FilterAggregateTransposeRule). Aggregate outputs (all a global
+/// aggregate has), expression keys, windows and unions stop the trace.
 const LogicalPlan* TraceColumnToScan(const PlanPtr& node, int idx,
                                      std::string* column) {
   if (idx < 0 || idx >= node->schema().num_fields()) return nullptr;
+  // Follows a plain-column output expression into the node's input.
+  auto trace_expr = [&](const ExprPtr& e) -> const LogicalPlan* {
+    const ExprPtr& u = logical::Unalias(e);
+    if (u->kind != Expr::Kind::kColumn) return nullptr;
+    auto child_idx = node->child(0)->schema().IndexOf(u->qualifier, u->name);
+    if (!child_idx.ok()) return nullptr;
+    return TraceColumnToScan(node->child(0), *child_idx, column);
+  };
   switch (node->kind) {
     case PlanKind::kTableScan:
       if (node->scan_limit >= 0) return nullptr;
@@ -93,18 +101,18 @@ const LogicalPlan* TraceColumnToScan(const PlanPtr& node, int idx,
       return node.get();
     case PlanKind::kFilter:
     case PlanKind::kSubqueryAlias:
+    case PlanKind::kDistinct:
       return TraceColumnToScan(node->child(0), idx, column);
     case PlanKind::kSort:
       if (node->fetch >= 0) return nullptr;
       return TraceColumnToScan(node->child(0), idx, column);
-    case PlanKind::kProjection: {
+    case PlanKind::kProjection:
       if (idx >= static_cast<int>(node->exprs.size())) return nullptr;
-      const ExprPtr& u = logical::Unalias(node->exprs[idx]);
-      if (u->kind != Expr::Kind::kColumn) return nullptr;
-      auto child_idx = node->child(0)->schema().IndexOf(u->qualifier, u->name);
-      if (!child_idx.ok()) return nullptr;
-      return TraceColumnToScan(node->child(0), *child_idx, column);
-    }
+      return trace_expr(node->exprs[idx]);
+    case PlanKind::kAggregate:
+      // Group keys come first in the aggregate's output schema.
+      if (idx >= static_cast<int>(node->group_exprs.size())) return nullptr;
+      return trace_expr(node->group_exprs[idx]);
     case PlanKind::kJoin: {
       // Semi/anti joins expose only the preserved side's schema.
       if (node->join_kind == JoinKind::kLeftSemi ||
@@ -420,14 +428,13 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanJoin(const PlanPtr& plan) {
   // skipped (both sides must hash identical bytes).
   std::vector<std::pair<int, exec::RuntimeFilterPtr>> rf_created;
   {
-    // auto mode skips a build estimated above kRfMaxBuildRows (its filter
-    // would be large and late) or a probe side estimated below
+    // auto mode skips a build estimated above exec::kRfMaxBuildRows (the
+    // join would bypass its filter) or a probe side estimated below
     // kRfMinProbeRatio times the build side.
-    constexpr double kRfMaxBuildRows = 4e6;
     constexpr double kRfMinProbeRatio = 2.0;
     const std::string& mode = ctx_->config.runtime_filter_mode;
     bool rf_on = mode != "off";
-    if (mode == "auto" && !(est_build <= kRfMaxBuildRows &&
+    if (mode == "auto" && !(est_build <= exec::kRfMaxBuildRows &&
                             est_probe >= kRfMinProbeRatio * est_build)) {
       rf_on = false;
     }
@@ -535,12 +542,8 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanJoin(const PlanPtr& plan) {
   hash_join->SetEstimatedRows(
       est_build, est_probe,
       optimizer::EstimateJoinRows(left, right, plan->join_on, kind));
-  if (!rf_created.empty()) {
-    hash_join->SetRuntimeFilterExpectedRows(static_cast<int64_t>(
-        std::min(est_build, 1e15)));
-    for (auto& [key_index, rf] : rf_created) {
-      hash_join->AddRuntimeFilter(key_index, std::move(rf));
-    }
+  for (auto& [key_index, rf] : rf_created) {
+    hash_join->AddRuntimeFilter(key_index, std::move(rf));
   }
   ExecPlanPtr join = std::move(hash_join);
 

@@ -422,6 +422,101 @@ TEST(InListTest, NullItemGivesThreeValuedAnswer) {
   }
 }
 
+TEST(InListTest, ItemMatchesAsEqualityDoes) {
+  // `k IN (x)` is `k = x` for an integer column and an item of any type:
+  // a number the column cannot hold exactly (5.5, DECIMAL 4.5) matches
+  // nothing, and a string item is parsed as `=` parses it.
+  Int64Builder k64;
+  NumericBuilder<int32_t> k32(int32());
+  for (int64_t i = 0; i < 40; ++i) {
+    if (i % 10 == 9) {
+      k64.AppendNull();
+      k32.AppendNull();
+      continue;
+    }
+    k64.Append(i % 10);
+    k32.Append(static_cast<int32_t>(i % 10));
+  }
+  auto schema =
+      fusion::schema({Field("k64", int64(), true), Field("k32", int32(), true)});
+  auto batch = std::make_shared<RecordBatch>(
+      schema, 40,
+      std::vector<ArrayPtr>{k64.Finish().ValueOrDie(), k32.Finish().ValueOrDie()});
+  auto table = catalog::MemoryTable::Make(schema, SliceBatch(batch, 8)).ValueOrDie();
+
+  // Each list with the equality it must equal; {k} is the column or 5.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"5", "{k} = 5"},
+      {"5.5", "{k} = 5.5"},
+      {"5.0", "{k} = 5.0"},
+      {"4.5", "{k} = 4.5"},
+      {"CAST(4.5 AS DECIMAL(2,1))", "{k} = CAST(4.5 AS DECIMAL(2,1))"},
+      {"CAST(5.0 AS DECIMAL(2,1))", "{k} = CAST(5.0 AS DECIMAL(2,1))"},
+      {"CAST(5 AS DECIMAL(3,0))", "{k} = CAST(5 AS DECIMAL(3,0))"},
+      {"'5'", "{k} = '5'"},
+      {"'05'", "{k} = '05'"},
+      {"' 5'", "{k} = ' 5'"},
+      {"'5.5'", "{k} = '5.5'"},
+      {"'abc'", "{k} = 'abc'"},
+      {"5.5, 6", "{k} = 5.5 OR {k} = 6"},
+  };
+  auto fill = [](std::string pattern, const std::string& k) {
+    for (size_t at = pattern.find("{k}"); at != std::string::npos;
+         at = pattern.find("{k}")) {
+      pattern.replace(at, 3, k);
+    }
+    return pattern;
+  };
+  for (int partitions : {1, 4}) {
+    exec::SessionConfig config;
+    config.target_partitions = partitions;
+    auto ctx = core::SessionContext::Make(config);
+    ASSERT_OK(ctx->RegisterTable("t", table));
+    for (const auto& [list, equality] : cases) {
+      for (const std::string k : {"k64", "k32", "5"}) {
+        const std::string sql = "SELECT " + k + " IN (" + list + "), " +
+                                fill(equality, k) + (k == "5" ? "" : " FROM t");
+        SCOPED_TRACE(sql + " at " + std::to_string(partitions) + " partitions");
+        ASSERT_OK_AND_ASSIGN(auto batches, ctx->ExecuteSql(sql));
+        const auto rows = ToStringRows(batches);
+        ASSERT_EQ(rows.size(), k == "5" ? 1u : 40u);
+        for (const auto& row : rows) EXPECT_EQ(row[0], row[1]);
+      }
+    }
+  }
+  ASSERT_OK_AND_ASSIGN(auto folded,
+                       core::SessionContext::Make()->ExecuteSql(
+                           "SELECT 5 IN (5.5), 5 IN (CAST(4.5 AS DECIMAL(2,1))), "
+                           "5 IN ('5')"));
+  EXPECT_EQ(ToStringRows(folded)[0], (StringRow{"false", "false", "true"}));
+}
+
+TEST(CastTest, StringToNumberTakesOnlyAWholeNumber) {
+  // Text that is not one number of the target's kind, once leading and
+  // trailing whitespace are dropped, casts to NULL: folded and over a
+  // column alike.
+  const std::vector<std::array<std::string, 3>> cases = {
+      {"12abc", "BIGINT", "null"},     {"1e3", "BIGINT", "null"},
+      {"1.5", "BIGINT", "null"},       {"1 2", "BIGINT", "null"},
+      {"", "BIGINT", "null"},          {" 12", "BIGINT", "12"},
+      {"12 ", "BIGINT", "12"},         {" -7 ", "INT", "-7"},
+      {"1.5x", "DOUBLE", "null"},      {" ", "DOUBLE", "null"},
+      {" 1.5", "DOUBLE", "1.5"},       {"1e3", "DOUBLE", "1000"},
+      {" 1.5 ", "DECIMAL(3,1)", "1.5"}, {"1.5x", "DECIMAL(3,1)", "null"},
+  };
+  for (const auto& [text, type, want] : cases) {
+    SCOPED_TRACE("CAST('" + text + "' AS " + type + ")");
+    ASSERT_OK_AND_ASSIGN(auto folded,
+                         core::SessionContext::Make()->ExecuteSql(
+                             "SELECT CAST('" + text + "' AS " + type + ")"));
+    EXPECT_EQ(ToStringRows(folded)[0][0], want);
+    ASSERT_OK_AND_ASSIGN(auto column, QueryColumn(MakeStringArray({text}),
+                                                  "SELECT CAST(x AS " + type +
+                                                      ") FROM v"));
+    EXPECT_EQ(ToStringRows(column)[0][0], want);
+  }
+}
+
 }  // namespace
 }  // namespace test
 }  // namespace fusion

@@ -75,6 +75,23 @@ TEST(SimplifyTest, BooleanAlgebra) {
   EXPECT_EQ(notnot->ToString(), "x");
 }
 
+TEST(SimplifyTest, BooleanConnectivesKeepBooleanType) {
+  // AND, OR and NOT cast a non-boolean operand to boolean, so dropping
+  // the constant operand leaves `id <> 0`, not id.
+  auto ctx = MakeTestSession(5);
+  for (const char* e : {"true AND id", "id AND true", "NOT NOT id", "id OR false",
+                        "false OR id", "(id > 0) AND id"}) {
+    SCOPED_TRACE(e);
+    ASSERT_OK_AND_ASSIGN(
+        auto batches,
+        ctx->ExecuteSql(std::string("SELECT ") + e + ", id <> 0 FROM t ORDER BY id"));
+    EXPECT_EQ(batches[0]->schema()->field(0).type(), boolean());
+    const auto rows = ToStringRows(batches);
+    ASSERT_EQ(rows.size(), 5u);
+    for (const auto& row : rows) EXPECT_EQ(row[0], row[1]);
+  }
+}
+
 TEST(OptimizerTest, FilterPushedIntoMemoryScanStaysAsFilter) {
   // MemoryTable doesn't absorb filters, so the Filter survives but lands
   // directly above the scan.

@@ -1,8 +1,10 @@
 // Runtime Bloom-filter pushdown (sideways information passing): oracle
 // sweep against the FUSION_RUNTIME_FILTERS=off baseline across join
-// shapes, key cardinalities and partition counts; channel state-machine
-// units; Bloom merge; non-blocking (bypass-latch) scan behaviour; fault
-// injection on the FPQ read path.
+// shapes (grouped probe sides too), key cardinalities and partition
+// counts; the plan shapes whose group keys carry a filter; the filter's
+// false-positive rate under a low build estimate; channel state-machine
+// units; non-blocking (bypass-latch) scan behaviour; fault injection on
+// the FPQ read path.
 
 #include <gtest/gtest.h>
 
@@ -155,8 +157,12 @@ int64_t SumRfChecked(const physical::PlanMetricsNode& node) {
 
 /// Join shapes covering RF-safe kinds (inner/left/semi/anti), the
 /// dictionary string-key path, a multi-join whose filter must trace
-/// through an intermediate join, aggregation on top, and the RF-unsafe
-/// right join (the planner must refuse the filter, results still match).
+/// through an intermediate join, aggregation on top, the RF-unsafe
+/// right join (the planner must refuse the filter, results still match),
+/// and groupings under the join whose plain-column keys carry the filter
+/// to the scan below them: HAVING between the join and the aggregate,
+/// semi and anti joins, COUNT(DISTINCT) and median, a DISTINCT, a second
+/// group key and a dictionary string key.
 const std::vector<std::string>& OracleQueries() {
   static const std::vector<std::string> queries = {
       "SELECT f.val, d.tag FROM fact f JOIN dim d ON f.fk = d.k",
@@ -171,6 +177,24 @@ const std::vector<std::string>& OracleQueries() {
       "SELECT f.val, d.tag FROM fact f RIGHT JOIN dim d ON f.fk = d.k",
       "SELECT f.val FROM fact f JOIN dim d ON f.fk = d.k "
       "WHERE f.val % 3 = 0 AND d.tag <> 'tag7'",
+      "WITH g AS (SELECT fk, count(*) AS c, sum(val) AS s FROM fact GROUP BY fk "
+      "HAVING sum(val) % 3 <> 0) "
+      "SELECT g.fk, g.c, g.s, d.tag FROM g JOIN dim d ON g.fk = d.k",
+      "SELECT g.fk, g.c FROM (SELECT fk, count(*) AS c FROM fact GROUP BY fk) g "
+      "LEFT SEMI JOIN dim d ON g.fk = d.k",
+      "SELECT g.fk, g.c FROM (SELECT fk, count(*) AS c FROM fact GROUP BY fk) g "
+      "LEFT ANTI JOIN dim d ON g.fk = d.k",
+      "SELECT d.tag FROM dim d LEFT ANTI JOIN "
+      "(SELECT fk, count(*) AS c FROM fact GROUP BY fk) g ON d.k = g.fk",
+      "WITH g AS (SELECT fk, count(DISTINCT val % 5) AS cd, median(val) AS med "
+      "FROM fact GROUP BY fk) "
+      "SELECT g.fk, g.cd, g.med, d.tag FROM g JOIN dim d ON g.fk = d.k",
+      "SELECT g.fk, d.tag FROM (SELECT DISTINCT fk FROM fact) g "
+      "JOIN dim d ON g.fk = d.k",
+      "WITH g AS (SELECT fks, fk, max(val) AS m FROM fact GROUP BY fks, fk) "
+      "SELECT g.fks, g.m, d.tag FROM g JOIN dim d ON g.fk = d.k",
+      "WITH g AS (SELECT fks, count(*) AS c, sum(val) AS s FROM fact GROUP BY fks) "
+      "SELECT g.fks, g.c, g.s, d.tag FROM g JOIN dim d ON g.fks = d.ks",
   };
   return queries;
 }
@@ -179,7 +203,7 @@ class RuntimeFilterOracle : public ::testing::TestWithParam<Cardinality> {};
 
 TEST_P(RuntimeFilterOracle, ModesAgreeWithOffBaseline) {
   RuntimeFilterData data(GetParam());
-  for (int partitions : {1, 4}) {
+  for (int partitions : {1, 3, 4}) {
     for (const auto& sql : OracleQueries()) {
       auto off_ctx = data.MakeSession("off", partitions);
       ASSERT_OK_AND_ASSIGN(auto off, off_ctx->ExecuteSqlWithMetrics(sql));
@@ -247,6 +271,112 @@ TEST(RuntimeFilterTest, UnsafeKindsGetNoFilter) {
   EXPECT_EQ(TotalRows(result.batches), 8192);
 }
 
+/// The `ScanExec: <table>` line of the physical plan EXPLAIN prints.
+std::string ScanLine(core::SessionContext* ctx, const std::string& sql,
+                     const std::string& table) {
+  auto batches = ctx->ExecuteSql("EXPLAIN " + sql);
+  if (!batches.ok()) return batches.status().ToString();
+  const std::string text = (*batches)[0]->column(0)->ValueToString(0);
+  const size_t at = text.find("ScanExec: " + table, text.find("== Physical Plan =="));
+  if (at == std::string::npos) return "no scan of " + table;
+  return text.substr(at, text.find('\n', at) - at);
+}
+
+const physical::PlanMetricsNode* FindNode(const physical::PlanMetricsNode& node,
+                                          const std::string& prefix) {
+  if (node.description.rfind(prefix, 0) == 0) return &node;
+  for (const auto& c : node.children) {
+    if (const auto* found = FindNode(c, prefix)) return found;
+  }
+  return nullptr;
+}
+
+TEST(RuntimeFilterPlanTest, FiltersPassThroughPlainGroupKeys) {
+  RuntimeFilterData data(Cardinality::kHigh);
+  for (int partitions : {1, 4}) {
+    SCOPED_TRACE("partitions=" + std::to_string(partitions));
+    auto ctx = data.MakeSession("force", partitions);
+    // A group key that is a plain column, of an aggregate or of a
+    // DISTINCT, carries the join's filter to the scan under the grouping.
+    const std::string grouped =
+        "WITH g AS (SELECT fk, count(*) AS c FROM fact GROUP BY fk) "
+        "SELECT g.fk, g.c, d.tag FROM g JOIN dim d ON g.fk = d.k";
+    const std::string distinct =
+        "SELECT g.fk, d.tag FROM (SELECT DISTINCT fk FROM fact) g "
+        "JOIN dim d ON g.fk = d.k";
+    for (const std::string& sql : {grouped, distinct}) {
+      EXPECT_NE(ScanLine(ctx.get(), sql, "fact").find("runtime_filter=[fk]"),
+                std::string::npos)
+          << sql;
+    }
+    // An expression key, a global aggregate's output and an aggregate
+    // output beside a group key stop the trace.
+    for (const char* sql : {
+             "WITH g AS (SELECT fk % 7 AS k7, count(*) AS c FROM fact GROUP BY fk % 7) "
+             "SELECT g.k7, g.c, d.tag FROM g JOIN dim d ON g.k7 = d.k",
+             "SELECT g.m FROM (SELECT max(fk) AS m FROM fact) g "
+             "LEFT SEMI JOIN dim d ON g.m = d.k",
+             "WITH a AS (SELECT fk, count(*) AS cnt FROM fact GROUP BY fk) "
+             "SELECT d.tag, a.fk FROM dim d JOIN a ON d.k = a.cnt"}) {
+      const std::string line = ScanLine(ctx.get(), sql, "fact");
+      EXPECT_EQ(line.rfind("ScanExec: fact", 0), 0u) << line;
+      EXPECT_EQ(line.find("runtime_filter"), std::string::npos) << sql;
+    }
+    // The scan under the aggregate prunes: 63 of fact's 8192 keys match.
+    ASSERT_OK_AND_ASSIGN(auto result, ctx->ExecuteSqlWithMetrics(grouped));
+    const auto* scan = FindNode(result.metrics, "ScanExec: fact");
+    ASSERT_NE(scan, nullptr);
+    EXPECT_GT(scan->rf_pruned_rows, 8192 / 2);
+    EXPECT_EQ(TotalRows(result.batches), 63);
+  }
+}
+
+TEST(RuntimeFilterTest, FilterIsSizedForTheRealBuild) {
+  // The build keeps the 5,000 even keys of b (k = 0..9999), which the
+  // planner estimates at 1,000 rows (10% for `k % 2 = 0`). The probe p
+  // holds every key of 0..9999 ten times, so every probe batch spans the
+  // build's min/max and only the Bloom filter prunes. Sized for the
+  // build's real rows, it passes the 50,000 matching probe rows and at
+  // most 2% of the 50,000 others. A filter sized for 1,024 keys (64
+  // blocks) holding 5,000 keys would set each probed lane bit with
+  // probability 1 - (31/32)^78 = 0.92 and pass 0.92^8, about half, of
+  // them.
+  auto b_schema = fusion::schema({Field("k", int64(), false)});
+  auto p_schema = fusion::schema({Field("fk", int64(), false)});
+  std::vector<int64_t> b_keys(10000), p_keys(100000);
+  for (int64_t i = 0; i < 10000; ++i) b_keys[i] = i;
+  for (int64_t i = 0; i < 100000; ++i) p_keys[i] = i % 10000;
+  auto b = std::make_shared<RecordBatch>(b_schema, 10000,
+                                         std::vector<ArrayPtr>{MakeInt64Array(b_keys)});
+  auto p = std::make_shared<RecordBatch>(p_schema, 100000,
+                                         std::vector<ArrayPtr>{MakeInt64Array(p_keys)});
+  const std::string sql =
+      "SELECT count(*) FROM p JOIN (SELECT k FROM b WHERE k % 2 = 0) e ON p.fk = e.k";
+  for (int partitions : {1, 4}) {
+    SCOPED_TRACE("partitions=" + std::to_string(partitions));
+    exec::SessionConfig config;
+    config.runtime_filter_mode = "force";
+    config.target_partitions = partitions;
+    auto ctx = core::SessionContext::Make(config);
+    ASSERT_OK(ctx->RegisterTable(
+        "b", catalog::MemoryTable::Make(b_schema, SliceBatch(b, 1024)).ValueOrDie()));
+    ASSERT_OK(ctx->RegisterTable(
+        "p", catalog::MemoryTable::Make(p_schema, SliceBatch(p, 1024)).ValueOrDie()));
+    ASSERT_OK_AND_ASSIGN(auto result, ctx->ExecuteSqlWithMetrics(sql));
+    EXPECT_EQ(ToStringRows(result.batches)[0][0], "50000");
+    const auto* join = FindNode(result.metrics, "HashJoinExec");
+    ASSERT_NE(join, nullptr);
+    // The case needs a build estimated far below its 5,000 rows.
+    EXPECT_NE(join->description.find("(build=1000,"), std::string::npos)
+        << join->description;
+    EXPECT_NE(join->description.find("runtime_filter="), std::string::npos);
+    EXPECT_EQ(SumRfChecked(result.metrics), 100000);
+    const int64_t passed = SumRfChecked(result.metrics) - SumRfPruned(result.metrics);
+    EXPECT_GE(passed, 50000);
+    EXPECT_LE(passed, 50000 + 50000 * 2 / 100);
+  }
+}
+
 // --------------------------------------------------- fault injection run
 
 TEST(RuntimeFilterTest, FpqReadFaultIsCleanError) {
@@ -264,7 +394,7 @@ TEST(RuntimeFilterTest, FpqReadFaultIsCleanError) {
   }
 }
 
-// ----------------------------------------------- channel + bloom units
+// --------------------------------------------------------- channel units
 
 TEST(RuntimeFilterChannelTest, PublishOnceLatch) {
   exec::RuntimeFilterRegistry registry;
@@ -291,19 +421,6 @@ TEST(RuntimeFilterChannelTest, PublishOnceLatch) {
   bypassed->Bypass();
   EXPECT_EQ(bypassed->state(), exec::RuntimeFilter::State::kBypass);
   EXPECT_EQ(registry.filters().size(), 2u);
-}
-
-TEST(BloomFilterTest, MergeFromOrsEqualSizedFilters) {
-  format::BloomFilter a(1024);
-  format::BloomFilter b(1024);
-  a.Insert(1);
-  b.Insert(2);
-  ASSERT_TRUE(a.MergeFrom(b));
-  EXPECT_TRUE(a.MightContain(1));
-  EXPECT_TRUE(a.MightContain(2));
-
-  format::BloomFilter small(1);
-  EXPECT_FALSE(a.MergeFrom(small));  // block counts differ: refuse
 }
 
 // ----------------------------------------- non-blocking scan behaviour
