@@ -100,8 +100,7 @@ class FpqScanIterator : public BatchIterator {
       } else {
         FUSION_ASSIGN_OR_RAISE(
             batch, unit.reader->ScanRowGroup(unit.row_group, unit.rows, projection_,
-                                             predicates_,
-                                             /*late_materialization=*/true, &metrics_));
+                                             predicates_, &metrics_));
       }
       if (batch->num_rows() == 0) continue;
       if (limit_ >= 0 && rows_emitted_ + batch->num_rows() > limit_) {
@@ -142,8 +141,7 @@ class FpqScanIterator : public BatchIterator {
     auto decode = [&]() -> Result<RecordBatchPtr> {
       decoded = true;
       return unit.reader->ScanRowGroup(unit.row_group, unit.rows, projection_,
-                                       predicates_, /*late_materialization=*/true,
-                                       &decode_metrics);
+                                       predicates_, &decode_metrics);
     };
     FUSION_ASSIGN_OR_RAISE(
         auto pin, cache_->GetOrDecode(key, decode, group_.get(), cancel_.get()));

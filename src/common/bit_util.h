@@ -48,6 +48,33 @@ inline int64_t CountSetBits(const uint8_t* bits, int64_t length) {
   return count;
 }
 
+/// Copy bits [src_offset, src_offset + length) of `src` to `dst` from
+/// bit `dst_offset` on. Reads no byte of `src` past the last copied bit.
+inline void CopyBits(const uint8_t* src, int64_t src_offset, uint8_t* dst,
+                     int64_t dst_offset, int64_t length) {
+  // Bit by bit up to a destination byte boundary, then whole
+  // destination bytes, each from at most two source bytes.
+  for (; length > 0 && (dst_offset & 7) != 0; --length) {
+    SetBitTo(dst, dst_offset++, GetBit(src, src_offset++));
+  }
+  const int64_t bytes = length >> 3;
+  const uint8_t* s = src + (src_offset >> 3);
+  uint8_t* d = dst + (dst_offset >> 3);
+  const int shift = static_cast<int>(src_offset & 7);
+  if (shift == 0) {
+    if (bytes > 0) std::memcpy(d, s, static_cast<size_t>(bytes));
+  } else {
+    for (int64_t i = 0; i < bytes; ++i) {
+      d[i] = static_cast<uint8_t>((s[i] >> shift) | (s[i + 1] << (8 - shift)));
+    }
+  }
+  src_offset += bytes * 8;
+  dst_offset += bytes * 8;
+  for (length -= bytes * 8; length > 0; --length) {
+    SetBitTo(dst, dst_offset++, GetBit(src, src_offset++));
+  }
+}
+
 inline int64_t RoundUpToMultipleOf64(int64_t n) { return (n + 63) & ~int64_t(63); }
 
 /// Next power of two >= n (n must be > 0).

@@ -5,6 +5,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <type_traits>
 
 #include "arrow/builder.h"
 #include "arrow/scalar.h"
@@ -16,6 +18,28 @@ namespace compute {
 
 namespace {
 
+/// True when `v` converts to OutT: every number to a double, an integer
+/// that is in range, and a double that truncates into range (NaN and the
+/// infinities never do).
+template <typename OutT, typename InT>
+bool FitsIn(InT v) {
+  if constexpr (std::is_floating_point_v<OutT>) {
+    return true;
+  } else if constexpr (std::is_floating_point_v<InT>) {
+    // -2^31 or -2^63, exact as a double, and so is its negation. For
+    // int64, kMin - 1.0 rounds back to kMin, hence the equality test.
+    constexpr double kMin = static_cast<double>(std::numeric_limits<OutT>::min());
+    return v < -kMin && (v > kMin - 1.0 || v == kMin);
+  } else if constexpr (sizeof(InT) <= sizeof(OutT)) {
+    return true;
+  } else {
+    return v >= std::numeric_limits<OutT>::min() &&
+           v <= std::numeric_limits<OutT>::max();
+  }
+}
+
+/// Number -> number. A value the target cannot hold becomes null, as an
+/// unparsable string does.
 template <typename InT, typename OutT>
 Result<ArrayPtr> NumericCast(const Array& input, DataType target) {
   auto [validity, nulls] = CopyValidity(input);
@@ -24,7 +48,15 @@ Result<ArrayPtr> NumericCast(const Array& input, DataType target) {
       std::make_shared<Buffer>(input.length() * static_cast<int64_t>(sizeof(OutT)));
   OutT* out = values->mutable_data_as<OutT>();
   for (int64_t i = 0; i < input.length(); ++i) {
-    out[i] = static_cast<OutT>(in[i]);
+    if (FitsIn<OutT>(in[i])) {
+      out[i] = static_cast<OutT>(in[i]);
+      continue;
+    }
+    if (validity == nullptr) validity = AllSetBitmap(input.length());
+    if (bit_util::GetBit(validity->data(), i)) {
+      bit_util::ClearBit(validity->mutable_data(), i);
+      ++nulls;
+    }
   }
   return ArrayPtr(std::make_shared<NumericArray<OutT>>(
       target, input.length(), std::move(values), std::move(validity), nulls));
@@ -104,8 +136,12 @@ Result<ArrayPtr> StringToNumeric(const StringArray& input, DataType target) {
       if (res.ec != std::errc() || res.ptr != last) {
         builder->AppendNull();
       } else if (target.byte_width() == 4) {
-        static_cast<NumericBuilder<int32_t>*>(builder.get())
-            ->Append(static_cast<int32_t>(v));
+        if (FitsIn<int32_t>(v)) {
+          static_cast<NumericBuilder<int32_t>*>(builder.get())
+              ->Append(static_cast<int32_t>(v));
+        } else {
+          builder->AppendNull();
+        }
       } else {
         static_cast<NumericBuilder<int64_t>*>(builder.get())->Append(v);
       }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -152,20 +153,19 @@ class Reader {
   /// Scan rows [rows.start, rows.end) of one row group with pushed
   /// predicates: evaluates predicate columns first, refines a
   /// RowSelection that starts from the range, then decodes only the
-  /// needed pages of the remaining columns (steps 2-4 of §6.8). When
-  /// `late_materialization` is false, decodes the range's projected
-  /// columns then filters (the reference tests check late
-  /// materialization against). Only pages the range
-  /// overlaps are read or counted in `metrics`.
+  /// needed pages of the remaining columns (steps 2-4 of §6.8), copying
+  /// the selected rows straight from the page bytes into each column.
+  /// Only pages the range overlaps are read or counted in `metrics`.
   Result<RecordBatchPtr> ScanRowGroup(int rg, RowSelection::Range rows,
                                       const std::vector<int>& projection,
                                       const std::vector<ColumnPredicate>& preds,
-                                      bool late_materialization = true,
                                       ScanMetrics* metrics = nullptr);
 
  private:
   Reader(std::string path, int fd, FileMeta meta)
-      : path_(std::move(path)), fd_(fd), meta_(std::move(meta)) {}
+      : path_(std::move(path)), fd_(fd), meta_(std::move(meta)),
+        dicts_(meta_.row_groups.size() *
+               static_cast<size_t>(meta_.schema->num_fields())) {}
 
   /// Decode `columns` for `selection`, which lies inside `scope`. Pages
   /// outside `scope` belong to other scan units and are ignored; pages
@@ -174,15 +174,26 @@ class Reader {
                                      const std::vector<int>& columns,
                                      const RowSelection& selection,
                                      ScanMetrics* metrics);
+  /// Gather the selected rows of one column chunk's pages into one
+  /// array: every page is checked once, then each run of selected rows
+  /// inside a page is one copy into the output buffers. Dictionary
+  /// chunks give a DictionaryArray over the chunk's shared dictionary.
   Result<ArrayPtr> ReadColumnChunk(int rg, int col, RowSelection::Range scope,
                                    const RowSelection& selection,
                                    ScanMetrics* metrics);
+  /// The dictionary of a dictionary-encoded chunk, read and built once
+  /// while any batch still holds it, so every range of the row group
+  /// shares one instance.
+  Result<std::shared_ptr<StringArray>> ChunkDictionary(int rg, int col);
   Status ReadAt(uint64_t offset, uint64_t size, uint8_t* out) const;
 
   std::string path_;
   int fd_ = -1;
   FileMeta meta_;
   std::string cache_identity_;
+  /// One slot per (row group, column), at rg * num_fields + col.
+  std::mutex dicts_mutex_;
+  std::vector<std::weak_ptr<StringArray>> dicts_;
 };
 
 }  // namespace fpq

@@ -3,11 +3,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <climits>
+#include <cstring>
+#include <memory>
+#include <mutex>
 #include <utility>
 
-#include "arrow/builder.h"
 #include "common/fault_injector.h"
-#include "compute/selection.h"
 #include "format/fpq.h"
 #include "format/fpq_internal.h"
 
@@ -275,82 +277,6 @@ Result<bool> Reader::RowGroupMayMatch(int rg,
 
 namespace {
 
-/// Decode an entire plain page into an Array.
-Result<ArrayPtr> DecodePlainPage(DataType type, int64_t n, const uint8_t* data,
-                                 size_t size) {
-  // Every length is checked against the page before it is allocated.
-  ByteReader r(data, size);
-  FUSION_ASSIGN_OR_RAISE(uint8_t has_validity, r.U8());
-  BufferPtr validity;
-  int64_t nulls = 0;
-  if (has_validity) {
-    int64_t vbytes = bit_util::BytesForBits(n);
-    if (static_cast<uint64_t>(vbytes) > r.remaining()) {
-      return Status::IOError("fpq: truncated page");
-    }
-    validity = std::make_shared<Buffer>(vbytes);
-    FUSION_RETURN_NOT_OK(r.Raw(validity->mutable_data(), vbytes));
-    nulls = n - bit_util::CountSetBits(validity->data(), n);
-  }
-  switch (type.id()) {
-    case TypeId::kBool: {
-      int64_t vbytes = bit_util::BytesForBits(n);
-      if (static_cast<uint64_t>(vbytes) > r.remaining()) {
-        return Status::IOError("fpq: truncated page");
-      }
-      auto values = std::make_shared<Buffer>(vbytes);
-      FUSION_RETURN_NOT_OK(r.Raw(values->mutable_data(), vbytes));
-      return ArrayPtr(std::make_shared<BooleanArray>(n, std::move(values),
-                                                     std::move(validity), nulls));
-    }
-    case TypeId::kString: {
-      if (static_cast<uint64_t>(n + 1) * 4 > r.remaining()) {
-        return Status::IOError("fpq: truncated page");
-      }
-      auto offsets = std::make_shared<Buffer>((n + 1) * 4);
-      FUSION_RETURN_NOT_OK(r.Raw(offsets->mutable_data(), (n + 1) * 4));
-      FUSION_ASSIGN_OR_RAISE(uint64_t data_len, r.U64());
-      if (data_len > r.remaining()) return Status::IOError("fpq: truncated page");
-      const int32_t* offs = offsets->data_as<int32_t>();
-      for (int64_t i = 0; i < n; ++i) {
-        if (offs[i] < 0 || offs[i] > offs[i + 1]) {
-          return Status::IOError("fpq: invalid string offsets");
-        }
-      }
-      if (static_cast<uint64_t>(offs[n]) > data_len) {
-        return Status::IOError("fpq: invalid string offsets");
-      }
-      auto bytes = std::make_shared<Buffer>(static_cast<int64_t>(data_len));
-      FUSION_RETURN_NOT_OK(r.Raw(bytes->mutable_data(), data_len));
-      return ArrayPtr(std::make_shared<StringArray>(n, std::move(offsets),
-                                                    std::move(bytes),
-                                                    std::move(validity), nulls));
-    }
-    default: {
-      int width = type.byte_width();
-      if (static_cast<uint64_t>(n) * width > r.remaining()) {
-        return Status::IOError("fpq: truncated page");
-      }
-      auto values = std::make_shared<Buffer>(n * width);
-      FUSION_RETURN_NOT_OK(r.Raw(values->mutable_data(), n * width));
-      if (width == 4) {
-        return ArrayPtr(std::make_shared<Int32Array>(type, n, std::move(values),
-                                                     std::move(validity), nulls));
-      }
-      if (width == 16) {
-        return ArrayPtr(std::make_shared<Decimal128Array>(
-            type, n, std::move(values), std::move(validity), nulls));
-      }
-      if (type.id() == TypeId::kFloat64) {
-        return ArrayPtr(std::make_shared<Float64Array>(type, n, std::move(values),
-                                                       std::move(validity), nulls));
-      }
-      return ArrayPtr(std::make_shared<Int64Array>(type, n, std::move(values),
-                                                   std::move(validity), nulls));
-    }
-  }
-}
-
 /// Materialize the per-chunk dictionary as a shared dense StringArray
 /// (bytes copied out of the transient chunk buffer; every page of the
 /// chunk and every downstream batch shares this one array).
@@ -391,7 +317,248 @@ Result<std::vector<std::string_view>> ParseDict(const uint8_t* data, size_t size
   return dict;
 }
 
+/// A selected page, checked once against its size: where its validity
+/// bits (nullptr when the page has no nulls), its values (fixed-width
+/// values, boolean bits, dictionary codes, or num_rows + 1 string
+/// offsets) and its string bytes begin.
+struct PageView {
+  int64_t first_row = 0;
+  int64_t num_rows = 0;
+  const uint8_t* validity = nullptr;
+  const uint8_t* values = nullptr;
+  const uint8_t* string_data = nullptr;
+};
+
+/// An int32 at any alignment (page sections follow a one-byte flag).
+int32_t LoadInt32(const uint8_t* p) {
+  int32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+/// Check a page before any of its rows is copied: its validity bits and
+/// values lie inside it, and string offsets are non-negative,
+/// non-decreasing and end inside the page's string bytes.
+Result<PageView> CheckPage(const PageMeta& meta, DataType type, Encoding encoding,
+                           const uint8_t* data) {
+  const uint64_t n = static_cast<uint64_t>(meta.num_rows);
+  const uint64_t bitmap_bytes =
+      static_cast<uint64_t>(bit_util::BytesForBits(meta.num_rows));
+  uint64_t pos = 0;
+  // Claim the page's next `len` bytes.
+  auto claim = [&](uint64_t len, const uint8_t** out) -> Status {
+    if (len > meta.size - pos) return Status::IOError("fpq: truncated page");
+    *out = data + pos;
+    pos += len;
+    return Status::OK();
+  };
+  PageView page;
+  page.first_row = meta.first_row;
+  page.num_rows = meta.num_rows;
+  const uint8_t* has_validity = nullptr;
+  FUSION_RETURN_NOT_OK(claim(1, &has_validity));
+  if (*has_validity != 0) FUSION_RETURN_NOT_OK(claim(bitmap_bytes, &page.validity));
+  if (encoding == Encoding::kDictionary) {
+    FUSION_RETURN_NOT_OK(claim(n * 4, &page.values));
+  } else if (type.is_bool()) {
+    FUSION_RETURN_NOT_OK(claim(bitmap_bytes, &page.values));
+  } else if (type.is_string()) {
+    FUSION_RETURN_NOT_OK(claim((n + 1) * 4, &page.values));
+    const uint8_t* len_bytes = nullptr;
+    FUSION_RETURN_NOT_OK(claim(8, &len_bytes));
+    uint64_t data_len;
+    std::memcpy(&data_len, len_bytes, sizeof(data_len));
+    FUSION_RETURN_NOT_OK(claim(data_len, &page.string_data));
+    int32_t prev = LoadInt32(page.values);
+    bool ordered = prev >= 0;
+    for (uint64_t i = 1; i <= n; ++i) {
+      const int32_t next = LoadInt32(page.values + 4 * i);
+      ordered &= next >= prev;
+      prev = next;
+    }
+    if (!ordered || static_cast<uint64_t>(prev) > data_len) {
+      return Status::IOError("fpq: invalid string offsets");
+    }
+  } else {
+    FUSION_RETURN_NOT_OK(
+        claim(n * static_cast<uint64_t>(type.byte_width()), &page.values));
+  }
+  return page;
+}
+
+/// The rows a selection picks from a column chunk's checked pages.
+struct SelectedRows {
+  const std::vector<PageView>& pages;
+  const RowSelection& selection;
+  int64_t count;
+
+  /// Walk the pages and the selection's ranges together, calling
+  /// `piece(page, offset, length, out_pos)` for each run of selected
+  /// rows inside one page: rows [offset, offset + length) of `page` go
+  /// to output row `out_pos` on.
+  template <typename Fn>
+  void ForEachPiece(Fn&& piece) const {
+    const auto& ranges = selection.ranges();
+    size_t next = 0;  // the first range that may reach the current page
+    int64_t out_pos = 0;
+    for (const PageView& page : pages) {
+      const int64_t end = page.first_row + page.num_rows;
+      while (next < ranges.size() && ranges[next].end <= page.first_row) ++next;
+      for (size_t r = next; r < ranges.size() && ranges[r].start < end; ++r) {
+        const int64_t start = std::max(ranges[r].start, page.first_row);
+        const int64_t length = std::min(ranges[r].end, end) - start;
+        piece(page, start - page.first_row, length, out_pos);
+        out_pos += length;
+      }
+    }
+  }
+};
+
+/// The output validity, or null when no selected row is null. When a
+/// selected page has nulls it starts all-valid, and each piece of such a
+/// page copies its bits.
+BufferPtr GatherValidity(const SelectedRows& rows, int64_t* nulls) {
+  *nulls = 0;
+  if (std::none_of(rows.pages.begin(), rows.pages.end(),
+                   [](const PageView& page) { return page.validity != nullptr; })) {
+    return nullptr;
+  }
+  auto validity = std::make_shared<Buffer>(bit_util::BytesForBits(rows.count));
+  std::memset(validity->mutable_data(), 0xff, static_cast<size_t>(validity->size()));
+  rows.ForEachPiece([&](const PageView& page, int64_t offset, int64_t length,
+                        int64_t out_pos) {
+    if (page.validity == nullptr) return;
+    bit_util::CopyBits(page.validity, offset, validity->mutable_data(), out_pos,
+                       length);
+  });
+  *nulls = rows.count - bit_util::CountSetBits(validity->data(), rows.count);
+  if (*nulls == 0) return nullptr;
+  // Bits past the last row stay clear, as a builder leaves them.
+  if (rows.count % 8 != 0) {
+    validity->mutable_data()[rows.count / 8] &=
+        static_cast<uint8_t>((1u << (rows.count % 8)) - 1);
+  }
+  return validity;
+}
+
+/// Fixed-width values or dictionary codes: one memcpy per piece, then a
+/// null slot reads as zero.
+BufferPtr GatherFixedWidth(const SelectedRows& rows, int64_t width,
+                           const Buffer* validity) {
+  auto values = std::make_shared<Buffer>(rows.count * width);
+  uint8_t* out = values->mutable_data();
+  rows.ForEachPiece([&](const PageView& page, int64_t offset, int64_t length,
+                        int64_t out_pos) {
+    std::memcpy(out + out_pos * width, page.values + offset * width,
+                static_cast<size_t>(length * width));
+  });
+  if (validity != nullptr) {
+    for (int64_t i = 0; i < rows.count; ++i) {
+      if (!bit_util::GetBit(validity->data(), i)) {
+        std::memset(out + i * width, 0, static_cast<size_t>(width));
+      }
+    }
+  }
+  return values;
+}
+
+/// Boolean values: a bit copy per piece, then a null slot reads false.
+BufferPtr GatherBits(const SelectedRows& rows, const Buffer* validity) {
+  auto bits = std::make_shared<Buffer>(bit_util::BytesForBits(rows.count));
+  rows.ForEachPiece([&](const PageView& page, int64_t offset, int64_t length,
+                        int64_t out_pos) {
+    bit_util::CopyBits(page.values, offset, bits->mutable_data(), out_pos, length);
+  });
+  if (validity != nullptr) {
+    for (int64_t b = 0; b < bits->size(); ++b) {
+      bits->mutable_data()[b] &= validity->data()[b];
+    }
+  }
+  return bits;
+}
+
+/// Strings: rebased offsets and one byte copy per piece. A null row
+/// takes no bytes, so it reads as an empty string.
+Result<ArrayPtr> GatherStrings(const SelectedRows& rows, BufferPtr validity,
+                               int64_t nulls) {
+  int64_t total = 0;
+  rows.ForEachPiece([&](const PageView& page, int64_t offset, int64_t length,
+                        int64_t /*out_pos*/) {
+    total += LoadInt32(page.values + 4 * (offset + length)) -
+             LoadInt32(page.values + 4 * offset);
+  });
+  if (total > INT32_MAX) {
+    return Status::IOError("fpq: string column exceeds 2 GiB");
+  }
+  auto offsets = std::make_shared<Buffer>((rows.count + 1) * 4);
+  auto data = std::make_shared<Buffer>();
+  data->Reserve(total);
+  int32_t* out = offsets->mutable_data_as<int32_t>();
+  out[0] = 0;
+  rows.ForEachPiece([&](const PageView& page, int64_t offset, int64_t length,
+                        int64_t out_pos) {
+    const uint8_t* offs = page.values + 4 * offset;
+    if (page.validity == nullptr) {
+      const int32_t first = LoadInt32(offs);
+      const int32_t base = out[out_pos] - first;
+      for (int64_t k = 1; k <= length; ++k) {
+        out[out_pos + k] = LoadInt32(offs + 4 * k) + base;
+      }
+      data->Append(page.string_data + first, out[out_pos + length] - out[out_pos]);
+      return;
+    }
+    for (int64_t k = 0; k < length; ++k) {
+      if (bit_util::GetBit(page.validity, offset + k)) {
+        const int32_t begin = LoadInt32(offs + 4 * k);
+        data->Append(page.string_data + begin, LoadInt32(offs + 4 * k + 4) - begin);
+      }
+      out[out_pos + k + 1] = static_cast<int32_t>(data->size());
+    }
+  });
+  return ArrayPtr(std::make_shared<StringArray>(rows.count, std::move(offsets),
+                                                std::move(data), std::move(validity),
+                                                nulls));
+}
+
+ArrayPtr MakeFixedWidthArray(DataType type, int64_t length, BufferPtr values,
+                             BufferPtr validity, int64_t nulls) {
+  if (type.byte_width() == 4) {
+    return std::make_shared<Int32Array>(type, length, std::move(values),
+                                        std::move(validity), nulls);
+  }
+  if (type.byte_width() == 16) {
+    return std::make_shared<Decimal128Array>(type, length, std::move(values),
+                                             std::move(validity), nulls);
+  }
+  if (type.id() == TypeId::kFloat64) {
+    return std::make_shared<Float64Array>(type, length, std::move(values),
+                                          std::move(validity), nulls);
+  }
+  return std::make_shared<Int64Array>(type, length, std::move(values),
+                                      std::move(validity), nulls);
+}
+
 }  // namespace
+
+Result<std::shared_ptr<StringArray>> Reader::ChunkDictionary(int rg, int col) {
+  const size_t slot =
+      static_cast<size_t>(rg) * static_cast<size_t>(meta_.schema->num_fields()) +
+      static_cast<size_t>(col);
+  {
+    std::lock_guard<std::mutex> lock(dicts_mutex_);
+    if (auto dict = dicts_[slot].lock()) return dict;
+  }
+  const ColumnChunkMeta& chunk = meta_.row_groups[rg].columns[col];
+  std::vector<uint8_t> bytes(chunk.dict_size);
+  FUSION_RETURN_NOT_OK(ReadAt(chunk.offset, chunk.dict_size, bytes.data()));
+  FUSION_ASSIGN_OR_RAISE(auto entries, ParseDict(bytes.data(), bytes.size()));
+  std::shared_ptr<StringArray> dict = BuildSharedDict(entries);
+  std::lock_guard<std::mutex> lock(dicts_mutex_);
+  // A concurrent scan of another range may have built it meanwhile.
+  if (auto built = dicts_[slot].lock()) return built;
+  dicts_[slot] = dict;
+  return dict;
+}
 
 Result<ArrayPtr> Reader::ReadColumnChunk(int rg, int col, RowSelection::Range scope,
                                          const RowSelection& selection,
@@ -399,9 +566,9 @@ Result<ArrayPtr> Reader::ReadColumnChunk(int rg, int col, RowSelection::Range sc
   const ColumnChunkMeta& chunk = meta_.row_groups[rg].columns[col];
   DataType type = meta_.schema->field(col).type();
 
-  // Pick the pages to decode, then read the dictionary plus one span
-  // from the first picked page to the last: a range scan reads only its
-  // own pages, not the whole chunk.
+  // Pick the pages to decode, then read one span from the first picked
+  // page to the last: a range scan reads only its own pages, not the
+  // whole chunk.
   std::vector<const PageMeta*> pages;
   uint64_t span_begin = UINT64_MAX;
   uint64_t span_end = 0;
@@ -418,96 +585,59 @@ Result<ArrayPtr> Reader::ReadColumnChunk(int rg, int col, RowSelection::Range sc
     span_end = std::max(span_end, page.offset + page.size);
   }
   if (pages.empty()) span_begin = span_end = 0;
-  std::vector<uint8_t> bytes(chunk.dict_size + (span_end - span_begin));
-  if (chunk.dict_size > 0) {
-    FUSION_RETURN_NOT_OK(ReadAt(chunk.offset, chunk.dict_size, bytes.data()));
+  std::shared_ptr<StringArray> dict;
+  if (chunk.encoding == Encoding::kDictionary) {
+    FUSION_ASSIGN_OR_RAISE(dict, ChunkDictionary(rg, col));
   }
+  // Every byte is read before it is used, so the span is not zeroed.
+  std::unique_ptr<uint8_t[]> bytes(new uint8_t[span_end - span_begin]);
   if (span_end > span_begin) {
     FUSION_RETURN_NOT_OK(ReadAt(chunk.offset + chunk.dict_size + span_begin,
-                                span_end - span_begin,
-                                bytes.data() + chunk.dict_size));
+                                span_end - span_begin, bytes.get()));
   }
-  auto page_bytes = [&](const PageMeta& page) {
-    return bytes.data() + chunk.dict_size + (page.offset - span_begin);
-  };
-  const int64_t out_rows = selection.CountRows();
-
-  if (chunk.encoding == Encoding::kDictionary) {
-    // Dictionary chunks stay encoded end-to-end: the chunk's dictionary
-    // is materialized once as a shared StringArray and pages contribute
-    // only int32 codes, gathered straight from the raw page bytes
-    // (RowSelection take paths touch codes, never string data).
-    FUSION_ASSIGN_OR_RAISE(auto dict, ParseDict(bytes.data(), chunk.dict_size));
-    std::shared_ptr<StringArray> shared_dict = BuildSharedDict(dict);
-    auto codes =
-        std::make_shared<Buffer>(out_rows * static_cast<int64_t>(sizeof(int32_t)));
-    int32_t* codes_out = codes->mutable_data_as<int32_t>();
-    BufferPtr validity;
-    int64_t nulls = 0;
-    int64_t out_pos = 0;
-    for (const PageMeta* page : pages) {
-      const uint8_t* page_data = page_bytes(*page);
-      if (page->size < 1) return Status::IOError("fpq: truncated dict page");
-      const bool has_validity = page_data[0] != 0;
-      const int64_t vbytes =
-          has_validity ? bit_util::BytesForBits(page->num_rows) : 0;
-      if (static_cast<uint64_t>(1 + vbytes + page->num_rows * 4) > page->size) {
-        return Status::IOError("fpq: truncated dict page");
-      }
-      const uint8_t* page_validity = has_validity ? page_data + 1 : nullptr;
-      const uint8_t* page_codes = page_data + 1 + vbytes;
-      auto emit = [&](int64_t first, int64_t end_row) -> Status {
-        for (int64_t r = first; r < end_row; ++r) {
-          const int64_t i = r - page->first_row;
-          uint32_t code;
-          std::memcpy(&code, page_codes + i * 4, 4);
-          const bool valid = !has_validity || bit_util::GetBit(page_validity, i);
-          if (valid && code >= dict.size()) {
-            return Status::IOError("fpq: dict code out of range");
-          }
-          codes_out[out_pos] = valid ? static_cast<int32_t>(code) : 0;
-          if (!valid) {
-            if (validity == nullptr) {
-              validity =
-                  std::make_shared<Buffer>(bit_util::BytesForBits(out_rows));
-              std::memset(validity->mutable_data(), 0xff,
-                          static_cast<size_t>(validity->size()));
-            }
-            bit_util::ClearBit(validity->mutable_data(), out_pos);
-            ++nulls;
-          }
-          ++out_pos;
-        }
-        return Status::OK();
-      };
-      const int64_t page_end = page->first_row + page->num_rows;
-      for (const auto& range : selection.ranges()) {
-        int64_t start = std::max(range.start, page->first_row);
-        int64_t end = std::min(range.end, page_end);
-        if (start < end) FUSION_RETURN_NOT_OK(emit(start, end));
-      }
-    }
-    return ArrayPtr(std::make_shared<DictionaryArray>(out_rows, std::move(codes),
-                                                      std::move(shared_dict),
-                                                      std::move(validity), nulls));
-  }
-
-  FUSION_ASSIGN_OR_RAISE(auto builder, MakeBuilder(type));
-  builder->Reserve(out_rows);
+  std::vector<PageView> views;
+  views.reserve(pages.size());
   for (const PageMeta* page : pages) {
-    ArrayPtr decoded;
-    FUSION_ASSIGN_OR_RAISE(decoded, DecodePlainPage(type, page->num_rows,
-                                                    page_bytes(*page), page->size));
-    const int64_t page_end = page->first_row + page->num_rows;
-    for (const auto& range : selection.ranges()) {
-      int64_t start = std::max(range.start, page->first_row);
-      int64_t end = std::min(range.end, page_end);
-      for (int64_t r = start; r < end; ++r) {
-        builder->AppendFrom(*decoded, r - page->first_row);
+    FUSION_ASSIGN_OR_RAISE(
+        PageView view, CheckPage(*page, type, chunk.encoding,
+                                 bytes.get() + (page->offset - span_begin)));
+    views.push_back(view);
+  }
+
+  // Copy the selected rows straight from the page bytes into the output
+  // buffers (paper §6.8 step 4).
+  const SelectedRows rows{views, selection, selection.CountRows()};
+  int64_t nulls = 0;
+  BufferPtr validity = GatherValidity(rows, &nulls);
+  if (dict != nullptr) {
+    // Dictionary chunks stay encoded end to end: the pages give int32
+    // codes into the chunk's one shared dictionary.
+    BufferPtr codes = GatherFixedWidth(rows, 4, validity.get());
+    const int32_t* code = codes->data_as<int32_t>();
+    const uint64_t dict_size = static_cast<uint64_t>(dict->length());
+    for (int64_t i = 0; i < rows.count; ++i) {
+      if (static_cast<uint32_t>(code[i]) >= dict_size &&
+          (validity == nullptr || bit_util::GetBit(validity->data(), i))) {
+        return Status::IOError("fpq: dict code out of range");
       }
     }
+    return ArrayPtr(std::make_shared<DictionaryArray>(
+        rows.count, std::move(codes), std::move(dict), std::move(validity), nulls));
   }
-  return builder->Finish();
+  switch (type.id()) {
+    case TypeId::kBool: {
+      BufferPtr bits = GatherBits(rows, validity.get());
+      return ArrayPtr(std::make_shared<BooleanArray>(rows.count, std::move(bits),
+                                                     std::move(validity), nulls));
+    }
+    case TypeId::kString:
+      return GatherStrings(rows, std::move(validity), nulls);
+    default: {
+      BufferPtr values = GatherFixedWidth(rows, type.byte_width(), validity.get());
+      return MakeFixedWidthArray(type, rows.count, std::move(values),
+                                 std::move(validity), nulls);
+    }
+  }
 }
 
 Result<RecordBatchPtr> Reader::ReadColumns(int rg, RowSelection::Range scope,
@@ -528,7 +658,6 @@ Result<RecordBatchPtr> Reader::ReadColumns(int rg, RowSelection::Range scope,
 Result<RecordBatchPtr> Reader::ScanRowGroup(int rg, RowSelection::Range rows,
                                             const std::vector<int>& projection,
                                             const std::vector<ColumnPredicate>& preds,
-                                            bool late_materialization,
                                             ScanMetrics* metrics) {
   const RowGroupMeta& rg_meta = meta_.row_groups[rg];
   if (rows.start < 0 || rows.start > rows.end || rows.end > rg_meta.num_rows) {
@@ -536,60 +665,13 @@ Result<RecordBatchPtr> Reader::ScanRowGroup(int rg, RowSelection::Range rows,
                            std::to_string(rows.end) + " outside row group " +
                            std::to_string(rg));
   }
-  const int64_t num_rows = rows.end - rows.start;
   if (metrics != nullptr) {
     ++metrics->row_groups_read;
-    metrics->rows_total += num_rows;
+    metrics->rows_total += rows.end - rows.start;
   }
-  RowSelection range;
-  range.AddRange(rows.start, rows.end);
-
-  if (preds.empty() || !late_materialization) {
-    // Decode the whole range, then filter row-by-row (used as the
-    // ablation baseline and for predicates that could not be pushed).
-    FUSION_ASSIGN_OR_RAISE(auto batch,
-                           ReadColumns(rg, rows, projection, range, metrics));
-    if (preds.empty()) {
-      if (metrics != nullptr) metrics->rows_selected += batch->num_rows();
-      return batch;
-    }
-    // Evaluate predicates over decoded columns; mask positions are
-    // offsets into the range.
-    std::vector<bool> mask(static_cast<size_t>(num_rows), true);
-    for (const auto& pred : preds) {
-      int col = meta_.schema->GetFieldIndex(pred.column);
-      if (col < 0) return Status::KeyError("fpq: unknown column " + pred.column);
-      // The predicate column may not be projected; decode if needed.
-      ArrayPtr column;
-      int proj_idx = -1;
-      for (size_t i = 0; i < projection.size(); ++i) {
-        if (projection[i] == col) proj_idx = static_cast<int>(i);
-      }
-      if (proj_idx >= 0) {
-        column = batch->column(proj_idx);
-      } else {
-        FUSION_ASSIGN_OR_RAISE(column, ReadColumnChunk(rg, col, rows, range, metrics));
-      }
-      FUSION_ASSIGN_OR_RAISE(auto pred_mask, EvaluatePredicate(pred, *column));
-      const auto& bm = checked_cast<BooleanArray>(*pred_mask);
-      for (int64_t i = 0; i < num_rows; ++i) {
-        if (!(bm.IsValid(i) && bm.Value(i))) mask[i] = false;
-      }
-    }
-    RowSelection sel = RowSelection::FromMask(mask);
-    if (metrics != nullptr) metrics->rows_selected += sel.CountRows();
-    if (sel.CountRows() == num_rows) return batch;
-    std::vector<int64_t> indices;
-    indices.reserve(sel.CountRows());
-    for (const auto& r : sel.ranges()) {
-      for (int64_t i = r.start; i < r.end; ++i) indices.push_back(i);
-    }
-    // Take keeps dictionary columns encoded (codes move, bytes do not).
-    return compute::TakeBatch(*batch, indices);
-  }
-
   // Late materialization (paper §6.8 steps 2-4), starting from the range.
-  RowSelection selection = std::move(range);
+  RowSelection selection;
+  selection.AddRange(rows.start, rows.end);
 
   // Step 2-3: evaluate each predicate column against the current
   // selection, refining it each time. Pages with zone maps that cannot

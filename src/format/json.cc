@@ -303,7 +303,11 @@ Result<std::vector<RecordBatchPtr>> ReadFile(const std::string& path,
             if (found->kind == JsonValue::Kind::kInt) {
               static_cast<NumericBuilder<int64_t>*>(builders[c].get())
                   ->Append(found->int_value);
-            } else if (found->kind == JsonValue::Kind::kDouble) {
+            } else if (found->kind == JsonValue::Kind::kDouble &&
+                       found->double_value >= -0x1p63 &&
+                       found->double_value < 0x1p63) {
+              // Doubles outside [-2^63, 2^63), NaN and the infinities
+              // included, have no int64 value and read as null.
               static_cast<NumericBuilder<int64_t>*>(builders[c].get())
                   ->Append(static_cast<int64_t>(found->double_value));
             } else {

@@ -75,6 +75,123 @@ struct MergeCursor {
   const std::string& key() const { return keys[row]; }
 };
 
+/// Top-K (paper §6.2 "specialized implementations for LIMIT"): a
+/// max-heap of the best `fetch` rows seen so far, ordered by encoded key
+/// and then by arrival, so ties keep input order as a stable sort does.
+/// A row enters only if it sorts before the heap's worst entry, and a
+/// batch that no entry references is dropped. The rows are gathered
+/// once at the end, and also whenever more than kMaxRetainedBatches
+/// input batches are held, so memory stays bounded.
+class TopK {
+ public:
+  static constexpr size_t kMaxRetainedBatches = 64;
+
+  TopK(SchemaPtr schema, std::vector<PhysicalSortExpr> sort_exprs, int64_t fetch)
+      : schema_(std::move(schema)), sort_exprs_(std::move(sort_exprs)),
+        fetch_(static_cast<size_t>(fetch)) {}
+
+  Status Push(RecordBatchPtr batch) {
+    if (fetch_ == 0) return Status::OK();
+    FUSION_ASSIGN_OR_RAISE(auto keys, EncodeSortKeys(*batch, sort_exprs_));
+    const size_t slot = batches_.size();
+    batches_.push_back(std::move(batch));
+    refs_.push_back(0);
+    for (size_t r = 0; r < keys.size(); ++r, ++arrivals_) {
+      if (heap_.size() == fetch_) {
+        // An equal key arrived later, so it sorts after the worst entry.
+        if (!(keys[r] < heap_.front().key)) continue;
+        std::pop_heap(heap_.begin(), heap_.end(), Before);
+        Release(heap_.back().batch, slot);
+        heap_.pop_back();
+      }
+      heap_.push_back({std::move(keys[r]), arrivals_, slot, static_cast<int64_t>(r)});
+      std::push_heap(heap_.begin(), heap_.end(), Before);
+      ++refs_[slot];
+    }
+    if (refs_[slot] == 0) {
+      batches_[slot] = nullptr;
+    } else if (++retained_ > kMaxRetainedBatches) {
+      FUSION_RETURN_NOT_OK(MergeRetained());
+    }
+    return Status::OK();
+  }
+
+  /// The kept rows, sorted, or null when there are none.
+  Result<RecordBatchPtr> Finish() {
+    if (heap_.empty()) return RecordBatchPtr(nullptr);
+    std::sort_heap(heap_.begin(), heap_.end(), Before);
+    return Gather();
+  }
+
+ private:
+  struct Entry {
+    std::string key;
+    int64_t arrival;
+    size_t batch;
+    int64_t row;
+  };
+
+  static bool Before(const Entry& a, const Entry& b) {
+    const int c = a.key.compare(b.key);
+    return c != 0 ? c < 0 : a.arrival < b.arrival;
+  }
+
+  /// One entry of `slot` left the heap; drop the batch once no entry
+  /// references it (the batch being pushed stays until its rows are done).
+  void Release(size_t slot, size_t current) {
+    if (--refs_[slot] == 0 && slot != current) {
+      batches_[slot] = nullptr;
+      --retained_;
+    }
+  }
+
+  /// The heap's rows as one batch, entry i at row i: one Take per
+  /// retained batch, then one Take into entry order.
+  Result<RecordBatchPtr> Gather() const {
+    std::vector<std::vector<int64_t>> rows(batches_.size());
+    std::vector<int64_t> order(heap_.size());
+    for (size_t i = 0; i < heap_.size(); ++i) {
+      order[i] = static_cast<int64_t>(rows[heap_[i].batch].size());
+      rows[heap_[i].batch].push_back(heap_[i].row);
+    }
+    std::vector<RecordBatchPtr> parts;
+    std::vector<int64_t> part_start(batches_.size(), 0);
+    int64_t total = 0;
+    for (size_t b = 0; b < batches_.size(); ++b) {
+      if (rows[b].empty()) continue;
+      FUSION_ASSIGN_OR_RAISE(auto part, compute::TakeBatch(*batches_[b], rows[b]));
+      part_start[b] = total;
+      total += part->num_rows();
+      parts.push_back(std::move(part));
+    }
+    for (size_t i = 0; i < heap_.size(); ++i) order[i] += part_start[heap_[i].batch];
+    FUSION_ASSIGN_OR_RAISE(auto merged, ConcatenateBatches(schema_, parts));
+    return compute::TakeBatch(*merged, order);
+  }
+
+  /// Replace the retained batches by one batch of the heap's rows.
+  Status MergeRetained() {
+    FUSION_ASSIGN_OR_RAISE(auto gathered, Gather());
+    for (size_t i = 0; i < heap_.size(); ++i) {
+      heap_[i].batch = 0;
+      heap_[i].row = static_cast<int64_t>(i);
+    }
+    batches_.assign(1, std::move(gathered));
+    refs_.assign(1, static_cast<int64_t>(heap_.size()));
+    retained_ = 1;
+    return Status::OK();
+  }
+
+  SchemaPtr schema_;
+  std::vector<PhysicalSortExpr> sort_exprs_;
+  size_t fetch_;
+  std::vector<Entry> heap_;  // max-heap under Before: the worst entry first
+  std::vector<RecordBatchPtr> batches_;  // null once no entry references it
+  std::vector<int64_t> refs_;            // entries per batch
+  size_t retained_ = 0;                  // batches that are not null
+  int64_t arrivals_ = 0;
+};
+
 /// A stream over spilled IPC batches.
 class SpillStream : public exec::RecordBatchStream {
  public:
@@ -195,58 +312,18 @@ Result<exec::StreamPtr> SortExec::ExecuteImpl(int partition, const ExecContextPt
                         fetch_ <= 100000;
 
   if (use_topk) {
-    // Top-K: keep only the best `fetch_` rows, compacting the candidate
-    // buffer whenever it doubles (paper §6.2 "specialized
-    // implementations for LIMIT").
-    std::vector<RecordBatchPtr> buffer;
-    int64_t buffered_rows = 0;
-    std::string cutoff;  // largest key currently in the top K (if full)
-    bool have_cutoff = false;
-    auto compact = [&]() -> Status {
-      FUSION_ASSIGN_OR_RAISE(auto merged, ConcatenateBatches(schema, buffer));
-      FUSION_ASSIGN_OR_RAISE(auto sorted, SortBatch(merged, sort_exprs_));
-      if (sorted->num_rows() > fetch_) {
-        sorted = sorted->Slice(0, fetch_);
-      }
-      buffer.clear();
-      buffer.push_back(sorted);
-      buffered_rows = sorted->num_rows();
-      if (buffered_rows == fetch_) {
-        FUSION_ASSIGN_OR_RAISE(auto keys, EncodeSortKeys(*sorted, sort_exprs_));
-        cutoff = keys.back();
-        have_cutoff = true;
-      }
-      return Status::OK();
-    };
+    TopK topk(schema, sort_exprs_, fetch_);
     for (;;) {
       FUSION_ASSIGN_OR_RAISE(auto batch, input->Next());
       if (batch == nullptr) break;
       if (batch->num_rows() == 0) continue;
-      if (have_cutoff) {
-        // Pre-filter rows that cannot enter the top K.
-        FUSION_ASSIGN_OR_RAISE(auto keys, EncodeSortKeys(*batch, sort_exprs_));
-        std::vector<int64_t> keep;
-        for (int64_t r = 0; r < batch->num_rows(); ++r) {
-          if (keys[r] < cutoff) keep.push_back(r);
-        }
-        if (keep.empty()) continue;
-        if (static_cast<int64_t>(keep.size()) < batch->num_rows()) {
-          FUSION_ASSIGN_OR_RAISE(batch, compute::TakeBatch(*batch, keep));
-        }
-      }
-      buffered_rows += batch->num_rows();
-      buffer.push_back(std::move(batch));
-      if (buffered_rows > 2 * fetch_ + 8192) {
-        FUSION_RETURN_NOT_OK(compact());
-      }
+      FUSION_RETURN_NOT_OK(topk.Push(std::move(batch)));
     }
-    if (buffer.empty()) {
-      return exec::StreamPtr(std::make_unique<exec::VectorStream>(
-          schema, std::vector<RecordBatchPtr>{}));
-    }
-    FUSION_RETURN_NOT_OK(compact());
-    return exec::StreamPtr(std::make_unique<exec::VectorStream>(
-        schema, std::move(buffer)));
+    FUSION_ASSIGN_OR_RAISE(auto sorted, topk.Finish());
+    std::vector<RecordBatchPtr> out;
+    if (sorted != nullptr) out.push_back(std::move(sorted));
+    return exec::StreamPtr(
+        std::make_unique<exec::VectorStream>(schema, std::move(out)));
   }
 
   // Full (external) sort.

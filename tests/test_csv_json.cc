@@ -4,6 +4,7 @@
 #include "tests/test_util.h"
 
 #include <cstdio>
+#include <limits>
 
 #include "format/csv.h"
 #include "format/json.h"
@@ -168,6 +169,21 @@ TEST(JsonTest, IntWidensToFloat) {
   ASSERT_OK_AND_ASSIGN(auto batches, json::ReadFile(path));
   EXPECT_EQ(batches[0]->column(0)->type(), float64());
   EXPECT_DOUBLE_EQ(checked_cast<Float64Array>(*batches[0]->column(0)).Value(0), 1.0);
+}
+
+TEST(JsonTest, DoubleOutsideAnInt64ColumnsRangeIsNull) {
+  auto path = WriteTemp("int_range.json",
+                        "{\"x\": 2.9}\n{\"x\": 1e20}\n{\"x\": -9.3e18}\n"
+                        "{\"x\": -9.223372036854775808e18}\n{\"x\": 7}\n");
+  json::Options options;
+  options.schema = fusion::schema({Field("x", int64(), true)});
+  ASSERT_OK_AND_ASSIGN(auto batches, json::ReadFile(path, options));
+  const auto& x = checked_cast<Int64Array>(*batches[0]->column(0));
+  EXPECT_EQ(x.Value(0), 2);
+  EXPECT_TRUE(x.IsNull(1));
+  EXPECT_TRUE(x.IsNull(2));
+  EXPECT_EQ(x.Value(3), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(x.Value(4), 7);
 }
 
 TEST(JsonTest, NestedValuesKeptAsRawText) {

@@ -94,23 +94,47 @@ TEST(DictionaryReadTest, RowSelectionTakesCodesOnly) {
   ASSERT_OK_AND_ASSIGN(auto reader, fpq::Reader::Open(path));
   std::vector<ColumnPredicate> preds = {
       {"id", ColumnPredicate::Op::kLt, {Scalar::Int64(200)}}};
-  for (bool late : {false, true}) {
-    fpq::ScanMetrics metrics;
-    ASSERT_OK_AND_ASSIGN(auto filtered,
-                         reader->ScanRowGroup(0, {0, reader->row_group(0).num_rows},
-                                              {0, 1}, preds, late, &metrics));
-    ASSERT_TRUE(filtered->column(1)->type().is_dictionary());
-    const auto& ids = checked_cast<Int64Array>(*filtered->column(0));
-    int64_t expected = 0;
-    const auto& all_ids = checked_cast<Int64Array>(*batch->column(0));
-    for (int64_t i = 0; i < batch->num_rows(); ++i) {
-      if (all_ids.Value(i) < 200) ++expected;
-    }
-    EXPECT_EQ(filtered->num_rows(), expected) << "late=" << late;
-    for (int64_t i = 0; i < filtered->num_rows(); ++i) {
-      EXPECT_LT(ids.Value(i), 200);
-    }
+  fpq::ScanMetrics metrics;
+  ASSERT_OK_AND_ASSIGN(auto filtered,
+                       reader->ScanRowGroup(0, {0, reader->row_group(0).num_rows},
+                                            {0, 1}, preds, &metrics));
+  ASSERT_TRUE(filtered->column(1)->type().is_dictionary());
+  const auto& ids = checked_cast<Int64Array>(*filtered->column(0));
+  int64_t expected = 0;
+  const auto& all_ids = checked_cast<Int64Array>(*batch->column(0));
+  for (int64_t i = 0; i < batch->num_rows(); ++i) {
+    if (all_ids.Value(i) < 200) ++expected;
   }
+  EXPECT_EQ(filtered->num_rows(), expected);
+  for (int64_t i = 0; i < filtered->num_rows(); ++i) {
+    EXPECT_LT(ids.Value(i), 200);
+  }
+}
+
+TEST(DictionaryReadTest, RangesOfOneRowGroupShareOneDictionary) {
+  auto batch = MakeDictBatch(8000, 15, /*with_nulls=*/true);
+  fpq::WriteOptions options;
+  options.page_rows = 500;
+  std::string path = "/tmp/fusion_test_dict_shared.fpq";
+  ASSERT_OK(fpq::WriteFile(path, batch->schema(), {batch}, options));
+  ASSERT_OK_AND_ASSIGN(auto reader, fpq::Reader::Open(path));
+  ASSERT_EQ(reader->row_group(0).columns[1].encoding, fpq::Encoding::kDictionary);
+  ASSERT_OK_AND_ASSIGN(auto first, reader->ScanRowGroup(0, {0, 3000}, {1}, {}));
+  ASSERT_OK_AND_ASSIGN(auto second, reader->ScanRowGroup(0, {3000, 8000}, {1}, {}));
+  ASSERT_TRUE(first->column(0)->type().is_dictionary());
+  ASSERT_TRUE(second->column(0)->type().is_dictionary());
+  EXPECT_EQ(checked_cast<DictionaryArray>(*first->column(0)).dictionary(),
+            checked_cast<DictionaryArray>(*second->column(0)).dictionary());
+  // Same instance, so the concatenation copies codes and stays encoded.
+  ASSERT_OK_AND_ASSIGN(auto both, Concatenate({first->column(0), second->column(0)}));
+  EXPECT_TRUE(both->type().is_dictionary());
+  EXPECT_TRUE(ArraysEqual(*batch->column(1), *both));
+  // Once no batch holds the dictionary, a scan builds it afresh.
+  first.reset();
+  second.reset();
+  both.reset();
+  ASSERT_OK_AND_ASSIGN(auto again, reader->ScanRowGroup(0, {0, 8000}, {1}, {}));
+  EXPECT_TRUE(ArraysEqual(*batch->column(1), *again->column(0)));
 }
 
 TEST(DictionaryKernelTest, KernelsAgreeWithDenseExecution) {

@@ -10,12 +10,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <numeric>
 
 #include "catalog/file_tables.h"
+#include "compute/selection.h"
 #include "exec/buffer_cache.h"
 #include "format/fpq.h"
+#include "format/fpq_internal.h"
 
 namespace fusion {
 namespace test {
@@ -50,6 +54,26 @@ RecordBatchPtr MakeDataBatch(int64_t n, uint32_t seed) {
 /// Every row of row group `g`.
 RowSelection::Range AllRows(const fpq::Reader& reader, int g) {
   return {0, reader.row_group(g).num_rows};
+}
+
+/// The rows of `batch` that pass every predicate (a null result drops
+/// the row), found by evaluating the predicates on its columns.
+Result<RecordBatchPtr> FilterRows(const RecordBatchPtr& batch,
+                                  const std::vector<ColumnPredicate>& preds) {
+  std::vector<bool> keep(static_cast<size_t>(batch->num_rows()), true);
+  for (const auto& pred : preds) {
+    FUSION_ASSIGN_OR_RAISE(auto column, batch->GetColumnByName(pred.column));
+    FUSION_ASSIGN_OR_RAISE(auto mask_arr, format::EvaluatePredicate(pred, *column));
+    const auto& mask = checked_cast<BooleanArray>(*mask_arr);
+    for (int64_t i = 0; i < batch->num_rows(); ++i) {
+      if (!(mask.IsValid(i) && mask.Value(i))) keep[static_cast<size_t>(i)] = false;
+    }
+  }
+  std::vector<int64_t> indices;
+  for (int64_t i = 0; i < batch->num_rows(); ++i) {
+    if (keep[static_cast<size_t>(i)]) indices.push_back(i);
+  }
+  return compute::TakeBatch(*batch, indices);
 }
 
 TEST(RowSelectionTest, FromMaskAndCount) {
@@ -213,14 +237,14 @@ TEST(FpqTest, LateMaterializationSkipsPages) {
   fpq::ScanMetrics metrics;
   ASSERT_OK_AND_ASSIGN(auto out,
                        reader->ScanRowGroup(0, AllRows(*reader, 0), {0, 2}, preds,
-                                            true, &metrics));
+                                            &metrics));
   EXPECT_EQ(out->num_rows(), 100);
   EXPECT_GT(metrics.pages_skipped, 0);
   EXPECT_EQ(metrics.rows_selected, 100);
 }
 
 /// Property: scanning with pushdown+late materialization returns exactly
-/// the rows a full scan + post-filter returns, for random predicates.
+/// the written rows that pass random predicates.
 TEST(FpqTest, PushdownEquivalenceProperty) {
   auto batch = MakeDataBatch(6000, 7);
   fpq::WriteOptions options;
@@ -246,25 +270,19 @@ TEST(FpqTest, PushdownEquivalenceProperty) {
              {Scalar::Float64(static_cast<double>(rng() % 10000) / 10.0)}});
       }
     }
-    for (bool late : {true, false}) {
-      std::vector<RecordBatchPtr> with_pushdown;
-      std::vector<RecordBatchPtr> without;
-      for (int g = 0; g < reader->num_row_groups(); ++g) {
-        ASSERT_OK_AND_ASSIGN(bool may, reader->RowGroupMayMatch(g, preds));
-        if (may) {
-          ASSERT_OK_AND_ASSIGN(auto scanned,
-                               reader->ScanRowGroup(g, AllRows(*reader, g), {0, 1, 2},
-                                                    preds, late));
-          with_pushdown.push_back(scanned);
-        }
-        ASSERT_OK_AND_ASSIGN(auto full,
+    std::vector<RecordBatchPtr> with_pushdown;
+    for (int g = 0; g < reader->num_row_groups(); ++g) {
+      ASSERT_OK_AND_ASSIGN(bool may, reader->RowGroupMayMatch(g, preds));
+      if (may) {
+        ASSERT_OK_AND_ASSIGN(auto scanned,
                              reader->ScanRowGroup(g, AllRows(*reader, g), {0, 1, 2},
-                                                  preds, /*late=*/false));
-        without.push_back(full);
+                                                  preds));
+        with_pushdown.push_back(scanned);
       }
-      EXPECT_EQ(SortedStringRows(with_pushdown), SortedStringRows(without))
-          << "trial " << trial << " late=" << late;
     }
+    ASSERT_OK_AND_ASSIGN(auto expected, FilterRows(batch, preds));
+    EXPECT_EQ(ToStringRows(with_pushdown), ToStringRows({expected}))
+        << "trial " << trial;
   }
 }
 
@@ -355,8 +373,7 @@ TEST(FpqRangeTest, RangeScanEqualsThoseRowsOfTheFullScan) {
 
   // No predicate: the range's rows, reading only its three pages.
   fpq::ScanMetrics metrics;
-  ASSERT_OK_AND_ASSIGN(auto part,
-                       reader->ScanRowGroup(0, range, all, {}, true, &metrics));
+  ASSERT_OK_AND_ASSIGN(auto part, reader->ScanRowGroup(0, range, all, {}, &metrics));
   EXPECT_EQ(ToStringRows({part}),
             std::vector<StringRow>(full_rows.begin() + range.start,
                                    full_rows.begin() + range.end));
@@ -364,30 +381,23 @@ TEST(FpqRangeTest, RangeScanEqualsThoseRowsOfTheFullScan) {
   EXPECT_EQ(metrics.pages_skipped, 0);
   EXPECT_EQ(metrics.rows_total, range.end - range.start);
 
-  // Predicates on a plain, a dictionary and a decimal column, with and
-  // without late materialization: the range's rows that pass.
+  // Predicates on a plain, a dictionary and a decimal column: the
+  // range's written rows that pass.
   using Op = ColumnPredicate::Op;
   std::vector<ColumnPredicate> preds = {
       {"value", Op::kGt, {Scalar::Float64(300.0)}},
       {"tag", Op::kNeq, {Scalar::String("tag7")}},
       {"amount", Op::kGtEq, {Scalar::Decimal(Decimal128(0), decimal128(12, 2))}}};
-  ASSERT_OK_AND_ASSIGN(auto filtered,
-                       reader->ScanRowGroup(0, AllRows(*reader, 0), all, preds,
-                                            /*late=*/false));
-  std::vector<StringRow> expected;
-  for (const auto& row : ToStringRows({filtered})) {
-    const int64_t id = std::stoll(row[0]);
-    if (id >= range.start && id < range.end) expected.push_back(row);
-  }
-  ASSERT_FALSE(expected.empty());
-  for (bool late : {true, false}) {
-    fpq::ScanMetrics m;
-    ASSERT_OK_AND_ASSIGN(auto got, reader->ScanRowGroup(0, range, all, preds, late, &m));
-    EXPECT_EQ(ToStringRows({got}), expected) << "late=" << late;
-    // Every column read counts the range's three pages and no others:
-    // late materialization reads three predicate columns, then four.
-    EXPECT_EQ(m.pages_read + m.pages_skipped, (late ? 7 : 4) * 3) << "late=" << late;
-  }
+  ASSERT_OK_AND_ASSIGN(
+      auto expected,
+      FilterRows(batch->Slice(range.start, range.end - range.start), preds));
+  ASSERT_GT(expected->num_rows(), 0);
+  fpq::ScanMetrics m;
+  ASSERT_OK_AND_ASSIGN(auto got, reader->ScanRowGroup(0, range, all, preds, &m));
+  EXPECT_EQ(ToStringRows({got}), ToStringRows({expected}));
+  // Every column read counts the range's three pages and no others:
+  // three predicate columns, then the four projected ones.
+  EXPECT_EQ(m.pages_read + m.pages_skipped, 7 * 3);
   EXPECT_RAISES(reader->ScanRowGroup(0, {0, 4097}, all, {}).status());
 }
 
@@ -556,30 +566,33 @@ void PutU64(std::vector<uint8_t>* file, size_t pos, uint64_t v) {
   std::memcpy(file->data() + pos, &v, 8);
 }
 
-/// Open, prune and fully scan every row group, touching every value.
-Status OpenAndScan(const std::string& path) {
+/// Open, prune and fully scan every row group, touching every value:
+/// each predicate is pushed into one scan and applied to a full scan.
+Status OpenAndScan(const std::string& path, const std::vector<ColumnPredicate>& point,
+                   const std::vector<ColumnPredicate>& range) {
   FUSION_ASSIGN_OR_RAISE(auto reader, fpq::Reader::Open(path));
   std::vector<int> all(static_cast<size_t>(reader->schema()->num_fields()));
   std::iota(all.begin(), all.end(), 0);
-  const std::vector<ColumnPredicate> point = {
-      {"tag", ColumnPredicate::Op::kEq, {Scalar::String("tag5")}}};
-  const std::vector<ColumnPredicate> range = {
-      {"id", ColumnPredicate::Op::kGtEq, {Scalar::Int64(500)}}};
   for (int g = 0; g < reader->num_row_groups(); ++g) {
     FUSION_ASSIGN_OR_RAISE(bool may_match, reader->RowGroupMayMatch(g, point));
     (void)may_match;
     const int64_t rows = reader->row_group(g).num_rows;
+    FUSION_ASSIGN_OR_RAISE(auto full, reader->ScanRowGroup(g, {0, rows}, all, {}));
+    (void)ToStringRows({full});
     for (const auto* preds : {&point, &range}) {
-      for (bool late : {true, false}) {
-        FUSION_ASSIGN_OR_RAISE(auto batch,
-                               reader->ScanRowGroup(g, {0, rows}, all, *preds, late));
-        (void)ToStringRows({batch});
-      }
+      FUSION_ASSIGN_OR_RAISE(auto batch, reader->ScanRowGroup(g, {0, rows}, all, *preds));
+      (void)ToStringRows({batch});
+      FUSION_ASSIGN_OR_RAISE(auto filtered, FilterRows(full, *preds));
+      (void)ToStringRows({filtered});
     }
-    FUSION_ASSIGN_OR_RAISE(auto batch, reader->ScanRowGroup(g, {0, rows}, all, {}));
-    (void)ToStringRows({batch});
   }
   return Status::OK();
+}
+
+/// OpenAndScan with predicates on a MakeDataBatch file's columns.
+Status OpenAndScan(const std::string& path) {
+  return OpenAndScan(path, {{"tag", ColumnPredicate::Op::kEq, {Scalar::String("tag5")}}},
+                     {{"id", ColumnPredicate::Op::kGtEq, {Scalar::Int64(500)}}});
 }
 
 // The file StatsRecordedPerRowGroup writes (sum(id) = 7998000).
@@ -641,6 +654,380 @@ TEST(FpqFooterTest, SeededByteFlipsAndTruncationsNeverCrash) {
     check(std::vector<uint8_t>(original.begin(), original.begin() + len));
   }
   // Sanity: the sweep saw both outcomes.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+
+// ------------------------------------------------- page gather oracle
+
+/// One null in about `every` rows (none when `every` is 0).
+BufferPtr RandomValidity(int64_t n, int every, std::mt19937* rng, int64_t* nulls) {
+  *nulls = 0;
+  if (every == 0) return nullptr;
+  auto validity = std::make_shared<Buffer>(bit_util::BytesForBits(n));
+  for (int64_t i = 0; i < n; ++i) {
+    if ((*rng)() % every != 0) {
+      bit_util::SetBit(validity->mutable_data(), i);
+    } else {
+      ++*nulls;
+    }
+  }
+  return *nulls > 0 ? validity : nullptr;
+}
+
+/// A fixed-width column of random values. Null slots keep their
+/// values, as arrays from other kernels may.
+template <typename T, typename Gen>
+ArrayPtr RandomFixedColumn(DataType type, int64_t n, int null_every, std::mt19937* rng,
+                           Gen gen) {
+  std::vector<T> values(static_cast<size_t>(n));
+  for (auto& v : values) v = gen();
+  int64_t nulls = 0;
+  BufferPtr validity = RandomValidity(n, null_every, rng, &nulls);
+  return std::make_shared<NumericArray<T>>(
+      type, n, Buffer::CopyOf(values.data(), n * static_cast<int64_t>(sizeof(T))),
+      std::move(validity), nulls);
+}
+
+/// Every plain type with and without nulls (null slots hold nonzero
+/// values, set bits and non-empty strings), a random int64 `r` for
+/// predicates and a low-cardinality string `tag` that the writer
+/// dictionary-encodes. Strings include empty and multi-KiB values.
+RecordBatchPtr MakeGatherBatch(int64_t n, uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<Field> fields;
+  std::vector<ArrayPtr> columns;
+  auto add = [&](const std::string& name, ArrayPtr column) {
+    fields.emplace_back(name, column->type(), column->null_count() > 0);
+    columns.push_back(std::move(column));
+  };
+  add("r", RandomFixedColumn<int64_t>(int64(), n, 0, &rng,
+                                      [&] { return static_cast<int64_t>(rng() % 100); }));
+  for (int null_every : {0, 5}) {
+    const std::string suffix = null_every == 0 ? "" : "_n";
+    add("i32" + suffix, RandomFixedColumn<int32_t>(int32(), n, null_every, &rng, [&] {
+          return static_cast<int32_t>(rng());
+        }));
+    add("i64" + suffix, RandomFixedColumn<int64_t>(int64(), n, null_every, &rng, [&] {
+          return static_cast<int64_t>((uint64_t{rng()} << 32) | rng());
+        }));
+    add("f64" + suffix, RandomFixedColumn<double>(float64(), n, null_every, &rng, [&] {
+          const uint32_t pick = rng() % 20;
+          if (pick == 0) return std::nan("");
+          if (pick == 1) return -0.0;
+          return static_cast<double>(static_cast<int32_t>(rng())) / 7.0;
+        }));
+    add("dec" + suffix,
+        RandomFixedColumn<Decimal128>(decimal128(18, 3), n, null_every, &rng, [&] {
+          return Decimal128(static_cast<int64_t>(rng() % 2000000000) - 1000000000);
+        }));
+    add("date" + suffix, RandomFixedColumn<int32_t>(date32(), n, null_every, &rng, [&] {
+          return static_cast<int32_t>(rng() % 40000);
+        }));
+    add("ts" + suffix, RandomFixedColumn<int64_t>(timestamp(), n, null_every, &rng, [&] {
+          return static_cast<int64_t>(rng()) * 1000;
+        }));
+    auto bits = std::make_shared<Buffer>(bit_util::BytesForBits(n));
+    for (int64_t i = 0; i < n; ++i) {
+      if (rng() % 2 == 0) bit_util::SetBit(bits->mutable_data(), i);
+    }
+    int64_t nulls = 0;
+    auto validity = RandomValidity(n, null_every, &rng, &nulls);
+    add("bool" + suffix, std::make_shared<BooleanArray>(n, bits, validity, nulls));
+    auto offsets = std::make_shared<Buffer>((n + 1) * 4);
+    std::string data;
+    offsets->mutable_data_as<int32_t>()[0] = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      const uint32_t pick = rng() % 50;
+      const size_t len = pick < 5 ? 0 : pick == 5 ? 1024 + rng() % 4096 : rng() % 24;
+      for (size_t k = 0; k < len; ++k) {
+        data.push_back(static_cast<char>('a' + rng() % 26));
+      }
+      offsets->mutable_data_as<int32_t>()[i + 1] = static_cast<int32_t>(data.size());
+    }
+    validity = RandomValidity(n, null_every, &rng, &nulls);
+    add("str" + suffix,
+        std::make_shared<StringArray>(
+            n, offsets, Buffer::CopyOf(data.data(), static_cast<int64_t>(data.size())),
+            validity, nulls));
+    std::vector<std::string> tags(static_cast<size_t>(n));
+    for (auto& t : tags) t = "tag" + std::to_string(rng() % 30);
+    std::vector<bool> valid(static_cast<size_t>(n), true);
+    if (null_every > 0) {
+      for (size_t i = 0; i < valid.size(); ++i) valid[i] = rng() % null_every != 0;
+    }
+    add("tag" + suffix,
+        MakeStringArray(tags, null_every > 0 ? valid : std::vector<bool>{}));
+  }
+  return std::make_shared<RecordBatch>(fusion::schema(std::move(fields)), n,
+                                       std::move(columns));
+}
+
+/// Expect `got` to hold `expected`'s rows: the same nulls, the same
+/// values (doubles by bits, so NaN equals NaN), and every null slot of
+/// `got` reads as zero, false or the empty string.
+void ExpectSameColumn(const Array& expected, const Array& got, const std::string& what) {
+  ASSERT_EQ(expected.length(), got.length()) << what;
+  for (int64_t i = 0; i < got.length(); ++i) {
+    ASSERT_EQ(expected.IsNull(i), got.IsNull(i)) << what << " row " << i;
+    if (got.IsNull(i)) {
+      bool empty;
+      switch (got.type().id()) {
+        case TypeId::kBool:
+          empty = !checked_cast<BooleanArray>(got).Value(i);
+          break;
+        case TypeId::kString:
+          empty = checked_cast<StringArray>(got).Value(i).empty();
+          break;
+        case TypeId::kDictionary:
+          empty = checked_cast<DictionaryArray>(got).Code(i) == 0;
+          break;
+        case TypeId::kDecimal128:
+          empty = checked_cast<Decimal128Array>(got).Value(i) == Decimal128(0);
+          break;
+        case TypeId::kFloat64:
+          empty = std::signbit(checked_cast<Float64Array>(got).Value(i)) == 0 &&
+                  checked_cast<Float64Array>(got).Value(i) == 0;
+          break;
+        default:
+          empty = got.type().byte_width() == 4
+                      ? checked_cast<Int32Array>(got).Value(i) == 0
+                      : checked_cast<Int64Array>(got).Value(i) == 0;
+      }
+      ASSERT_TRUE(empty) << what << " row " << i << " is null but holds a value";
+      continue;
+    }
+    if (got.type().id() == TypeId::kFloat64) {
+      const double a = checked_cast<Float64Array>(expected).Value(i);
+      const double b = checked_cast<Float64Array>(got).Value(i);
+      ASSERT_EQ(std::memcmp(&a, &b, sizeof(a)), 0) << what << " row " << i;
+    } else {
+      ASSERT_TRUE(ArrayElementsEqual(expected, i, got, i)) << what << " row " << i;
+    }
+  }
+}
+
+TEST(FpqGatherTest, ScansEqualTheWrittenRows) {
+  const int64_t n = 3000;
+  auto batch = MakeGatherBatch(n, 31);
+  std::vector<int> all(static_cast<size_t>(batch->num_columns()));
+  std::iota(all.begin(), all.end(), 0);
+  using Op = ColumnPredicate::Op;
+  std::mt19937 rng(32);
+  for (int64_t page_rows : {1, 7, 100, 1024}) {
+    fpq::WriteOptions options;
+    options.row_group_rows = 1400;
+    options.page_rows = page_rows;
+    const std::string path = "/tmp/fusion_test_gather.fpq";
+    ASSERT_OK(fpq::WriteFile(path, batch->schema(), {batch}, options));
+    ASSERT_OK_AND_ASSIGN(auto reader, fpq::Reader::Open(path));
+    const auto& tag_chunk = reader->row_group(0).columns[
+        static_cast<size_t>(batch->schema()->GetFieldIndex("tag"))];
+    ASSERT_EQ(tag_chunk.encoding, fpq::Encoding::kDictionary);
+    ASSERT_EQ(reader->row_group(0).columns[static_cast<size_t>(
+                  batch->schema()->GetFieldIndex("str_n"))].encoding,
+              fpq::Encoding::kPlain);
+    int64_t rg_start = 0;
+    for (int g = 0; g < reader->num_row_groups(); ++g) {
+      const int64_t rg_rows = reader->row_group(g).num_rows;
+      for (int trial = 0; trial < 16; ++trial) {
+        // Whole row group, single rows, short ranges that may cross a
+        // page boundary, and long ones.
+        int64_t start = static_cast<int64_t>(rng() % rg_rows);
+        int64_t length;
+        switch (trial % 4) {
+          case 0: start = 0; length = rg_rows; break;
+          case 1: length = 1; break;
+          case 2: length = 1 + static_cast<int64_t>(rng() % (2 * page_rows + 1)); break;
+          default: length = static_cast<int64_t>(rng() % rg_rows);
+        }
+        const RowSelection::Range range = {start, std::min(rg_rows, start + length)};
+        std::vector<ColumnPredicate> preds;
+        switch (trial % 5) {
+          case 0: break;
+          case 1: preds.push_back({"r", Op::kLt, {Scalar::Int64(rng() % 100)}}); break;
+          case 2:
+            preds.push_back({"r", Op::kGtEq, {Scalar::Int64(90)}});
+            preds.push_back({"i32_n", Op::kIsNotNull, {}});
+            break;
+          case 3: preds.push_back({"str_n", Op::kIsNull, {}}); break;
+          default:
+            preds.push_back({"tag_n", Op::kNeq, {Scalar::String("tag3")}});
+            preds.push_back({"r", Op::kIn, {Scalar::Int64(1), Scalar::Int64(2),
+                                           Scalar::Int64(50)}});
+        }
+        ASSERT_OK_AND_ASSIGN(auto expected,
+                             FilterRows(batch->Slice(rg_start + range.start,
+                                                     range.end - range.start),
+                                        preds));
+        ASSERT_OK_AND_ASSIGN(auto got, reader->ScanRowGroup(g, range, all, preds));
+        ASSERT_EQ(got->num_rows(), expected->num_rows());
+        for (int c = 0; c < got->num_columns(); ++c) {
+          ExpectSameColumn(*expected->column(c), *got->column(c),
+                           "page_rows " + std::to_string(page_rows) + " rg " +
+                               std::to_string(g) + " trial " + std::to_string(trial) +
+                               " column " + batch->schema()->field(c).name());
+        }
+      }
+      rg_start += rg_rows;
+    }
+  }
+}
+
+// ----------------------------------------------------------- page fuzz
+
+/// Where each page's `size` field sits in the file, per (row group,
+/// column, page), found by walking the footer as the reader parses it.
+struct PageSizeField {
+  int row_group;
+  int column;
+  size_t pos;
+  uint64_t size;
+};
+
+std::vector<PageSizeField> PageSizeFields(const std::vector<uint8_t>& file,
+                                          const Schema& schema) {
+  const size_t start = FooterStart(file);
+  fpq::internal::ByteReader r(file.data() + start, file.size() - 12 - start);
+  std::vector<PageSizeField> out;
+  const uint32_t num_fields = r.U32().ValueOrDie();
+  for (uint32_t f = 0; f < num_fields; ++f) {
+    r.Str().ValueOrDie();
+    const uint8_t type = r.U8().ValueOrDie();
+    r.U8().ValueOrDie();
+    if (static_cast<TypeId>(type) == TypeId::kDecimal128) {
+      EXPECT_TRUE(r.Skip(2).ok());  // precision, scale
+    }
+  }
+  r.U64().ValueOrDie();
+  const uint32_t num_rgs = r.U32().ValueOrDie();
+  for (uint32_t g = 0; g < num_rgs; ++g) {
+    r.U64().ValueOrDie();
+    for (uint32_t c = 0; c < num_fields; ++c) {
+      const DataType type = schema.field(static_cast<int>(c)).type();
+      EXPECT_TRUE(r.Skip(1 + 8 + 8 + 8).ok());  // encoding, offset, size, dict_size
+      fpq::internal::ReadScalar(&r, type).ValueOrDie();
+      fpq::internal::ReadScalar(&r, type).ValueOrDie();
+      EXPECT_TRUE(r.Skip(8 + 8 + 8 + 8).ok());  // nulls, ndv, bloom offset and size
+      const uint32_t pages = r.U32().ValueOrDie();
+      for (uint32_t p = 0; p < pages; ++p) {
+        EXPECT_TRUE(r.Skip(8 + 8 + 8).ok());  // first_row, num_rows, offset
+        const size_t pos = static_cast<size_t>(r.cursor() - file.data());
+        out.push_back({static_cast<int>(g), static_cast<int>(c), pos,
+                       r.U64().ValueOrDie()});
+        fpq::internal::ReadScalar(&r, type).ValueOrDie();
+        fpq::internal::ReadScalar(&r, type).ValueOrDie();
+        r.U64().ValueOrDie();
+      }
+    }
+  }
+  return out;
+}
+
+TEST(FpqPageFuzzTest, SeededPageFlipsAndTruncationsEndOkOrIOError) {
+  // A plain int64, a plain string, a bool and a dictionary string
+  // column, all with nulls, in two row groups of six 50-row pages.
+  const int64_t n = 600;
+  std::mt19937 gen(40);
+  auto full = MakeGatherBatch(n, 41);
+  std::vector<ArrayPtr> columns;
+  std::vector<Field> fields;
+  for (const char* name : {"i64_n", "str_n", "bool_n", "tag_n"}) {
+    const int idx = full->schema()->GetFieldIndex(name);
+    columns.push_back(full->column(idx));
+    fields.push_back(full->schema()->field(idx));
+  }
+  auto batch = std::make_shared<RecordBatch>(fusion::schema(fields), n, columns);
+  fpq::WriteOptions options;
+  options.row_group_rows = 300;
+  options.page_rows = 50;
+  const std::string path = "/tmp/fusion_test_page_fuzz.fpq";
+  ASSERT_OK(fpq::WriteFile(path, batch->schema(), {batch}, options));
+  const auto original = ReadBytes(path);
+  ASSERT_OK_AND_ASSIGN(auto reader, fpq::Reader::Open(path));
+  ASSERT_EQ(reader->row_group(0).columns[1].encoding, fpq::Encoding::kPlain);
+  ASSERT_EQ(reader->row_group(0).columns[3].encoding, fpq::Encoding::kDictionary);
+  const auto size_fields = PageSizeFields(original, *batch->schema());
+  ASSERT_EQ(size_fields.size(), 2u * 4u * 6u);
+  const std::vector<ColumnPredicate> point = {
+      {"tag_n", ColumnPredicate::Op::kEq, {Scalar::String("tag5")}}};
+  const std::vector<ColumnPredicate> range = {
+      {"i64_n", ColumnPredicate::Op::kGtEq, {Scalar::Int64(0)}}};
+  ASSERT_OK(OpenAndScan(path, point, range));
+
+  // Where the first page of column `col` starts, and its values after
+  // the flag byte and the validity bits.
+  auto first_page = [&](int col, size_t* values_at) {
+    const auto& chunk = reader->row_group(0).columns[static_cast<size_t>(col)];
+    const size_t begin = chunk.offset + chunk.dict_size + chunk.pages[0].offset;
+    const int64_t rows = chunk.pages[0].num_rows;
+    *values_at = begin + 1 + (original[begin] != 0 ? bit_util::BytesForBits(rows) : 0);
+    return begin;
+  };
+  {
+    // A string page whose last offset points past its bytes.
+    auto file = original;
+    size_t offsets_at;
+    first_page(1, &offsets_at);
+    const size_t last_at = offsets_at + 4 * 50;
+    uint64_t data_len;
+    std::memcpy(&data_len, file.data() + last_at + 4, 8);
+    const int32_t past = static_cast<int32_t>(data_len + 1);
+    std::memcpy(file.data() + last_at, &past, 4);
+    WriteBytes(path, file);
+    EXPECT_TRUE(OpenAndScan(path, point, range).IsIOError());
+  }
+  {
+    // A valid row whose dictionary code names no entry.
+    auto file = original;
+    size_t codes_at;
+    const size_t begin = first_page(3, &codes_at);
+    int64_t row = 0;
+    while (original[begin] != 0 && !bit_util::GetBit(&original[begin + 1], row)) ++row;
+    const uint32_t code = 1000000;
+    std::memcpy(file.data() + codes_at + 4 * row, &code, 4);
+    WriteBytes(path, file);
+    EXPECT_TRUE(OpenAndScan(path, point, range).IsIOError());
+  }
+
+  std::mt19937_64 rng(20261020);
+  int64_t accepted = 0;
+  int64_t rejected = 0;
+  for (int trial = 0; trial < 1200; ++trial) {
+    auto file = original;
+    const PageSizeField& field = size_fields[rng() % size_fields.size()];
+    const auto& chunk = reader->row_group(field.row_group).columns[
+        static_cast<size_t>(field.column)];
+    if (trial % 2 == 0) {
+      // Flip bytes inside one page, or inside a dictionary block.
+      uint64_t begin;
+      uint64_t size;
+      if (chunk.dict_size > 0 && rng() % 4 == 0) {
+        begin = chunk.offset;
+        size = chunk.dict_size;
+      } else {
+        const auto& page = chunk.pages[rng() % chunk.pages.size()];
+        begin = chunk.offset + chunk.dict_size + page.offset;
+        size = page.size;
+      }
+      const int flips = 1 + static_cast<int>(rng() % 3);
+      for (int i = 0; i < flips; ++i) {
+        file[begin + rng() % size] ^= static_cast<uint8_t>(1 + rng() % 255);
+      }
+    } else {
+      // Truncate one page: the footer says it ends early.
+      PutU64(&file, field.pos, rng() % field.size);
+    }
+    WriteBytes(path, file);
+    const Status st = OpenAndScan(path, point, range);
+    EXPECT_TRUE(st.ok() || st.IsIOError()) << "trial " << trial << ": " << st.ToString();
+    if (st.ok()) {
+      ++accepted;
+    } else {
+      ++rejected;
+    }
+  }
   EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);
 }

@@ -517,6 +517,56 @@ TEST(CastTest, StringToNumberTakesOnlyAWholeNumber) {
   }
 }
 
+TEST(CastTest, IntegerCastOfAValueTheTypeCannotHoldIsNull) {
+  // NaN, the infinities and values outside the target's range have no
+  // integer value: folded and over a column alike, they cast to NULL.
+  // Doubles truncate toward zero, so the bounds are -2^63 <= x < 2^63
+  // and -2^31 - 1 < x < 2^31. (INT is BIGINT here; INT4 is 32 bits.)
+  struct Case {
+    std::string literal;
+    ArrayPtr column;
+    std::string type;
+    std::string want;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Case> cases = {
+      {"1e20", MakeFloat64Array({1e20}), "BIGINT", "null"},
+      {"9.3e18", MakeFloat64Array({9.3e18}), "BIGINT", "null"},
+      {"9.223372036854775808e18", MakeFloat64Array({0x1p63}), "BIGINT", "null"},
+      {"CAST('inf' AS DOUBLE)", MakeFloat64Array({inf}), "BIGINT", "null"},
+      {"CAST('-inf' AS DOUBLE)", MakeFloat64Array({-inf}), "BIGINT", "null"},
+      {"CAST('nan' AS DOUBLE)", MakeFloat64Array({std::nan("")}), "BIGINT", "null"},
+      {"CAST('nan' AS DOUBLE)", MakeFloat64Array({std::nan("")}), "INT4", "null"},
+      {"1e10", MakeFloat64Array({1e10}), "INT4", "null"},
+      {"2147483648.0", MakeFloat64Array({2147483648.0}), "INT4", "null"},
+      {"-2147483649.0", MakeFloat64Array({-2147483649.0}), "INT4", "null"},
+      {"3000000000", MakeInt64Array({3000000000}), "INT4", "null"},
+      {"-2147483649", MakeInt64Array({-2147483649}), "INT4", "null"},
+      {"'3000000000'", MakeStringArray({"3000000000"}), "INT4", "null"},
+      {"'99999999999999999999'", MakeStringArray({"99999999999999999999"}), "BIGINT",
+       "null"},
+      // In range: the value truncates toward zero.
+      {"-9.223372036854775808e18", MakeFloat64Array({-0x1p63}), "BIGINT",
+       "-9223372036854775808"},
+      {"2.9", MakeFloat64Array({2.9}), "BIGINT", "2"},
+      {"-2.9", MakeFloat64Array({-2.9}), "BIGINT", "-2"},
+      {"2147483647.9", MakeFloat64Array({2147483647.9}), "INT4", "2147483647"},
+      {"-2147483648.9", MakeFloat64Array({-2147483648.9}), "INT4", "-2147483648"},
+      {"-2147483648", MakeInt64Array({-2147483648}), "INT4", "-2147483648"},
+      {"'-2147483648'", MakeStringArray({"-2147483648"}), "INT4", "-2147483648"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE("CAST(" + c.literal + " AS " + c.type + ")");
+    ASSERT_OK_AND_ASSIGN(auto folded,
+                         core::SessionContext::Make()->ExecuteSql(
+                             "SELECT CAST(" + c.literal + " AS " + c.type + ")"));
+    EXPECT_EQ(ToStringRows(folded)[0][0], c.want);
+    ASSERT_OK_AND_ASSIGN(
+        auto column, QueryColumn(c.column, "SELECT CAST(x AS " + c.type + ") FROM v"));
+    EXPECT_EQ(ToStringRows(column)[0][0], c.want);
+  }
+}
+
 }  // namespace
 }  // namespace test
 }  // namespace fusion

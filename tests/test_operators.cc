@@ -284,6 +284,68 @@ TEST(TopKTest, MatchesFullSortProperty) {
   }
 }
 
+/// A session over table "k": `id` (the row number), `k1` int64 with
+/// many duplicates and nulls, `k2` float64 with duplicates, and `tag` a
+/// dictionary string, in 25-row batches.
+core::SessionContextPtr MakeTopKSession(int partitions, bool enable_topk) {
+  const int64_t n = 4000;
+  std::mt19937 rng(23);
+  Int64Builder id;
+  Int64Builder k1;
+  Float64Builder k2;
+  DictionaryBuilder tag;
+  for (int64_t i = 0; i < n; ++i) {
+    id.Append(i);
+    if (rng() % 9 == 0) {
+      k1.AppendNull();
+    } else {
+      k1.Append(static_cast<int64_t>(rng() % 40));
+    }
+    k2.Append(static_cast<double>(rng() % 7) / 2.0);
+    tag.Append("t" + std::to_string(rng() % 12));
+  }
+  auto schema = fusion::schema({Field("id", int64(), false), Field("k1", int64(), true),
+                                Field("k2", float64(), false),
+                                Field("tag", dictionary(), false)});
+  auto batch = std::make_shared<RecordBatch>(
+      schema, n,
+      std::vector<ArrayPtr>{id.Finish().ValueOrDie(), k1.Finish().ValueOrDie(),
+                            k2.Finish().ValueOrDie(), tag.Finish().ValueOrDie()});
+  exec::SessionConfig config;
+  config.target_partitions = partitions;
+  config.enable_topk = enable_topk;
+  auto ctx = core::SessionContext::Make(config);
+  ctx->RegisterTable("k", catalog::MemoryTable::Make(schema, SliceBatch(batch, 25))
+                              .ValueOrDie())
+      .Abort();
+  return ctx;
+}
+
+/// Property: the Top-K heap returns exactly the rows, in exactly the
+/// order, of a full sort and limit, ties in input order included.
+TEST(TopKTest, HeapMatchesFullSortAndLimit) {
+  const std::vector<std::string> orders = {
+      "k1", "k1 DESC", "k1 NULLS FIRST", "k1 DESC NULLS LAST", "k1, k2 DESC",
+      "k2 DESC, k1 NULLS FIRST", "tag", "tag DESC, k1", "k2"};
+  const std::vector<std::string> limits = {"LIMIT 0", "LIMIT 1", "LIMIT 7",
+                                           "LIMIT 10 OFFSET 5", "LIMIT 100",
+                                           "LIMIT 2000", "LIMIT 5000",
+                                           "LIMIT 3 OFFSET 3990"};
+  for (int partitions : {1, 4}) {
+    auto topk = MakeTopKSession(partitions, true);
+    auto full = MakeTopKSession(partitions, false);
+    for (const auto& order : orders) {
+      for (const auto& limit : limits) {
+        const std::string q =
+            "SELECT id, k1, k2, tag FROM k ORDER BY " + order + " " + limit;
+        ASSERT_OK_AND_ASSIGN(auto got, topk->ExecuteSql(q));
+        ASSERT_OK_AND_ASSIGN(auto want, full->ExecuteSql(q));
+        EXPECT_EQ(ToStringRows(got), ToStringRows(want)) << partitions << ": " << q;
+      }
+    }
+  }
+}
+
 TEST(ExchangeTest, RepartitionPreservesAllRows) {
   exec::SessionConfig config;
   config.target_partitions = 4;
