@@ -5,8 +5,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
-#include <type_traits>
 
 #include "arrow/builder.h"
 #include "arrow/scalar.h"
@@ -17,26 +15,6 @@ namespace fusion {
 namespace compute {
 
 namespace {
-
-/// True when `v` converts to OutT: every number to a double, an integer
-/// that is in range, and a double that truncates into range (NaN and the
-/// infinities never do).
-template <typename OutT, typename InT>
-bool FitsIn(InT v) {
-  if constexpr (std::is_floating_point_v<OutT>) {
-    return true;
-  } else if constexpr (std::is_floating_point_v<InT>) {
-    // -2^31 or -2^63, exact as a double, and so is its negation. For
-    // int64, kMin - 1.0 rounds back to kMin, hence the equality test.
-    constexpr double kMin = static_cast<double>(std::numeric_limits<OutT>::min());
-    return v < -kMin && (v > kMin - 1.0 || v == kMin);
-  } else if constexpr (sizeof(InT) <= sizeof(OutT)) {
-    return true;
-  } else {
-    return v >= std::numeric_limits<OutT>::min() &&
-           v <= std::numeric_limits<OutT>::max();
-  }
-}
 
 /// Number -> number. A value the target cannot hold becomes null, as an
 /// unparsable string does.
@@ -278,7 +256,8 @@ Result<ArrayPtr> DecimalToDecimal(const Array& input, DataType target) {
 }
 
 /// decimal -> int/double. Fractional digits round half away from zero
-/// for integer targets; values outside the target range are errors.
+/// for integer targets; a value outside the target's range is null, as
+/// in NumericCast.
 Result<ArrayPtr> DecimalToNumeric(const Array& input, DataType target) {
   auto [validity, nulls] = CopyValidity(input);
   const int64_t n = input.length();
@@ -304,15 +283,15 @@ Result<ArrayPtr> DecimalToNumeric(const Array& input, DataType target) {
   for (int64_t i = 0; i < n; ++i) {
     if (!is_valid(i)) continue;
     Decimal128 t;
-    if (!DecimalRescale(in[i], scale, 0, &t) || !t.FitsInInt64()) {
-      return DecimalCastError(input.type(), target, DecimalToString(in[i], scale));
+    if (!DecimalRescale(in[i], scale, 0, &t) || !t.FitsInInt64() ||
+        (narrow && !FitsIn<int32_t>(static_cast<int64_t>(t.ToInt128())))) {
+      if (validity == nullptr) validity = AllSetBitmap(n);
+      bit_util::ClearBit(validity->mutable_data(), i);
+      ++nulls;
+      continue;
     }
-    int64_t v = static_cast<int64_t>(t.ToInt128());
+    const int64_t v = static_cast<int64_t>(t.ToInt128());
     if (narrow) {
-      if (v < INT32_MIN || v > INT32_MAX) {
-        return DecimalCastError(input.type(), target,
-                                DecimalToString(in[i], scale));
-      }
       values->mutable_data_as<int32_t>()[i] = static_cast<int32_t>(v);
     } else {
       values->mutable_data_as<int64_t>()[i] = v;

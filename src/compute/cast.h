@@ -1,6 +1,9 @@
 #ifndef FUSION_COMPUTE_CAST_H_
 #define FUSION_COMPUTE_CAST_H_
 
+#include <limits>
+#include <type_traits>
+
 #include "arrow/array.h"
 #include "arrow/record_batch.h"
 #include "arrow/scalar.h"
@@ -9,10 +12,32 @@
 namespace fusion {
 namespace compute {
 
+/// True when `v` converts to OutT: every number to a double, an integer
+/// that is in range, and a double that truncates into range (NaN and the
+/// infinities never do). An integer cast of a value that does not fit is
+/// NULL, whatever the source type.
+template <typename OutT, typename InT>
+bool FitsIn(InT v) {
+  if constexpr (std::is_floating_point_v<OutT>) {
+    return true;
+  } else if constexpr (std::is_floating_point_v<InT>) {
+    // -2^31 or -2^63, exact as a double, and so is its negation. For
+    // int64, kMin - 1.0 rounds back to kMin, hence the equality test.
+    constexpr double kMin = static_cast<double>(std::numeric_limits<OutT>::min());
+    return v < -kMin && (v > kMin - 1.0 || v == kMin);
+  } else if constexpr (sizeof(InT) <= sizeof(OutT)) {
+    return true;
+  } else {
+    return v >= std::numeric_limits<OutT>::min() &&
+           v <= std::numeric_limits<OutT>::max();
+  }
+}
+
 /// Cast an array to a target type. Supported casts: any numeric <->
 /// numeric, numeric -> string, string -> numeric or temporal
-/// (unparsable -> null), date32 <-> timestamp, bool <-> numeric
-/// (nonzero is true), null -> anything, identity.
+/// (unparsable -> null, and so is a value an integer cannot hold, see
+/// FitsIn), date32 <-> timestamp, bool <-> numeric (nonzero is true),
+/// null -> anything, identity.
 Result<ArrayPtr> Cast(const Array& input, DataType target);
 
 /// Cast one value exactly as Cast casts a one-row array: the cast of

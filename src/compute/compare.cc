@@ -262,7 +262,10 @@ Result<ArrayPtr> InList(const Array& input, const std::vector<Scalar>& set) {
       return c.status();
     }
     if (c->is_null()) {
-      has_null = true;
+      // A NULL item, or a string `=` cannot read as a number ('abc'),
+      // makes an unmatched row NULL. A number the domain cannot hold
+      // (1e20 or NaN against an integer column) matches nothing.
+      if (s.is_null() || s.type().is_string_like()) has_null = true;
       continue;
     }
     // As with `=`, a number the domain cannot hold exactly (5.5 against

@@ -23,7 +23,8 @@ ArrayPtr IsNotNull(const Array& input);
 
 /// x IN (set), with items cast to x's type as Cast casts them. A null x
 /// yields null; a non-null x absent from the set yields false, or null
-/// when the set holds a null item.
+/// when the set holds a null item or a string that casts to null. A
+/// number x's type cannot hold (1e20 for an integer x) matches nothing.
 Result<ArrayPtr> InList(const Array& input, const std::vector<Scalar>& set);
 
 }  // namespace compute

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "arrow/builder.h"
+#include "compute/cast.h"
 
 namespace fusion {
 namespace format {
@@ -304,10 +305,8 @@ Result<std::vector<RecordBatchPtr>> ReadFile(const std::string& path,
               static_cast<NumericBuilder<int64_t>*>(builders[c].get())
                   ->Append(found->int_value);
             } else if (found->kind == JsonValue::Kind::kDouble &&
-                       found->double_value >= -0x1p63 &&
-                       found->double_value < 0x1p63) {
-              // Doubles outside [-2^63, 2^63), NaN and the infinities
-              // included, have no int64 value and read as null.
+                       compute::FitsIn<int64_t>(found->double_value)) {
+              // A double an int64 cannot hold reads as null, as CAST has it.
               static_cast<NumericBuilder<int64_t>*>(builders[c].get())
                   ->Append(static_cast<int64_t>(found->double_value));
             } else {

@@ -80,20 +80,20 @@ struct MergeCursor {
 /// and then by arrival, so ties keep input order as a stable sort does.
 /// A row enters only if it sorts before the heap's worst entry, and a
 /// batch that no entry references is dropped. The rows are gathered
-/// once at the end, and also whenever more than kMaxRetainedBatches
-/// input batches are held, so memory stays bounded.
+/// once at the end, and also whenever the batches kept since the last
+/// gather held more than 2 * fetch + 8192 rows, which bounds both the
+/// memory and the slot vectors.
 class TopK {
  public:
-  static constexpr size_t kMaxRetainedBatches = 64;
-
   TopK(SchemaPtr schema, std::vector<PhysicalSortExpr> sort_exprs, int64_t fetch)
       : schema_(std::move(schema)), sort_exprs_(std::move(sort_exprs)),
-        fetch_(static_cast<size_t>(fetch)) {}
+        fetch_(static_cast<size_t>(fetch)), max_held_rows_(2 * fetch + 8192) {}
 
   Status Push(RecordBatchPtr batch) {
     if (fetch_ == 0) return Status::OK();
     FUSION_ASSIGN_OR_RAISE(auto keys, EncodeSortKeys(*batch, sort_exprs_));
     const size_t slot = batches_.size();
+    const int64_t rows = batch->num_rows();
     batches_.push_back(std::move(batch));
     refs_.push_back(0);
     for (size_t r = 0; r < keys.size(); ++r, ++arrivals_) {
@@ -109,8 +109,9 @@ class TopK {
       ++refs_[slot];
     }
     if (refs_[slot] == 0) {
-      batches_[slot] = nullptr;
-    } else if (++retained_ > kMaxRetainedBatches) {
+      batches_.pop_back();
+      refs_.pop_back();
+    } else if ((held_rows_ += rows) > max_held_rows_) {
       FUSION_RETURN_NOT_OK(MergeRetained());
     }
     return Status::OK();
@@ -139,10 +140,7 @@ class TopK {
   /// One entry of `slot` left the heap; drop the batch once no entry
   /// references it (the batch being pushed stays until its rows are done).
   void Release(size_t slot, size_t current) {
-    if (--refs_[slot] == 0 && slot != current) {
-      batches_[slot] = nullptr;
-      --retained_;
-    }
+    if (--refs_[slot] == 0 && slot != current) batches_[slot] = nullptr;
   }
 
   /// The heap's rows as one batch, entry i at row i: one Take per
@@ -178,17 +176,18 @@ class TopK {
     }
     batches_.assign(1, std::move(gathered));
     refs_.assign(1, static_cast<int64_t>(heap_.size()));
-    retained_ = 1;
+    held_rows_ = static_cast<int64_t>(heap_.size());
     return Status::OK();
   }
 
   SchemaPtr schema_;
   std::vector<PhysicalSortExpr> sort_exprs_;
   size_t fetch_;
+  int64_t max_held_rows_;
   std::vector<Entry> heap_;  // max-heap under Before: the worst entry first
   std::vector<RecordBatchPtr> batches_;  // null once no entry references it
   std::vector<int64_t> refs_;            // entries per batch
-  size_t retained_ = 0;                  // batches that are not null
+  int64_t held_rows_ = 0;  // rows of the batches kept since the last gather
   int64_t arrivals_ = 0;
 };
 

@@ -459,6 +459,10 @@ TEST(InListTest, ItemMatchesAsEqualityDoes) {
       {"'5.5'", "{k} = '5.5'"},
       {"'abc'", "{k} = 'abc'"},
       {"5.5, 6", "{k} = 5.5 OR {k} = 6"},
+      {"5, 1e20", "{k} = 5 OR {k} = 1e20"},
+      {"-1e20", "{k} = -1e20"},
+      {"5, CAST('nan' AS DOUBLE)", "{k} = 5 OR {k} = CAST('nan' AS DOUBLE)"},
+      {"5, NULL", "{k} = 5 OR {k} = NULL"},
   };
   auto fill = [](std::string pattern, const std::string& k) {
     for (size_t at = pattern.find("{k}"); at != std::string::npos;
@@ -475,12 +479,17 @@ TEST(InListTest, ItemMatchesAsEqualityDoes) {
     for (const auto& [list, equality] : cases) {
       for (const std::string k : {"k64", "k32", "5"}) {
         const std::string sql = "SELECT " + k + " IN (" + list + "), " +
-                                fill(equality, k) + (k == "5" ? "" : " FROM t");
+                                fill(equality, k) + ", " + k + " NOT IN (" + list +
+                                "), NOT (" + fill(equality, k) + ")" +
+                                (k == "5" ? "" : " FROM t");
         SCOPED_TRACE(sql + " at " + std::to_string(partitions) + " partitions");
         ASSERT_OK_AND_ASSIGN(auto batches, ctx->ExecuteSql(sql));
         const auto rows = ToStringRows(batches);
         ASSERT_EQ(rows.size(), k == "5" ? 1u : 40u);
-        for (const auto& row : rows) EXPECT_EQ(row[0], row[1]);
+        for (const auto& row : rows) {
+          EXPECT_EQ(row[0], row[1]);
+          EXPECT_EQ(row[2], row[3]);
+        }
       }
     }
   }
@@ -519,7 +528,8 @@ TEST(CastTest, StringToNumberTakesOnlyAWholeNumber) {
 
 TEST(CastTest, IntegerCastOfAValueTheTypeCannotHoldIsNull) {
   // NaN, the infinities and values outside the target's range have no
-  // integer value: folded and over a column alike, they cast to NULL.
+  // integer value: folded and over a column alike, from a double, an
+  // integer, a string or a decimal, they cast to NULL.
   // Doubles truncate toward zero, so the bounds are -2^63 <= x < 2^63
   // and -2^31 - 1 < x < 2^31. (INT is BIGINT here; INT4 is 32 bits.)
   struct Case {
@@ -545,7 +555,17 @@ TEST(CastTest, IntegerCastOfAValueTheTypeCannotHoldIsNull) {
       {"'3000000000'", MakeStringArray({"3000000000"}), "INT4", "null"},
       {"'99999999999999999999'", MakeStringArray({"99999999999999999999"}), "BIGINT",
        "null"},
-      // In range: the value truncates toward zero.
+      {"CAST(3000000000 AS DECIMAL(10,0))",
+       MakeDecimal128Array(10, 0, {Decimal128(3000000000)}), "INT4", "null"},
+      // Rounds half away from zero, to 2^31.
+      {"CAST(2147483647.5 AS DECIMAL(11,1))",
+       MakeDecimal128Array(11, 1, {Decimal128(21474836475)}), "INT4", "null"},
+      {"CAST('100000000000000000000' AS DECIMAL(21,0))",
+       MakeDecimal128Array(21, 0, {Decimal128(5, 7766279631452241920ULL)}), "BIGINT",
+       "null"},
+      // In range: the value truncates toward zero (a decimal rounds).
+      {"CAST(2147483646.5 AS DECIMAL(11,1))",
+       MakeDecimal128Array(11, 1, {Decimal128(21474836465)}), "INT4", "2147483647"},
       {"-9.223372036854775808e18", MakeFloat64Array({-0x1p63}), "BIGINT",
        "-9223372036854775808"},
       {"2.9", MakeFloat64Array({2.9}), "BIGINT", "2"},

@@ -284,11 +284,11 @@ TEST(TopKTest, MatchesFullSortProperty) {
   }
 }
 
-/// A session over table "k": `id` (the row number), `k1` int64 with
-/// many duplicates and nulls, `k2` float64 with duplicates, and `tag` a
-/// dictionary string, in 25-row batches.
-core::SessionContextPtr MakeTopKSession(int partitions, bool enable_topk) {
-  const int64_t n = 4000;
+/// A session over table "k" of `n` rows: `id` (the row number), `k1`
+/// int64 with many duplicates and nulls, `k2` float64 with duplicates,
+/// and `tag` a dictionary string, in batches of `batch_rows`.
+core::SessionContextPtr MakeTopKSession(int partitions, bool enable_topk, int64_t n,
+                                        int64_t batch_rows) {
   std::mt19937 rng(23);
   Int64Builder id;
   Int64Builder k1;
@@ -315,35 +315,43 @@ core::SessionContextPtr MakeTopKSession(int partitions, bool enable_topk) {
   config.target_partitions = partitions;
   config.enable_topk = enable_topk;
   auto ctx = core::SessionContext::Make(config);
-  ctx->RegisterTable("k", catalog::MemoryTable::Make(schema, SliceBatch(batch, 25))
-                              .ValueOrDie())
-      .Abort();
+  auto table =
+      catalog::MemoryTable::Make(schema, SliceBatch(batch, batch_rows)).ValueOrDie();
+  ctx->RegisterTable("k", table).Abort();
   return ctx;
 }
 
 /// Property: the Top-K heap returns exactly the rows, in exactly the
 /// order, of a full sort and limit, ties in input order included.
 TEST(TopKTest, HeapMatchesFullSortAndLimit) {
-  const std::vector<std::string> orders = {
-      "k1", "k1 DESC", "k1 NULLS FIRST", "k1 DESC NULLS LAST", "k1, k2 DESC",
-      "k2 DESC, k1 NULLS FIRST", "tag", "tag DESC, k1", "k2"};
-  const std::vector<std::string> limits = {"LIMIT 0", "LIMIT 1", "LIMIT 7",
-                                           "LIMIT 10 OFFSET 5", "LIMIT 100",
-                                           "LIMIT 2000", "LIMIT 5000",
-                                           "LIMIT 3 OFFSET 3990"};
-  for (int partitions : {1, 4}) {
-    auto topk = MakeTopKSession(partitions, true);
-    auto full = MakeTopKSession(partitions, false);
-    for (const auto& order : orders) {
-      for (const auto& limit : limits) {
-        const std::string q =
-            "SELECT id, k1, k2, tag FROM k ORDER BY " + order + " " + limit;
-        ASSERT_OK_AND_ASSIGN(auto got, topk->ExecuteSql(q));
-        ASSERT_OK_AND_ASSIGN(auto want, full->ExecuteSql(q));
-        EXPECT_EQ(ToStringRows(got), ToStringRows(want)) << partitions << ": " << q;
+  auto check = [](int64_t n, int64_t batch_rows, const std::vector<std::string>& orders,
+                  const std::vector<std::string>& limits) {
+    for (int partitions : {1, 4}) {
+      auto topk = MakeTopKSession(partitions, true, n, batch_rows);
+      auto full = MakeTopKSession(partitions, false, n, batch_rows);
+      for (const auto& order : orders) {
+        for (const auto& limit : limits) {
+          const std::string q =
+              "SELECT id, k1, k2, tag FROM k ORDER BY " + order + " " + limit;
+          ASSERT_OK_AND_ASSIGN(auto got, topk->ExecuteSql(q));
+          ASSERT_OK_AND_ASSIGN(auto want, full->ExecuteSql(q));
+          EXPECT_EQ(ToStringRows(got), ToStringRows(want))
+              << n << " rows, " << partitions << " partitions: " << q;
+        }
       }
     }
-  }
+  };
+  check(4000, 25,
+        {"k1", "k1 DESC", "k1 NULLS FIRST", "k1 DESC NULLS LAST", "k1, k2 DESC",
+         "k2 DESC, k1 NULLS FIRST", "tag", "tag DESC, k1", "k2"},
+        {"LIMIT 0", "LIMIT 1", "LIMIT 7", "LIMIT 10 OFFSET 5", "LIMIT 100",
+         "LIMIT 2000", "LIMIT 5000", "LIMIT 3 OFFSET 3990"});
+  // Enough batches enter the heap that it is gathered while batches
+  // still arrive (after 2 * fetch + 8192 of their rows), at 4
+  // partitions too; under `id DESC` every batch enters and evicts the
+  // batches before it.
+  check(60000, 100, {"id DESC", "k1, k2 DESC", "tag DESC, k1"},
+        {"LIMIT 1", "LIMIT 10 OFFSET 5", "LIMIT 2000"});
 }
 
 TEST(ExchangeTest, RepartitionPreservesAllRows) {
