@@ -1,6 +1,7 @@
 // User-defined functions (paper §7.1): register a scalar UDF, an
 // aggregate UDAF and a window UDWF with exactly the structures the
-// built-in library uses, then call them from SQL.
+// built-in library uses, then call them from SQL. The UDAF also serves
+// as a window function over a frame, as every aggregate does.
 
 #include <cmath>
 #include <cstdio>
@@ -133,7 +134,8 @@ WindowFunctionPtr MakeDeltaUdwf() {
     const auto& values = checked_cast<Float64Array>(*p.args[0]);
     Float64Builder out;
     for (int64_t i = 0; i < p.num_rows; ++i) {
-      if (i == 0 || values.IsNull(i) || values.IsNull(i - 1)) {
+      // Rows are absolute: the call may hold several window partitions.
+      if (i == p.partition_start[i] || values.IsNull(i) || values.IsNull(i - 1)) {
         out.AppendNull();
       } else {
         out.Append(values.Value(i) - values.Value(i - 1));
@@ -191,7 +193,8 @@ int main() {
   std::printf(
       "window UDWF:\n%s\n",
       ctx->Sql("SELECT t, sensor, x, delta(x) OVER (PARTITION BY sensor "
-               "ORDER BY t) AS dx FROM readings ORDER BY sensor, t")
+               "ORDER BY t) AS dx, geomean(x) OVER (PARTITION BY sensor "
+               "ORDER BY t) AS running_gm FROM readings ORDER BY sensor, t")
           .ValueOrDie()
           .ShowString()
           .ValueOrDie()

@@ -169,15 +169,20 @@ Result<ArrayPtr> MakeArrayOfNulls(DataType type, int64_t length) {
       return ArrayPtr(std::make_shared<Decimal128Array>(
           type, length, std::move(values), std::move(validity), length));
     }
-    // An all-null string-like array has no values to encode; the dense
-    // representation is the canonical choice.
-    case TypeId::kString:
-    case TypeId::kDictionary: {
+    case TypeId::kString: {
       auto offsets = std::make_shared<Buffer>((length + 1) * sizeof(int32_t));
       auto data = std::make_shared<Buffer>(0);
       return ArrayPtr(std::make_shared<StringArray>(length, std::move(offsets),
                                                     std::move(data),
                                                     std::move(validity), length));
+    }
+    // Null codes into an empty dictionary: the type a dictionary field's
+    // schema asks for.
+    case TypeId::kDictionary: {
+      FUSION_ASSIGN_OR_RAISE(auto dict, MakeArrayOfNulls(utf8(), 0));
+      return ArrayPtr(std::make_shared<DictionaryArray>(
+          length, std::make_shared<Buffer>(length * 4),
+          std::static_pointer_cast<StringArray>(dict), std::move(validity), length));
     }
   }
   return Status::TypeError("MakeArrayOfNulls: unsupported type " + type.ToString());

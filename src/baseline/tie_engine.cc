@@ -14,6 +14,7 @@
 #include "compute/selection.h"
 #include "logical/expr_eval.h"
 #include "optimizer/optimizer.h"
+#include "physical/window_exec.h"
 #include "row/row_format.h"
 
 namespace fusion {
@@ -105,6 +106,30 @@ class GroupTable {
   std::vector<int64_t> first_rows_;
 };
 
+/// TIE's sort profile: a stable comparator sort of `rows` by `keys`, with
+/// no normalized keys, keeping the first `fetch` rows when fetch >= 0.
+Result<RecordBatchPtr> ComparatorSort(const RecordBatchPtr& rows,
+                                      const std::vector<physical::PhysicalSortExpr>& keys,
+                                      int64_t fetch) {
+  std::vector<ArrayPtr> key_cols;
+  std::vector<row::SortOptions> opts;
+  for (const auto& key : keys) {
+    FUSION_ASSIGN_OR_RAISE(auto v, key.expr->Evaluate(*rows));
+    FUSION_ASSIGN_OR_RAISE(auto arr, v.ToArray(rows->num_rows()));
+    key_cols.push_back(std::move(arr));
+    opts.push_back(key.options);
+  }
+  std::vector<int64_t> indices(static_cast<size_t>(rows->num_rows()));
+  std::iota(indices.begin(), indices.end(), 0);
+  std::stable_sort(indices.begin(), indices.end(), [&](int64_t a, int64_t b) {
+    return row::CompareRows(key_cols, a, key_cols, b, opts) < 0;
+  });
+  if (fetch >= 0 && static_cast<int64_t>(indices.size()) > fetch) {
+    indices.resize(static_cast<size_t>(fetch));
+  }
+  return compute::TakeBatch(*rows, indices);
+}
+
 }  // namespace
 
 Result<std::vector<RecordBatchPtr>> TieEngine::Execute(const PlanPtr& plan) {
@@ -195,111 +220,27 @@ Result<TieEngine::Table> TieEngine::Run(const PlanPtr& plan) {
       return out;
     }
     case PlanKind::kWindow: {
-      // Window evaluation delegates to the shared window-function
-      // library over TIE-materialized, TIE-sorted partitions.
+      // Each window expression sorts the rows with TIE's comparator sort,
+      // then appends its column from the evaluator WindowExec runs.
       FUSION_ASSIGN_OR_RAISE(Table input, Run(plan->child(0)));
-      FUSION_ASSIGN_OR_RAISE(auto merged,
-                             ConcatenateBatches(input.schema, input.batches));
-      const logical::PlanSchema& in_schema = plan->child(0)->schema();
-      std::vector<ArrayPtr> extra;
+      FUSION_ASSIGN_OR_RAISE(auto rows, ConcatenateBatches(input.schema, input.batches));
+      std::vector<Field> fields = input.schema->fields();
       for (const auto& e : plan->exprs) {
-        const ExprPtr& w = logical::Unalias(e);
-        std::vector<ArrayPtr> part_cols;
-        std::vector<row::SortOptions> opts;
-        size_t part_keys = 0;
-        if (w->window_spec != nullptr) {
-          for (const auto& p : w->window_spec->partition_by) {
-            FUSION_ASSIGN_OR_RAISE(auto pe, CreatePhysicalExpr(p, in_schema));
-            FUSION_ASSIGN_OR_RAISE(auto v, pe->Evaluate(*merged));
-            FUSION_ASSIGN_OR_RAISE(auto arr, v.ToArray(merged->num_rows()));
-            part_cols.push_back(std::move(arr));
-            opts.push_back({});
-          }
-          part_keys = part_cols.size();
-          for (const auto& o : w->window_spec->order_by) {
-            FUSION_ASSIGN_OR_RAISE(auto pe, CreatePhysicalExpr(o.expr, in_schema));
-            FUSION_ASSIGN_OR_RAISE(auto v, pe->Evaluate(*merged));
-            FUSION_ASSIGN_OR_RAISE(auto arr, v.ToArray(merged->num_rows()));
-            part_cols.push_back(std::move(arr));
-            opts.push_back(o.options);
-          }
-        }
-        std::vector<int64_t> order(static_cast<size_t>(merged->num_rows()));
-        std::iota(order.begin(), order.end(), 0);
-        if (!part_cols.empty()) {
-          FUSION_ASSIGN_OR_RAISE(order, row::SortIndices(part_cols, opts));
-        }
-        std::vector<PhysicalExprPtr> arg_exprs;
-        for (const auto& arg : w->children) {
-          FUSION_ASSIGN_OR_RAISE(auto pe, CreatePhysicalExpr(arg, in_schema));
-          arg_exprs.push_back(std::move(pe));
-        }
-        FUSION_ASSIGN_OR_RAISE(auto args, EvaluateToArrays(arg_exprs, *merged));
-        FUSION_ASSIGN_OR_RAISE(DataType out_type, w->GetType(in_schema));
-        FUSION_ASSIGN_OR_RAISE(auto builder, MakeBuilder(out_type));
-        builder->Reserve(merged->num_rows());
-        std::vector<ArrayPtr> outputs;
-        std::vector<std::pair<int64_t, std::pair<int, int64_t>>> scatter;
-        // Partition boundaries compare only the PARTITION BY columns.
-        std::vector<ArrayPtr> part_key_cols(part_cols.begin(),
-                                            part_cols.begin() + part_keys);
-        std::vector<row::SortOptions> part_only(part_keys);
-        int64_t start = 0;
-        const int64_t n = merged->num_rows();
-        while (start < n) {
-          int64_t end = start + 1;
-          while (end < n &&
-                 (part_keys == 0 ||
-                  row::CompareRows(part_key_cols, order[start], part_key_cols,
-                                   order[end], part_only) == 0)) {
-            ++end;
-          }
-          logical::WindowPartition wp;
-          wp.num_rows = end - start;
-          std::vector<int64_t> rows(order.begin() + start, order.begin() + end);
-          for (const auto& a : args) {
-            FUSION_ASSIGN_OR_RAISE(auto g, compute::Take(*a, rows));
-            wp.args.push_back(std::move(g));
-          }
-          wp.peer_group.resize(wp.num_rows);
-          int64_t group = 0;
-          for (int64_t i = 0; i < wp.num_rows; ++i) {
-            if (i > 0 && row::CompareRows(part_cols, order[start + i - 1], part_cols,
-                                          order[start + i], opts) != 0) {
-              ++group;
-            }
-            wp.peer_group[i] = group;
-          }
-          if (w->window_function->uses_frame) {
-            // TIE only needs running (prefix) frames for the benchmarks.
-            wp.frame_start.assign(wp.num_rows, 0);
-            wp.frame_end.resize(wp.num_rows);
-            for (int64_t i = 0; i < wp.num_rows; ++i) wp.frame_end[i] = i + 1;
-          }
-          FUSION_ASSIGN_OR_RAISE(auto result, w->window_function->eval(wp));
-          int pi = static_cast<int>(outputs.size());
-          outputs.push_back(std::move(result));
-          for (int64_t i = 0; i < wp.num_rows; ++i) {
-            scatter.emplace_back(order[start + i], std::make_pair(pi, i));
-          }
-          start = end;
-        }
-        std::sort(scatter.begin(), scatter.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
-        for (const auto& [row, loc] : scatter) {
-          (void)row;
-          builder->AppendFrom(*outputs[loc.first], loc.second);
-        }
-        FUSION_ASSIGN_OR_RAISE(auto col, builder->Finish());
-        extra.push_back(std::move(col));
+        FUSION_ASSIGN_OR_RAISE(auto info,
+                               physical::MakeWindowExprInfo(e, plan->child(0)->schema()));
+        FUSION_ASSIGN_OR_RAISE(rows, ComparatorSort(rows, info.SortKeys(), -1));
+        FUSION_ASSIGN_OR_RAISE(auto windows, physical::EvaluateWindows({info}, *rows));
+        std::vector<ArrayPtr> columns = rows->columns();
+        columns.push_back(std::move(windows[0]));
+        fields.push_back(plan->schema().schema()->field(static_cast<int>(fields.size())));
+        rows = std::make_shared<RecordBatch>(std::make_shared<Schema>(fields),
+                                             rows->num_rows(), std::move(columns));
       }
-      std::vector<ArrayPtr> columns = merged->columns();
-      for (auto& c : extra) columns.push_back(std::move(c));
       Table out;
       out.schema = plan->schema().schema();
-      out.num_rows = merged->num_rows();
-      out.batches.push_back(std::make_shared<RecordBatch>(out.schema, out.num_rows,
-                                                          std::move(columns)));
+      out.num_rows = rows->num_rows();
+      out.batches.push_back(
+          std::make_shared<RecordBatch>(out.schema, out.num_rows, rows->columns()));
       return out;
     }
     default:
@@ -578,26 +519,12 @@ Result<TieEngine::Table> TieEngine::Aggregate(const PlanPtr& plan, Table input) 
 
 Result<TieEngine::Table> TieEngine::Sort(const PlanPtr& plan, Table input) {
   FUSION_ASSIGN_OR_RAISE(auto merged, ConcatenateBatches(input.schema, input.batches));
-  const logical::PlanSchema& in_schema = plan->child(0)->schema();
-  std::vector<ArrayPtr> key_cols;
-  std::vector<row::SortOptions> opts;
+  std::vector<physical::PhysicalSortExpr> keys;
   for (const auto& se : plan->sort_exprs) {
-    FUSION_ASSIGN_OR_RAISE(auto pe, CreatePhysicalExpr(se.expr, in_schema));
-    FUSION_ASSIGN_OR_RAISE(auto v, pe->Evaluate(*merged));
-    FUSION_ASSIGN_OR_RAISE(auto arr, v.ToArray(merged->num_rows()));
-    key_cols.push_back(std::move(arr));
-    opts.push_back(se.options);
+    FUSION_ASSIGN_OR_RAISE(auto pe, CreatePhysicalExpr(se.expr, plan->child(0)->schema()));
+    keys.push_back({std::move(pe), se.options});
   }
-  std::vector<int64_t> indices(static_cast<size_t>(merged->num_rows()));
-  std::iota(indices.begin(), indices.end(), 0);
-  // Direct comparator sort (no normalized keys) — TIE's sort profile.
-  std::stable_sort(indices.begin(), indices.end(), [&](int64_t a, int64_t b) {
-    return row::CompareRows(key_cols, a, key_cols, b, opts) < 0;
-  });
-  if (plan->fetch >= 0 && static_cast<int64_t>(indices.size()) > plan->fetch) {
-    indices.resize(static_cast<size_t>(plan->fetch));
-  }
-  FUSION_ASSIGN_OR_RAISE(auto sorted, compute::TakeBatch(*merged, indices));
+  FUSION_ASSIGN_OR_RAISE(auto sorted, ComparatorSort(merged, keys, plan->fetch));
   Table out;
   out.schema = input.schema;
   out.num_rows = sorted->num_rows();

@@ -1,7 +1,6 @@
 #include "compute/cast.h"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -77,87 +76,6 @@ Result<ArrayPtr> DispatchOut(const Array& input, DataType target) {
                            target.ToString());
 }
 
-/// A string casts to a number only when all of it but leading and
-/// trailing whitespace is one number of the target's kind: '12abc',
-/// '1.5x', and '1e3' as an integer, are null.
-std::string_view NumberText(std::string_view sv) {
-  auto space = [](char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; };
-  while (!sv.empty() && space(sv.front())) sv.remove_prefix(1);
-  while (!sv.empty() && space(sv.back())) sv.remove_suffix(1);
-  return sv;
-}
-
-Result<ArrayPtr> StringToNumeric(const StringArray& input, DataType target) {
-  FUSION_ASSIGN_OR_RAISE(auto builder, MakeBuilder(target));
-  builder->Reserve(input.length());
-  for (int64_t i = 0; i < input.length(); ++i) {
-    if (input.IsNull(i)) {
-      builder->AppendNull();
-      continue;
-    }
-    std::string_view sv = NumberText(input.Value(i));
-    if (target.id() == TypeId::kFloat64) {
-      // from_chars for double is not universally available; strtod needs a
-      // NUL-terminated buffer, so copy.
-      std::string tmp(sv);
-      char* end = nullptr;
-      double v = std::strtod(tmp.c_str(), &end);
-      if (tmp.empty() || end != tmp.c_str() + tmp.size()) {
-        builder->AppendNull();
-      } else {
-        static_cast<Float64Builder*>(builder.get())->Append(v);
-      }
-    } else {
-      int64_t v = 0;
-      const char* last = sv.data() + sv.size();
-      auto res = std::from_chars(sv.data(), last, v);
-      if (res.ec != std::errc() || res.ptr != last) {
-        builder->AppendNull();
-      } else if (target.byte_width() == 4) {
-        if (FitsIn<int32_t>(v)) {
-          static_cast<NumericBuilder<int32_t>*>(builder.get())
-              ->Append(static_cast<int32_t>(v));
-        } else {
-          builder->AppendNull();
-        }
-      } else {
-        static_cast<NumericBuilder<int64_t>*>(builder.get())->Append(v);
-      }
-    }
-  }
-  return builder->Finish();
-}
-
-/// string -> date32/timestamp through the parsers of SQL's DATE and
-/// TIMESTAMP literals; unparsable values become null.
-Result<ArrayPtr> StringToTemporal(const StringArray& input, DataType target) {
-  FUSION_ASSIGN_OR_RAISE(auto builder, MakeBuilder(target));
-  builder->Reserve(input.length());
-  for (int64_t i = 0; i < input.length(); ++i) {
-    if (input.IsNull(i)) {
-      builder->AppendNull();
-      continue;
-    }
-    const std::string text(input.Value(i));
-    if (target.id() == TypeId::kDate32) {
-      auto days = ParseDate32(text);
-      if (!days.ok()) {
-        builder->AppendNull();
-      } else {
-        static_cast<NumericBuilder<int32_t>*>(builder.get())->Append(*days);
-      }
-    } else {
-      auto micros = ParseTimestamp(text);
-      if (!micros.ok()) {
-        builder->AppendNull();
-      } else {
-        static_cast<NumericBuilder<int64_t>*>(builder.get())->Append(*micros);
-      }
-    }
-  }
-  return builder->Finish();
-}
-
 Result<ArrayPtr> ToStringArray(const Array& input) {
   StringBuilder builder;
   builder.Reserve(input.length());
@@ -203,6 +121,34 @@ bool DecimalFromDouble(double v, int scale, Decimal128* out) {
 Status DecimalCastError(DataType from, DataType to, const std::string& value) {
   return Status::Invalid("cast: value " + value + " does not fit " +
                          to.ToString() + " (from " + from.ToString() + ")");
+}
+
+/// string -> decimal: false when `text` is no decimal number (null, as
+/// for the other numbers); an error when `type` cannot hold it.
+Result<bool> ParseDecimal(std::string_view text, DataType type, Decimal128* out) {
+  text = NumberText(text);
+  Decimal128 raw;
+  int precision = 0, scale = 0;
+  if (!DecimalFromString(text, &raw, &precision, &scale)) return false;
+  if (!DecimalRescale(raw, scale, type.scale(), out) ||
+      !DecimalFitsPrecision(*out, type.precision())) {
+    return DecimalCastError(utf8(), type, std::string(text));
+  }
+  return true;
+}
+
+/// string -> number, decimal, date or timestamp, value by value.
+Result<ArrayPtr> StringToParsed(const StringArray& input, DataType target) {
+  FUSION_ASSIGN_OR_RAISE(auto builder, MakeBuilder(target));
+  builder->Reserve(input.length());
+  for (int64_t i = 0; i < input.length(); ++i) {
+    if (input.IsNull(i)) {
+      builder->AppendNull();
+    } else {
+      FUSION_RETURN_NOT_OK(AppendCastText(input.Value(i), target, builder.get()));
+    }
+  }
+  return builder->Finish();
 }
 
 /// int/double -> decimal. Doubles round half away from zero; values
@@ -305,35 +251,54 @@ Result<ArrayPtr> DecimalToNumeric(const Array& input, DataType target) {
                                                std::move(validity), nulls));
 }
 
-/// string -> decimal; malformed values become null (same convention as
-/// string->int/double above), but values that parse and then overflow
-/// the target's precision are errors.
-Result<ArrayPtr> StringToDecimal(const StringArray& input, DataType target) {
-  Decimal128Builder builder(target);
-  builder.Reserve(input.length());
-  for (int64_t i = 0; i < input.length(); ++i) {
-    if (input.IsNull(i)) {
-      builder.AppendNull();
-      continue;
-    }
-    std::string_view sv = NumberText(input.Value(i));
-    Decimal128 raw;
-    int p = 0, s = 0;
-    if (!DecimalFromString(sv, &raw, &p, &s)) {
-      builder.AppendNull();
-      continue;
-    }
-    Decimal128 v;
-    if (!DecimalRescale(raw, s, target.scale(), &v) ||
-        !DecimalFitsPrecision(v, target.precision())) {
-      return DecimalCastError(utf8(), target, std::string(sv));
-    }
-    builder.Append(v);
-  }
-  return builder.Finish();
-}
-
 }  // namespace
+
+Status AppendCastText(std::string_view text, DataType type, ArrayBuilder* builder) {
+  switch (type.id()) {
+    case TypeId::kInt32:
+    case TypeId::kInt64: {
+      int64_t v = 0;
+      if (!ParseInt64(text, &v)) break;
+      if (type.id() == TypeId::kInt64) {
+        static_cast<NumericBuilder<int64_t>*>(builder)->Append(v);
+      } else if (FitsIn<int32_t>(v)) {
+        static_cast<NumericBuilder<int32_t>*>(builder)->Append(static_cast<int32_t>(v));
+      } else {
+        break;
+      }
+      return Status::OK();
+    }
+    case TypeId::kFloat64: {
+      double v = 0;
+      if (!ParseFloat64(text, &v)) break;
+      static_cast<Float64Builder*>(builder)->Append(v);
+      return Status::OK();
+    }
+    case TypeId::kDecimal128: {
+      Decimal128 v;
+      FUSION_ASSIGN_OR_RAISE(bool parsed, ParseDecimal(text, type, &v));
+      if (!parsed) break;
+      static_cast<Decimal128Builder*>(builder)->Append(v);
+      return Status::OK();
+    }
+    case TypeId::kDate32: {
+      auto days = ParseDate32(std::string(text));
+      if (!days.ok()) break;
+      static_cast<NumericBuilder<int32_t>*>(builder)->Append(*days);
+      return Status::OK();
+    }
+    case TypeId::kTimestamp: {
+      auto micros = ParseTimestamp(std::string(text));
+      if (!micros.ok()) break;
+      static_cast<NumericBuilder<int64_t>*>(builder)->Append(*micros);
+      return Status::OK();
+    }
+    default:
+      return Status::TypeError("cast: text does not parse as " + type.ToString());
+  }
+  builder->AppendNull();
+  return Status::OK();
+}
 
 Result<ArrayPtr> Cast(const Array& input, DataType target) {
   if (input.type() == target) {
@@ -383,14 +348,8 @@ Result<ArrayPtr> Cast(const Array& input, DataType target) {
       if (target.is_numeric()) return DecimalToNumeric(input, target);
       break;
     case TypeId::kString:
-      if (target.is_decimal()) {
-        return StringToDecimal(checked_cast<StringArray>(input), target);
-      }
-      if (target.is_numeric()) {
-        return StringToNumeric(checked_cast<StringArray>(input), target);
-      }
-      if (target.is_temporal()) {
-        return StringToTemporal(checked_cast<StringArray>(input), target);
+      if (target.is_decimal() || target.is_numeric() || target.is_temporal()) {
+        return StringToParsed(checked_cast<StringArray>(input), target);
       }
       break;
     case TypeId::kBool:

@@ -324,12 +324,9 @@ Status FlightServer::StreamQuery(Session* s, core::QueryStreamPtr stream,
                  options_.send_queue_frames, options_.session_memory_bytes);
 }
 
-Status FlightServer::HandleDoGet(Session* s, const Frame& frame) {
-  BodyReader r(frame.body);
-  FUSION_ASSIGN_OR_RAISE(uint64_t timeout_ms, r.U64());
-  FUSION_ASSIGN_OR_RAISE(std::string sql, r.String());
-  FUSION_RETURN_NOT_OK(r.Done());
-
+Status FlightServer::RunDoGet(
+    Session* s, uint64_t timeout_ms,
+    const std::function<Result<core::QueryStreamPtr>(exec::CancellationTokenPtr)>& open) {
   int64_t timeout = timeout_ms > 0 ? static_cast<int64_t>(timeout_ms)
                                    : options_.default_timeout_ms;
   auto token = timeout > 0 ? exec::CancellationToken::WithTimeout(timeout)
@@ -340,7 +337,7 @@ Status FlightServer::HandleDoGet(Session* s, const Frame& frame) {
   }
   s->in_flight.store(true);
   queries_started_.fetch_add(1);
-  auto stream = session_ctx_->ExecuteSqlStream(sql, token);
+  auto stream = open(token);
   Status st = stream.ok() ? StreamQuery(s, std::move(*stream), timeout)
                           : stream.status();
   s->in_flight.store(false);
@@ -368,6 +365,16 @@ Status FlightServer::HandleDoGet(Session* s, const Frame& frame) {
     }
   }
   return st;
+}
+
+Status FlightServer::HandleDoGet(Session* s, const Frame& frame) {
+  BodyReader r(frame.body);
+  FUSION_ASSIGN_OR_RAISE(uint64_t timeout_ms, r.U64());
+  FUSION_ASSIGN_OR_RAISE(std::string sql, r.String());
+  FUSION_RETURN_NOT_OK(r.Done());
+  return RunDoGet(s, timeout_ms, [&](exec::CancellationTokenPtr token) {
+    return session_ctx_->ExecuteSqlStream(sql, std::move(token));
+  });
 }
 
 Status FlightServer::HandlePrepare(Session* s, const Frame& frame) {
@@ -394,46 +401,11 @@ Status FlightServer::HandleDoGetPrepared(Session* s, const Frame& frame) {
     return Status::KeyError("flight: unknown prepared statement handle " +
                             std::to_string(handle));
   }
-  int64_t timeout = timeout_ms > 0 ? static_cast<int64_t>(timeout_ms)
-                                   : options_.default_timeout_ms;
-  auto token = timeout > 0 ? exec::CancellationToken::WithTimeout(timeout)
-                           : exec::CancellationToken::Make();
-  {
-    std::lock_guard<std::mutex> lock(s->token_mu);
-    s->active_token = token;
-  }
-  s->in_flight.store(true);
-  queries_started_.fetch_add(1);
   // Prepared statements skip re-parsing; optimization still goes
   // through OptimizeCached, so repeats hit the plan cache.
-  auto stream = session_ctx_->ExecutePlanStream(it->second, token);
-  Status st = stream.ok() ? StreamQuery(s, std::move(*stream), timeout)
-                          : stream.status();
-  s->in_flight.store(false);
-  {
-    std::lock_guard<std::mutex> lock(s->token_mu);
-    s->active_token = nullptr;
-  }
-  if (st.ok()) {
-    queries_ok_.fetch_add(1);
-  } else if (st.IsCancelled()) {
-    queries_cancelled_.fetch_add(1);
-  } else if (st.IsResourcesExhausted()) {
-    queries_rejected_.fetch_add(1);
-  } else {
-    queries_err_.fetch_add(1);
-  }
-  if (s->drain_requested.load()) {
-    // Single drain-accounting point, taken where the outcome is known:
-    // a query cancelled during drain counts exactly once whether the
-    // drain deadline or its own timeout killed it.
-    if (st.ok()) {
-      drain_finished_.fetch_add(1);
-    } else if (st.IsCancelled()) {
-      drain_cancelled_.fetch_add(1);
-    }
-  }
-  return st;
+  return RunDoGet(s, timeout_ms, [&](exec::CancellationTokenPtr token) {
+    return session_ctx_->ExecutePlanStream(it->second, std::move(token));
+  });
 }
 
 Status FlightServer::HandleClosePrepared(Session* s, const Frame& frame) {

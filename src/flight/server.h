@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -126,6 +127,12 @@ class FlightServer {
   Status HandlePrepare(Session* session, const Frame& frame);
   Status HandleClosePrepared(Session* session, const Frame& frame);
   Status HandleDoPut(Session* session, const Frame& frame);
+  /// The one do-get path: sets up the query's cancellation token and
+  /// in-flight flag, streams the result `open` starts under that token,
+  /// and counts the outcome.
+  Status RunDoGet(
+      Session* session, uint64_t timeout_ms,
+      const std::function<Result<core::QueryStreamPtr>(exec::CancellationTokenPtr)>& open);
   Status StreamQuery(Session* session, core::QueryStreamPtr stream,
                      int64_t timeout_ms);
 

@@ -1,10 +1,8 @@
 #include "format/csv.h"
 
-#include <charconv>
-#include <cstring>
-
 #include "arrow/builder.h"
 #include "common/fault_injector.h"
+#include "compute/cast.h"
 #include "compute/temporal.h"
 
 namespace fusion {
@@ -104,27 +102,22 @@ void SplitLineView(std::string_view line, char delimiter,
 
 enum class InferredType { kInt64, kFloat64, kDate32, kBool, kString };
 
+// A value infers a type exactly when a cast of it to that type parses.
 bool LooksLikeInt(std::string_view s) {
-  if (s.empty()) return false;
-  size_t i = (s[0] == '-' || s[0] == '+') ? 1 : 0;
-  if (i == s.size()) return false;
-  for (; i < s.size(); ++i) {
-    if (s[i] < '0' || s[i] > '9') return false;
-  }
-  return true;
+  int64_t v = 0;
+  return compute::ParseInt64(s, &v);
 }
 
 bool LooksLikeFloat(std::string_view s) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  std::string tmp(s);
-  std::strtod(tmp.c_str(), &end);
-  return end == tmp.c_str() + tmp.size();
+  double v = 0;
+  return compute::ParseFloat64(s, &v);
 }
 
 bool LooksLikeDate(std::string_view s) {
-  return s.size() == 10 && s[4] == '-' && s[7] == '-' && LooksLikeInt(s.substr(0, 4)) &&
-         LooksLikeInt(s.substr(5, 2)) && LooksLikeInt(s.substr(8, 2));
+  for (size_t i = 0; i < s.size(); ++i) {
+    if (i == 4 || i == 7 ? s[i] != '-' : (s[i] < '0' || s[i] > '9')) return false;
+  }
+  return s.size() == 10 && compute::ParseDate32(std::string(s)).ok();
 }
 
 bool LooksLikeBool(std::string_view s) {
@@ -253,6 +246,22 @@ CsvReader::~CsvReader() {
 Result<std::shared_ptr<CsvReader>> CsvReader::Open(const std::string& path,
                                                    const Options& options) {
   FUSION_ASSIGN_OR_RAISE(SchemaPtr schema, InferSchema(path, options));
+  for (const Field& f : schema->fields()) {
+    switch (f.type().id()) {
+      case TypeId::kString:
+      case TypeId::kBool:
+      case TypeId::kInt32:
+      case TypeId::kInt64:
+      case TypeId::kFloat64:
+      case TypeId::kDecimal128:
+      case TypeId::kDate32:
+      case TypeId::kTimestamp:
+        break;
+      default:
+        return Status::TypeError("csv: cannot read column '" + f.name() + "' as " +
+                                 f.type().ToString());
+    }
+  }
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::IOError("csv: cannot open " + path);
   return std::shared_ptr<CsvReader>(new CsvReader(f, std::move(schema), options));
@@ -306,68 +315,41 @@ Result<RecordBatchPtr> CsvReader::Next() {
         builders[c]->AppendNull();
         continue;
       }
+      ArrayBuilder* builder = builders[c].get();
+      int64_t int_value = 0;
+      double float_value = 0;
       switch (schema_->field(static_cast<int>(c)).type().id()) {
-        case TypeId::kInt64: {
-          int64_t out = 0;
-          auto res = std::from_chars(v.data(), v.data() + v.size(), out);
-          if (res.ec != std::errc()) {
-            builders[c]->AppendNull();
-          } else {
-            static_cast<NumericBuilder<int64_t>*>(builders[c].get())->Append(out);
-          }
+        case TypeId::kString:
+          static_cast<StringBuilder*>(builder)->Append(v);
           break;
-        }
-        case TypeId::kInt32: {
-          int32_t out = 0;
-          auto res = std::from_chars(v.data(), v.data() + v.size(), out);
-          if (res.ec != std::errc()) {
-            builders[c]->AppendNull();
-          } else {
-            static_cast<NumericBuilder<int32_t>*>(builders[c].get())->Append(out);
-          }
-          break;
-        }
-        case TypeId::kFloat64: {
-          std::string tmp(v);
-          char* end = nullptr;
-          double out = std::strtod(tmp.c_str(), &end);
-          if (end == tmp.c_str()) {
-            builders[c]->AppendNull();
-          } else {
-            static_cast<Float64Builder*>(builders[c].get())->Append(out);
-          }
-          break;
-        }
-        case TypeId::kDate32: {
-          auto days = compute::ParseDate32(std::string(v));
-          if (!days.ok()) {
-            builders[c]->AppendNull();
-          } else {
-            static_cast<NumericBuilder<int32_t>*>(builders[c].get())->Append(*days);
-          }
-          break;
-        }
-        case TypeId::kTimestamp: {
-          auto micros = compute::ParseTimestamp(std::string(v));
-          if (!micros.ok()) {
-            builders[c]->AppendNull();
-          } else {
-            static_cast<NumericBuilder<int64_t>*>(builders[c].get())->Append(*micros);
-          }
-          break;
-        }
-        case TypeId::kBool: {
+        case TypeId::kBool:
           if (v == "true" || v == "TRUE" || v == "1") {
-            static_cast<BooleanBuilder*>(builders[c].get())->Append(true);
+            static_cast<BooleanBuilder*>(builder)->Append(true);
           } else if (v == "false" || v == "FALSE" || v == "0") {
-            static_cast<BooleanBuilder*>(builders[c].get())->Append(false);
+            static_cast<BooleanBuilder*>(builder)->Append(false);
           } else {
-            builders[c]->AppendNull();
+            builder->AppendNull();
           }
           break;
-        }
+        // Numbers, decimals, dates and timestamps parse as CAST parses
+        // text; int64 and float64, the types of most fields, inline.
+        case TypeId::kInt64:
+          if (compute::ParseInt64(v, &int_value)) {
+            static_cast<NumericBuilder<int64_t>*>(builder)->Append(int_value);
+          } else {
+            builder->AppendNull();
+          }
+          break;
+        case TypeId::kFloat64:
+          if (compute::ParseFloat64(v, &float_value)) {
+            static_cast<Float64Builder*>(builder)->Append(float_value);
+          } else {
+            builder->AppendNull();
+          }
+          break;
         default:
-          static_cast<StringBuilder*>(builders[c].get())->Append(v);
+          FUSION_RETURN_NOT_OK(compute::AppendCastText(
+              v, schema_->field(static_cast<int>(c)).type(), builder));
       }
     }
     ++rows;

@@ -55,10 +55,10 @@ Result<AggregateFunctionPtr> FunctionRegistry::GetAggregate(
 
 Result<WindowFunctionPtr> FunctionRegistry::GetWindow(const std::string& name) const {
   auto it = window_.find(name);
-  if (it == window_.end()) {
-    return Status::KeyError("no window function named '" + name + "'");
-  }
-  return it->second;
+  if (it != window_.end()) return it->second;
+  auto agg = aggregate_.find(name);
+  if (agg != aggregate_.end()) return AggregateWindow(agg->second);
+  return Status::KeyError("no window function named '" + name + "'");
 }
 
 std::vector<std::string> FunctionRegistry::ScalarNames() const {

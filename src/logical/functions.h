@@ -85,16 +85,20 @@ struct AggregateFunctionDef {
 
 using AggregateFunctionPtr = std::shared_ptr<AggregateFunctionDef>;
 
-/// Inputs available to a window function when evaluating one partition.
+/// Inputs to a window function: rows sorted by the window's PARTITION BY
+/// and ORDER BY keys, holding one or more whole window partitions. Every
+/// row index, and every range below, is absolute within these rows.
 struct WindowPartition {
-  /// Argument columns, already restricted to the partition's rows, in
-  /// the window's ORDER BY order.
+  /// Argument columns, one row per input row.
   std::vector<ArrayPtr> args;
   int64_t num_rows = 0;
-  /// peer_group[i] = index of i's peer group (equal ORDER BY keys).
-  std::vector<int64_t> peer_group;
-  /// Frame range per row [frame_start[i], frame_end[i]) — only filled
-  /// for functions that declared uses_frame.
+  /// Row i's window partition is [partition_start[i], partition_end[i]).
+  std::vector<int64_t> partition_start;
+  std::vector<int64_t> partition_end;
+  /// First row of row i's peer group (rows with equal ORDER BY keys).
+  std::vector<int64_t> peer_start;
+  /// Frame per row [frame_start[i], frame_end[i]) — only filled for
+  /// functions that declared uses_frame.
   std::vector<int64_t> frame_start;
   std::vector<int64_t> frame_end;
 };
@@ -128,13 +132,17 @@ class FunctionRegistry {
 
   Result<ScalarFunctionPtr> GetScalar(const std::string& name) const;
   Result<AggregateFunctionPtr> GetAggregate(const std::string& name) const;
+  /// A registered window function, else a registered aggregate serving
+  /// as one (AggregateWindow).
   Result<WindowFunctionPtr> GetWindow(const std::string& name) const;
 
   bool HasScalar(const std::string& name) const { return scalar_.count(name) != 0; }
   bool HasAggregate(const std::string& name) const {
     return aggregate_.count(name) != 0;
   }
-  bool HasWindow(const std::string& name) const { return window_.count(name) != 0; }
+  bool HasWindow(const std::string& name) const {
+    return window_.count(name) != 0 || HasAggregate(name);
+  }
 
   std::vector<std::string> ScalarNames() const;
 
@@ -153,8 +161,12 @@ void RegisterBuiltinScalarFunctions(FunctionRegistry* registry);
 /// corr/median/count_distinct).
 void RegisterBuiltinAggregateFunctions(FunctionRegistry* registry);
 /// Populate with built-in window functions (row_number/rank/dense_rank/
-/// lag/lead/first_value/last_value + framed aggregates).
+/// lag/lead/first_value/last_value); aggregates serve through GetWindow.
 void RegisterBuiltinWindowFunctions(FunctionRegistry* registry);
+
+/// An aggregate as a window function, with the aggregate's return type:
+/// each row's frame is evaluated with the aggregate's own accumulator.
+WindowFunctionPtr AggregateWindow(AggregateFunctionPtr aggregate);
 
 }  // namespace logical
 }  // namespace fusion

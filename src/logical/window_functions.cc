@@ -1,6 +1,7 @@
 #include <algorithm>
 
 #include "arrow/builder.h"
+#include "compute/selection.h"
 #include "logical/functions.h"
 
 namespace fusion {
@@ -47,7 +48,7 @@ WindowFunctionPtr MakeShift(const char* name, int direction) {
         p.args.size() > 2 ? p.args[2].get() : nullptr;
     for (int64_t i = 0; i < p.num_rows; ++i) {
       int64_t src = i - direction * offset;
-      if (src >= 0 && src < p.num_rows) {
+      if (src >= p.partition_start[i] && src < p.partition_end[i]) {
         builder->AppendFrom(values, src);
       } else if (defaults != nullptr && defaults->IsValid(i)) {
         builder->AppendFrom(*defaults, i);
@@ -60,155 +61,94 @@ WindowFunctionPtr MakeShift(const char* name, int direction) {
   return fn;
 }
 
-/// Framed aggregate windows (sum/avg/count/min/max): evaluated with
-/// incremental add/remove as the frame slides (paper §6.5's incremental
-/// evaluation).
-enum class FrameAgg { kSum, kAvg, kCount, kMin, kMax };
+/// Rows whose frames one merge round covers: bounds the node lists below.
+constexpr int64_t kFrameMergeRows = 4096;
 
-Result<ArrayPtr> EvalFrameAgg(FrameAgg agg, const WindowPartition& p) {
-  const Array& values = *p.args[0];
-  // Widen to double for arithmetic aggregates.
-  const bool arithmetic =
-      agg == FrameAgg::kSum || agg == FrameAgg::kAvg || agg == FrameAgg::kCount;
-  if (arithmetic) {
-    std::vector<double> vals(p.num_rows, 0);
-    std::vector<bool> is_null(p.num_rows, false);
-    for (int64_t i = 0; i < p.num_rows; ++i) {
-      if (values.IsNull(i)) {
-        is_null[i] = true;
-      } else {
-        vals[i] = Scalar::FromArray(values, i).AsDouble();
-      }
-    }
-    // Incremental sliding sum/count.
-    double sum = 0;
-    int64_t count = 0;
-    int64_t lo = 0, hi = 0;  // current [lo, hi)
-    Float64Builder fbuilder;
-    Int64Builder ibuilder;
-    const bool is_float_out =
-        agg != FrameAgg::kCount &&
-        (values.type().is_floating() || agg == FrameAgg::kAvg);
-    Int64Builder sum_int_builder;
-    for (int64_t i = 0; i < p.num_rows; ++i) {
-      int64_t start = p.frame_start[i];
-      int64_t end = p.frame_end[i];
-      // Slide the window; frames move monotonically for sliding frames,
-      // but RANGE frames with peers can repeat — handle general moves.
-      while (hi < end) {
-        if (!is_null[hi]) {
-          sum += vals[hi];
-          ++count;
-        }
-        ++hi;
-      }
-      while (lo < start) {
-        if (!is_null[lo]) {
-          sum -= vals[lo];
-          --count;
-        }
-        ++lo;
-      }
-      while (hi > end) {
-        --hi;
-        if (!is_null[hi]) {
-          sum -= vals[hi];
-          --count;
-        }
-      }
-      while (lo > start) {
-        --lo;
-        if (!is_null[lo]) {
-          sum += vals[lo];
-          ++count;
-        }
-      }
-      switch (agg) {
-        case FrameAgg::kCount:
-          ibuilder.Append(count);
-          break;
-        case FrameAgg::kSum:
-          if (count == 0) {
-            if (is_float_out) {
-              fbuilder.AppendNull();
-            } else {
-              sum_int_builder.AppendNull();
-            }
-          } else if (is_float_out) {
-            fbuilder.Append(sum);
-          } else {
-            sum_int_builder.Append(static_cast<int64_t>(sum));
-          }
-          break;
-        case FrameAgg::kAvg:
-          if (count == 0) {
-            fbuilder.AppendNull();
-          } else {
-            fbuilder.Append(sum / static_cast<double>(count));
-          }
-          break;
-        default:
-          break;
-      }
-    }
-    if (agg == FrameAgg::kCount) return ibuilder.Finish();
-    if (is_float_out) return fbuilder.Finish();
-    return sum_int_builder.Finish();
-  }
-  // MIN/MAX: recompute per frame (frames in the benchmark workloads are
-  // short or prefix frames).
-  FUSION_ASSIGN_OR_RAISE(auto builder, MakeBuilder(values.type()));
-  for (int64_t i = 0; i < p.num_rows; ++i) {
-    int64_t best = -1;
-    for (int64_t j = p.frame_start[i]; j < p.frame_end[i]; ++j) {
-      if (values.IsNull(j)) continue;
-      if (best < 0) {
-        best = j;
-        continue;
-      }
-      Scalar a = Scalar::FromArray(values, j);
-      Scalar b = Scalar::FromArray(values, best);
-      int cmp = a.Compare(b);
-      if ((agg == FrameAgg::kMin && cmp < 0) || (agg == FrameAgg::kMax && cmp > 0)) {
-        best = j;
-      }
-    }
-    if (best < 0) {
-      builder->AppendNull();
-    } else {
-      builder->AppendFrom(values, best);
-    }
-  }
-  return builder->Finish();
-}
+/// An aggregate's value over every row's frame, computed with its own
+/// GroupedAccumulator. Frames that are whole partitions take one Update
+/// with one group per partition, broadcast to the rows. Any other frame
+/// shape reads a segment tree of partial states (Leis et al., "Efficient
+/// Processing of Window Functions in Analytical SQL Queries", VLDB 2015):
+/// level 0 has one group per row, each level above merges pairs of nodes
+/// with UpdateFromPartial, and a frame is covered by at most two nodes
+/// per level, merged into its row's group of the output accumulator.
+Result<ArrayPtr> EvalAggregateFrames(const AggregateFunctionDef& agg,
+                                     const WindowPartition& p) {
+  std::vector<DataType> types;
+  for (const auto& a : p.args) types.push_back(a->type());
+  auto make = [&](int64_t groups) -> Result<std::unique_ptr<GroupedAccumulator>> {
+    FUSION_ASSIGN_OR_RAISE(auto acc, agg.create(types));
+    acc->Resize(groups);
+    return acc;
+  };
+  const int64_t n = p.num_rows;
+  std::vector<uint32_t> ids(static_cast<size_t>(n));
 
-WindowFunctionPtr MakeFrameAgg(const char* name, FrameAgg agg) {
-  auto fn = std::make_shared<WindowFunctionDef>();
-  fn->name = name;
-  fn->uses_frame = true;
-  switch (agg) {
-    case FrameAgg::kCount:
-      fn->return_type = Int64Return;
-      break;
-    case FrameAgg::kAvg:
-      fn->return_type = [](const std::vector<DataType>&) -> Result<DataType> {
-        return float64();
-      };
-      break;
-    case FrameAgg::kSum:
-      fn->return_type = [](const std::vector<DataType>& args) -> Result<DataType> {
-        if (args.empty()) return Status::PlanError("sum expects an argument");
-        return args[0].is_floating() ? float64() : int64();
-      };
-      break;
-    default:
-      fn->return_type = [](const std::vector<DataType>& args) -> Result<DataType> {
-        if (args.empty()) return Status::PlanError("min/max expects an argument");
-        return args[0];
-      };
+  bool whole_partitions = true;
+  for (int64_t i = 0; whole_partitions && i < n; ++i) {
+    whole_partitions = p.frame_start[i] == p.partition_start[i] &&
+                       p.frame_end[i] == p.partition_end[i];
   }
-  fn->eval = [agg](const WindowPartition& p) { return EvalFrameAgg(agg, p); };
-  return fn;
+  if (whole_partitions) {
+    std::vector<int64_t> group_of_row(static_cast<size_t>(n));
+    int64_t groups = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      if (i == p.partition_start[i]) ++groups;
+      group_of_row[i] = groups - 1;
+      ids[i] = static_cast<uint32_t>(groups - 1);
+    }
+    FUSION_ASSIGN_OR_RAISE(auto acc, make(groups));
+    FUSION_RETURN_NOT_OK(acc->Update(p.args, ids, nullptr));
+    FUSION_ASSIGN_OR_RAISE(auto values, acc->Finish());
+    return compute::Take(*values, group_of_row);
+  }
+
+  std::vector<std::vector<ArrayPtr>> levels;
+  for (int64_t i = 0; i < n; ++i) ids[i] = static_cast<uint32_t>(i);
+  FUSION_ASSIGN_OR_RAISE(auto leaves, make(n));
+  FUSION_RETURN_NOT_OK(leaves->Update(p.args, ids, nullptr));
+  FUSION_ASSIGN_OR_RAISE(auto leaf_state, leaves->PartialState());
+  levels.push_back(std::move(leaf_state));
+  for (int64_t width = n; width > 1; width = (width + 1) / 2) {
+    for (int64_t j = 0; j < width; ++j) ids[j] = static_cast<uint32_t>(j / 2);
+    ids.resize(static_cast<size_t>(width));
+    FUSION_ASSIGN_OR_RAISE(auto parents, make((width + 1) / 2));
+    FUSION_RETURN_NOT_OK(parents->UpdateFromPartial(levels.back(), ids));
+    FUSION_ASSIGN_OR_RAISE(auto state, parents->PartialState());
+    levels.push_back(std::move(state));
+  }
+
+  FUSION_ASSIGN_OR_RAISE(auto out, make(n));
+  std::vector<std::vector<int64_t>> nodes(levels.size());
+  std::vector<std::vector<uint32_t>> rows(levels.size());
+  for (int64_t begin = 0; begin < n; begin += kFrameMergeRows) {
+    for (int64_t i = begin; i < std::min(n, begin + kFrameMergeRows); ++i) {
+      int64_t lo = p.frame_start[i];
+      int64_t hi = p.frame_end[i];
+      for (size_t level = 0; lo < hi; ++level, lo /= 2, hi /= 2) {
+        if (lo % 2 == 1) {
+          nodes[level].push_back(lo++);
+          rows[level].push_back(static_cast<uint32_t>(i));
+        }
+        if (hi % 2 == 1) {
+          nodes[level].push_back(--hi);
+          rows[level].push_back(static_cast<uint32_t>(i));
+        }
+      }
+    }
+    for (size_t level = 0; level < levels.size(); ++level) {
+      if (nodes[level].empty()) continue;
+      std::vector<ArrayPtr> state;
+      for (const auto& column : levels[level]) {
+        FUSION_ASSIGN_OR_RAISE(auto taken, compute::Take(*column, nodes[level]));
+        state.push_back(std::move(taken));
+      }
+      FUSION_RETURN_NOT_OK(out->UpdateFromPartial(state, rows[level]));
+      nodes[level].clear();
+      rows[level].clear();
+    }
+  }
+  return out->Finish();
 }
 
 }  // namespace
@@ -220,19 +160,20 @@ void RegisterBuiltinWindowFunctions(FunctionRegistry* registry) {
 
   reg(MakeRankLike("row_number", [](const WindowPartition& p,
                                     std::vector<int64_t>* out) {
-    for (int64_t i = 0; i < p.num_rows; ++i) (*out)[i] = i + 1;
+    for (int64_t i = 0; i < p.num_rows; ++i) (*out)[i] = i - p.partition_start[i] + 1;
   }));
   reg(MakeRankLike("rank", [](const WindowPartition& p, std::vector<int64_t>* out) {
-    int64_t rank = 1;
     for (int64_t i = 0; i < p.num_rows; ++i) {
-      if (i > 0 && p.peer_group[i] != p.peer_group[i - 1]) rank = i + 1;
-      (*out)[i] = rank;
+      (*out)[i] = p.peer_start[i] - p.partition_start[i] + 1;
     }
   }));
   reg(MakeRankLike("dense_rank",
                    [](const WindowPartition& p, std::vector<int64_t>* out) {
+                     int64_t rank = 0;
                      for (int64_t i = 0; i < p.num_rows; ++i) {
-                       (*out)[i] = p.peer_group[i] + 1;
+                       if (i == p.partition_start[i]) rank = 0;
+                       if (i == p.peer_start[i]) ++rank;
+                       (*out)[i] = rank;
                      }
                    }));
   reg(MakeShift("lag", 1));
@@ -282,12 +223,17 @@ void RegisterBuiltinWindowFunctions(FunctionRegistry* registry) {
     };
     reg(fn);
   }
+}
 
-  reg(MakeFrameAgg("sum", FrameAgg::kSum));
-  reg(MakeFrameAgg("avg", FrameAgg::kAvg));
-  reg(MakeFrameAgg("count", FrameAgg::kCount));
-  reg(MakeFrameAgg("min", FrameAgg::kMin));
-  reg(MakeFrameAgg("max", FrameAgg::kMax));
+WindowFunctionPtr AggregateWindow(AggregateFunctionPtr aggregate) {
+  auto fn = std::make_shared<WindowFunctionDef>();
+  fn->name = aggregate->name;
+  fn->return_type = aggregate->return_type;
+  fn->uses_frame = true;
+  fn->eval = [aggregate](const WindowPartition& p) {
+    return EvalAggregateFrames(*aggregate, p);
+  };
+  return fn;
 }
 
 }  // namespace logical

@@ -1,5 +1,7 @@
 #include "physical/planner.h"
 
+#include <algorithm>
+
 #include "arrow/builder.h"
 #include "compute/cast.h"
 #include "logical/expr_eval.h"
@@ -48,6 +50,31 @@ bool OrderingSatisfies(const std::vector<OrderingInfo>& have,
     if (have[i].options.nulls_first != want[i].options.nulls_first) return false;
   }
   return true;
+}
+
+/// `input` in one partition ordered by `sort_exprs`, keeping the first
+/// `fetch` rows when fetch >= 0: a SortExec per partition, merged by a
+/// SortPreservingMergeExec. Sort elimination (paper §6.7) skips the sort
+/// when the input already delivers that order in a single partition.
+ExecPlanPtr SortToOne(ExecPlanPtr input, std::vector<PhysicalSortExpr> sort_exprs,
+                      int64_t fetch) {
+  if (input->output_partitions() == 1 &&
+      OrderingSatisfies(input->output_ordering(), sort_exprs)) {
+    if (fetch >= 0) {
+      return std::make_shared<LimitExec>(std::move(input), 0, fetch);
+    }
+    return input;
+  }
+  if (sort_exprs.empty()) return CoalesceToOne(std::move(input));
+  ExecPlanPtr sorted = std::make_shared<SortExec>(std::move(input), sort_exprs, fetch);
+  if (sorted->output_partitions() > 1) {
+    sorted = std::make_shared<SortPreservingMergeExec>(std::move(sorted), sort_exprs);
+    if (fetch >= 0) {
+      // Per-partition TopK keeps fetch rows each; enforce globally.
+      sorted = std::make_shared<LimitExec>(std::move(sorted), 0, fetch);
+    }
+  }
+  return sorted;
 }
 
 /// Plan a grouping (aggregate or DISTINCT) over `input`, paper §6.3:
@@ -301,27 +328,7 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanSort(const PlanPtr& plan) {
     pse.options = se.options;
     sort_exprs.push_back(std::move(pse));
   }
-  // Sort elimination (paper §6.7): skip the sort if the input already
-  // delivers the requested order in a single partition.
-  if (input->output_partitions() == 1 &&
-      OrderingSatisfies(input->output_ordering(), sort_exprs)) {
-    if (plan->fetch >= 0) {
-      return ExecPlanPtr(
-          std::make_shared<LimitExec>(std::move(input), 0, plan->fetch));
-    }
-    return input;
-  }
-  ExecPlanPtr sorted = std::make_shared<SortExec>(std::move(input), sort_exprs,
-                                                  plan->fetch);
-  if (sorted->output_partitions() > 1) {
-    sorted = std::make_shared<SortPreservingMergeExec>(std::move(sorted),
-                                                       sort_exprs);
-    if (plan->fetch >= 0) {
-      // Per-partition TopK keeps fetch rows each; enforce globally.
-      sorted = std::make_shared<LimitExec>(std::move(sorted), 0, plan->fetch);
-    }
-  }
-  return sorted;
+  return SortToOne(std::move(input), std::move(sort_exprs), plan->fetch);
 }
 
 Result<ExecPlanPtr> PhysicalPlanner::PlanAggregate(const PlanPtr& plan) {
@@ -570,38 +577,66 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanJoin(const PlanPtr& plan) {
 Result<ExecPlanPtr> PhysicalPlanner::PlanWindow(const PlanPtr& plan) {
   FUSION_ASSIGN_OR_RAISE(auto input, Plan(plan->child(0)));
   const PlanSchema& in_schema = plan->child(0)->schema();
-  std::vector<WindowExprInfo> infos;
-  for (const auto& e : plan->exprs) {
-    const ExprPtr& w = logical::Unalias(e);
-    if (w->kind != Expr::Kind::kWindow) {
-      return Status::PlanError("Window node contains non-window expression");
-    }
-    WindowExprInfo info;
-    info.function = w->window_function;
-    info.output_name = e->DisplayName();
-    FUSION_ASSIGN_OR_RAISE(info.output_type, w->GetType(in_schema));
-    for (const auto& arg : w->children) {
-      FUSION_ASSIGN_OR_RAISE(auto pe, CreatePhysicalExpr(arg, in_schema));
-      info.args.push_back(std::move(pe));
-    }
-    if (w->window_spec != nullptr) {
-      for (const auto& p : w->window_spec->partition_by) {
-        FUSION_ASSIGN_OR_RAISE(auto pe, CreatePhysicalExpr(p, in_schema));
-        info.partition_by.push_back(std::move(pe));
+  // Expressions sharing (PARTITION BY, ORDER BY) share one sort and one
+  // WindowExec; each WindowExec appends its group's columns.
+  auto same_expr = [](const PhysicalExprPtr& a, const PhysicalExprPtr& b) {
+    return a->ToString() == b->ToString();
+  };
+  auto same_sort = [&](const PhysicalSortExpr& a, const PhysicalSortExpr& b) {
+    return a.options == b.options && same_expr(a.expr, b.expr);
+  };
+  std::vector<std::vector<WindowExprInfo>> groups;
+  std::vector<std::vector<size_t>> members;
+  for (size_t i = 0; i < plan->exprs.size(); ++i) {
+    FUSION_ASSIGN_OR_RAISE(auto info, MakeWindowExprInfo(plan->exprs[i], in_schema));
+    size_t g = 0;
+    for (; g < groups.size(); ++g) {
+      const WindowExprInfo& head = groups[g].front();
+      if (std::equal(head.partition_by.begin(), head.partition_by.end(),
+                     info.partition_by.begin(), info.partition_by.end(), same_expr) &&
+          std::equal(head.order_by.begin(), head.order_by.end(), info.order_by.begin(),
+                     info.order_by.end(), same_sort)) {
+        break;
       }
-      for (const auto& o : w->window_spec->order_by) {
-        PhysicalSortExpr pse;
-        FUSION_ASSIGN_OR_RAISE(pse.expr, CreatePhysicalExpr(o.expr, in_schema));
-        pse.options = o.options;
-        info.order_by.push_back(std::move(pse));
-      }
-      info.frame = w->window_spec->frame;
     }
-    infos.push_back(std::move(info));
+    if (g == groups.size()) {
+      groups.emplace_back();
+      members.emplace_back();
+    }
+    groups[g].push_back(std::move(info));
+    members[g].push_back(i);
   }
-  return ExecPlanPtr(std::make_shared<WindowExec>(
-      CoalesceToOne(std::move(input)), std::move(infos),
-      PhysicalSchema(plan->schema())));
+  const int num_inputs = in_schema.num_fields();
+  const int target_partitions = ctx_->config.target_partitions;
+  std::vector<Field> fields = input->schema()->fields();
+  std::vector<int> column_of_expr(plan->exprs.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (size_t i : members[g]) {
+      column_of_expr[i] = static_cast<int>(fields.size());
+      fields.push_back(plan->schema().schema()->field(num_inputs + static_cast<int>(i)));
+    }
+    std::vector<PhysicalSortExpr> keys = groups[g].front().SortKeys();
+    // One input partition (a window's output, among others) would sort
+    // on one thread: split it so the sort runs per partition.
+    if (input->output_partitions() == 1 && target_partitions > 1 && !keys.empty() &&
+        !OrderingSatisfies(input->output_ordering(), keys)) {
+      input = std::make_shared<SplitPartitionsExec>(std::move(input), target_partitions);
+    }
+    ExecPlanPtr sorted = SortToOne(std::move(input), std::move(keys), -1);
+    input = std::make_shared<WindowExec>(std::move(sorted), std::move(groups[g]),
+                                         std::make_shared<Schema>(fields));
+  }
+  if (std::is_sorted(column_of_expr.begin(), column_of_expr.end())) return input;
+  // Restore the Window node's column order.
+  std::vector<PhysicalExprPtr> columns;
+  for (int c = 0; c < num_inputs; ++c) {
+    columns.push_back(std::make_shared<ColumnExpr>(fields[c].name(), c, fields[c].type()));
+  }
+  for (int c : column_of_expr) {
+    columns.push_back(std::make_shared<ColumnExpr>(fields[c].name(), c, fields[c].type()));
+  }
+  return ExecPlanPtr(std::make_shared<ProjectionExec>(std::move(input), std::move(columns),
+                                                      PhysicalSchema(plan->schema())));
 }
 
 }  // namespace physical

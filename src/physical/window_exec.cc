@@ -1,11 +1,10 @@
 #include "physical/window_exec.h"
 
 #include <algorithm>
-#include <numeric>
+#include <deque>
 
-#include "arrow/builder.h"
 #include "compute/cast.h"
-#include "compute/selection.h"
+#include "exec/memory_pool.h"
 #include "row/row_format.h"
 
 namespace fusion {
@@ -16,59 +15,238 @@ namespace {
 using logical::WindowFrame;
 using logical::WindowPartition;
 
-/// Compute frame bounds per row within one partition, given peer groups
-/// (for RANGE frames peers share bounds).
-void ComputeFrames(const WindowFrame& frame, int64_t n,
-                   const std::vector<int64_t>& peer_group,
-                   const std::vector<int64_t>& peer_start,
-                   const std::vector<int64_t>& peer_end,
-                   std::vector<int64_t>* starts, std::vector<int64_t>* ends) {
-  starts->resize(n);
-  ends->resize(n);
-  for (int64_t i = 0; i < n; ++i) {
-    int64_t start = 0;
-    int64_t end = n;
+/// Frame bounds per row, as absolute rows within the row's partition;
+/// a RANGE frame's CURRENT ROW extends to the row's peers.
+void ComputeFrames(const WindowFrame& frame, const std::vector<int64_t>& peer_end,
+                   WindowPartition* p) {
+  p->frame_start.resize(p->num_rows);
+  p->frame_end.resize(p->num_rows);
+  for (int64_t i = 0; i < p->num_rows; ++i) {
+    const int64_t first = p->partition_start[i];
+    const int64_t last = p->partition_end[i];
+    int64_t start = first;
+    int64_t end = last;
     switch (frame.start) {
       case WindowFrame::BoundKind::kUnboundedPreceding:
-        start = 0;
+        start = first;
         break;
       case WindowFrame::BoundKind::kPreceding:
-        start = frame.is_rows ? std::max<int64_t>(0, i - frame.start_offset) : 0;
+        start = frame.is_rows ? std::max(first, i - frame.start_offset) : first;
         break;
       case WindowFrame::BoundKind::kCurrentRow:
-        start = frame.is_rows ? i : peer_start[peer_group[i]];
+        start = frame.is_rows ? i : p->peer_start[i];
         break;
       case WindowFrame::BoundKind::kFollowing:
-        start = frame.is_rows ? std::min(n, i + frame.start_offset) : i;
+        start = frame.is_rows ? std::min(last, i + frame.start_offset) : i;
         break;
       case WindowFrame::BoundKind::kUnboundedFollowing:
-        start = n;
+        start = last;
         break;
     }
     switch (frame.end) {
       case WindowFrame::BoundKind::kUnboundedPreceding:
-        end = 0;
+        end = first;
         break;
       case WindowFrame::BoundKind::kPreceding:
-        end = frame.is_rows ? std::max<int64_t>(0, i - frame.end_offset + 1) : i + 1;
+        end = frame.is_rows ? std::max(first, i - frame.end_offset + 1) : i + 1;
         break;
       case WindowFrame::BoundKind::kCurrentRow:
-        end = frame.is_rows ? i + 1 : peer_end[peer_group[i]];
+        end = frame.is_rows ? i + 1 : peer_end[i];
         break;
       case WindowFrame::BoundKind::kFollowing:
-        end = frame.is_rows ? std::min(n, i + frame.end_offset + 1)
-                            : peer_end[peer_group[i]];
+        end = frame.is_rows ? std::min(last, i + frame.end_offset + 1) : peer_end[i];
         break;
       case WindowFrame::BoundKind::kUnboundedFollowing:
-        end = n;
+        end = last;
         break;
     }
-    (*starts)[i] = std::min(start, n);
-    (*ends)[i] = std::max((*starts)[i], std::min(end, n));
+    p->frame_start[i] = std::min(start, last);
+    p->frame_end[i] = std::max(p->frame_start[i], std::min(end, last));
   }
 }
 
+/// True when row `row` of `keys` differs from the row before it.
+bool DiffersFromPrevious(const std::vector<ArrayPtr>& keys, int64_t row) {
+  return !keys.empty() && row::CompareRows(keys, row - 1, keys, row, {}) != 0;
+}
+
+/// Streams a WindowExec's sorted input through EvaluateWindows one batch
+/// of complete window partitions at a time. The partition still open at
+/// the end of a batch waits, charged to the reservation, for the batch
+/// that ends it.
+class WindowStream : public exec::RecordBatchStream {
+ public:
+  WindowStream(exec::StreamPtr input, SchemaPtr input_schema,
+               std::vector<WindowExprInfo> exprs, SchemaPtr schema,
+               const ExecContextPtr& ctx, exec::MetricsSetPtr metrics)
+      : input_(std::move(input)), input_schema_(std::move(input_schema)),
+        exprs_(std::move(exprs)), schema_(std::move(schema)),
+        batch_size_(ctx->config.batch_size),
+        reservation_(ctx->env->memory_pool,
+                     "window-" + std::to_string(ctx->query_id)),
+        mem_reserved_(metrics->Gauge(exec::metric::kMemReservedBytes, 0)) {}
+
+  const SchemaPtr& schema() const override { return schema_; }
+
+  Result<RecordBatchPtr> Next() override {
+    while (ready_.empty() && !done_) {
+      FUSION_ASSIGN_OR_RAISE(auto batch, input_->Next());
+      if (batch == nullptr) {
+        done_ = true;
+        FUSION_RETURN_NOT_OK(EvaluatePending());
+        reservation_.Free();
+      } else if (batch->num_rows() > 0) {
+        FUSION_RETURN_NOT_OK(Push(std::move(batch)));
+      }
+    }
+    if (ready_.empty()) return RecordBatchPtr(nullptr);
+    RecordBatchPtr out = std::move(ready_.front());
+    ready_.pop_front();
+    return out;
+  }
+
+ private:
+  Status Charge(int64_t bytes) {
+    FUSION_RETURN_NOT_OK(reservation_.ResizeTo(bytes));
+    mem_reserved_->SetMax(bytes);
+    return Status::OK();
+  }
+
+  Status Push(RecordBatchPtr batch) {
+    FUSION_RETURN_NOT_OK(Charge(reservation_.held() + batch->TotalBufferSize()));
+    FUSION_ASSIGN_OR_RAISE(auto keys,
+                           EvaluateToArrays(exprs_.front().partition_by, *batch));
+    // The batch's last partition starts at row `open`. Every row before
+    // it, pending ones too, is complete unless that partition started in
+    // an earlier batch.
+    int64_t open = batch->num_rows() - 1;
+    while (open > 0 && !DiffersFromPrevious(keys, open)) --open;
+    const bool continues =
+        open == 0 && !pending_.empty() &&
+        (keys.empty() || row::CompareRows(last_keys_, pending_.back()->num_rows() - 1,
+                                          keys, 0, {}) == 0);
+    if (!continues) {
+      if (open > 0) pending_.push_back(batch->Slice(0, open));
+      FUSION_RETURN_NOT_OK(EvaluatePending());
+      batch = batch->Slice(open, batch->num_rows() - open);
+      for (auto& k : keys) k = k->Slice(open, k->length() - open);
+      FUSION_RETURN_NOT_OK(Charge(batch->TotalBufferSize()));
+    }
+    pending_.push_back(std::move(batch));
+    last_keys_ = std::move(keys);
+    return Status::OK();
+  }
+
+  Status EvaluatePending() {
+    if (pending_.empty()) return Status::OK();
+    FUSION_ASSIGN_OR_RAISE(auto rows, ConcatenateBatches(input_schema_, pending_));
+    pending_.clear();
+    FUSION_ASSIGN_OR_RAISE(auto windows, EvaluateWindows(exprs_, *rows));
+    std::vector<ArrayPtr> columns = rows->columns();
+    for (auto& w : windows) columns.push_back(std::move(w));
+    auto out = std::make_shared<RecordBatch>(schema_, rows->num_rows(), std::move(columns));
+    for (auto& chunk : SliceBatch(out, batch_size_)) ready_.push_back(std::move(chunk));
+    return Status::OK();
+  }
+
+  exec::StreamPtr input_;
+  SchemaPtr input_schema_;
+  std::vector<WindowExprInfo> exprs_;
+  SchemaPtr schema_;
+  int64_t batch_size_;
+  exec::MemoryReservation reservation_;
+  exec::MetricValuePtr mem_reserved_;
+  std::vector<RecordBatchPtr> pending_;
+  std::vector<ArrayPtr> last_keys_;  ///< partition keys of pending_.back()
+  std::deque<RecordBatchPtr> ready_;
+  bool done_ = false;
+};
+
 }  // namespace
+
+std::vector<PhysicalSortExpr> WindowExprInfo::SortKeys() const {
+  std::vector<PhysicalSortExpr> keys;
+  for (const auto& p : partition_by) keys.push_back({p, {}});
+  keys.insert(keys.end(), order_by.begin(), order_by.end());
+  return keys;
+}
+
+Result<WindowExprInfo> MakeWindowExprInfo(const logical::ExprPtr& expr,
+                                          const logical::PlanSchema& input) {
+  const logical::ExprPtr& w = logical::Unalias(expr);
+  if (w->kind != logical::Expr::Kind::kWindow) {
+    return Status::PlanError("Window node contains non-window expression");
+  }
+  WindowExprInfo info;
+  info.function = w->window_function;
+  info.output_name = expr->DisplayName();
+  FUSION_ASSIGN_OR_RAISE(info.output_type, w->GetType(input));
+  for (const auto& arg : w->children) {
+    FUSION_ASSIGN_OR_RAISE(auto pe, CreatePhysicalExpr(arg, input));
+    info.args.push_back(std::move(pe));
+  }
+  if (w->window_spec != nullptr) {
+    for (const auto& p : w->window_spec->partition_by) {
+      FUSION_ASSIGN_OR_RAISE(auto pe, CreatePhysicalExpr(p, input));
+      info.partition_by.push_back(std::move(pe));
+    }
+    for (const auto& o : w->window_spec->order_by) {
+      PhysicalSortExpr pse;
+      FUSION_ASSIGN_OR_RAISE(pse.expr, CreatePhysicalExpr(o.expr, input));
+      pse.options = o.options;
+      info.order_by.push_back(std::move(pse));
+    }
+    info.frame = w->window_spec->frame;
+  }
+  return info;
+}
+
+Result<std::vector<ArrayPtr>> EvaluateWindows(const std::vector<WindowExprInfo>& exprs,
+                                              const RecordBatch& rows) {
+  const int64_t n = rows.num_rows();
+  FUSION_ASSIGN_OR_RAISE(auto partition_keys,
+                         EvaluateToArrays(exprs.front().partition_by, rows));
+  std::vector<PhysicalExprPtr> order_exprs;
+  for (const auto& o : exprs.front().order_by) order_exprs.push_back(o.expr);
+  FUSION_ASSIGN_OR_RAISE(auto order_keys, EvaluateToArrays(order_exprs, rows));
+
+  WindowPartition p;
+  p.num_rows = n;
+  p.partition_start.resize(n);
+  p.partition_end.resize(n);
+  p.peer_start.resize(n);
+  std::vector<int64_t> peer_end(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    const bool new_partition = i == 0 || DiffersFromPrevious(partition_keys, i);
+    p.partition_start[i] = new_partition ? i : p.partition_start[i - 1];
+    p.peer_start[i] =
+        new_partition || DiffersFromPrevious(order_keys, i) ? i : p.peer_start[i - 1];
+  }
+  for (int64_t i = n - 1; i >= 0; --i) {
+    const bool last = i + 1 == n;
+    p.partition_end[i] = last || p.partition_start[i + 1] != p.partition_start[i]
+                             ? i + 1
+                             : p.partition_end[i + 1];
+    peer_end[i] = last || p.peer_start[i + 1] != p.peer_start[i] ? i + 1 : peer_end[i + 1];
+  }
+
+  std::vector<ArrayPtr> out;
+  for (const WindowExprInfo& we : exprs) {
+    FUSION_ASSIGN_OR_RAISE(p.args, EvaluateToArrays(we.args, rows));
+    // Frames index values row-at-a-time in any order: densify here
+    // instead of teaching every window function about codes.
+    for (auto& a : p.args) a = compute::EnsureDense(a);
+    if (we.function->uses_frame) ComputeFrames(we.frame, peer_end, &p);
+    FUSION_ASSIGN_OR_RAISE(auto column, we.function->eval(p));
+    if (column->length() != n) {
+      return Status::ExecutionError("window function " + we.function->name + " returned " +
+                                    std::to_string(column->length()) + " rows for " +
+                                    std::to_string(n));
+    }
+    out.push_back(std::move(column));
+  }
+  return out;
+}
 
 std::string WindowExec::ToStringLine() const {
   std::string out = "WindowExec: ";
@@ -84,141 +262,9 @@ Result<exec::StreamPtr> WindowExec::ExecuteImpl(int partition,
   if (partition != 0) {
     return Status::ExecutionError("WindowExec has a single partition");
   }
-  // Materialize the input: window evaluation is a pipeline breaker.
-  FUSION_ASSIGN_OR_RAISE(auto stream, input_->Execute(0, ctx));
-  FUSION_ASSIGN_OR_RAISE(auto batches, exec::CollectStream(stream.get()));
-  FUSION_ASSIGN_OR_RAISE(auto input, ConcatenateBatches(input_->schema(), batches));
-  // Window evaluation indexes values row-at-a-time in arbitrary frame
-  // order; densify once at this pipeline breaker instead of teaching
-  // every frame function about codes.
-  input = compute::EnsureDenseBatch(input);
-  const int64_t n = input->num_rows();
-
-  std::vector<ArrayPtr> extra_columns;
-
-  for (const WindowExprInfo& we : window_exprs_) {
-    // 1. Sort rows by (partition keys, order keys).
-    std::vector<ArrayPtr> sort_cols;
-    std::vector<row::SortOptions> sort_opts;
-    size_t num_part_keys = we.partition_by.size();
-    for (const auto& p : we.partition_by) {
-      FUSION_ASSIGN_OR_RAISE(ColumnarValue v, p->Evaluate(*input));
-      FUSION_ASSIGN_OR_RAISE(auto arr, v.ToArray(n));
-      sort_cols.push_back(std::move(arr));
-      sort_opts.push_back({});
-    }
-    for (const auto& o : we.order_by) {
-      FUSION_ASSIGN_OR_RAISE(ColumnarValue v, o.expr->Evaluate(*input));
-      FUSION_ASSIGN_OR_RAISE(auto arr, v.ToArray(n));
-      sort_cols.push_back(std::move(arr));
-      sort_opts.push_back(o.options);
-    }
-    std::vector<int64_t> order(static_cast<size_t>(n));
-    std::iota(order.begin(), order.end(), 0);
-    // Reuse a pre-existing input order when it already covers
-    // (PARTITION BY..., ORDER BY...) — paper §6.5: "minimizes resorting
-    // by reusing existing sort orders".
-    bool already_ordered = false;
-    {
-      auto have = input_->output_ordering();
-      std::vector<PhysicalSortExpr> want;
-      for (const auto& p : we.partition_by) want.push_back({p, {}});
-      for (const auto& o : we.order_by) want.push_back(o);
-      already_ordered = !want.empty() && want.size() <= have.size();
-      for (size_t i = 0; already_ordered && i < want.size(); ++i) {
-        auto* col = dynamic_cast<const ColumnExpr*>(want[i].expr.get());
-        if (col == nullptr || have[i].column != col->index() ||
-            have[i].options.descending != want[i].options.descending ||
-            have[i].options.nulls_first != want[i].options.nulls_first) {
-          already_ordered = false;
-        }
-      }
-    }
-    if (!sort_cols.empty() && !already_ordered) {
-      FUSION_ASSIGN_OR_RAISE(order, row::SortIndices(sort_cols, sort_opts));
-    }
-
-    // 2. Partition boundaries + peer groups in sorted order.
-    std::vector<row::SortOptions> part_opts(num_part_keys);
-    std::vector<ArrayPtr> part_cols(sort_cols.begin(),
-                                    sort_cols.begin() + num_part_keys);
-    auto same_partition = [&](int64_t a, int64_t b) {
-      if (num_part_keys == 0) return true;
-      return row::CompareRows(part_cols, a, part_cols, b, part_opts) == 0;
-    };
-    auto same_peers = [&](int64_t a, int64_t b) {
-      return row::CompareRows(sort_cols, a, sort_cols, b, sort_opts) == 0;
-    };
-
-    // 3. Evaluate argument expressions once over the full input, then
-    //    gather per partition in sorted order.
-    FUSION_ASSIGN_OR_RAISE(auto arg_arrays, EvaluateToArrays(we.args, *input));
-
-    std::vector<ArrayPtr> results_per_partition;
-    std::vector<int64_t> partition_rows;  // original row per sorted pos
-    ArrayPtr out_column;
-    FUSION_ASSIGN_OR_RAISE(auto out_builder, MakeBuilder(we.output_type));
-    out_builder->Reserve(n);
-    // Output values indexed by original row.
-    std::vector<int64_t> result_slot(static_cast<size_t>(n), -1);
-    std::vector<ArrayPtr> partition_outputs;
-    std::vector<std::pair<int64_t, std::pair<int, int64_t>>> scatter;
-    scatter.reserve(static_cast<size_t>(n));
-
-    int64_t start = 0;
-    while (start < n) {
-      int64_t end = start + 1;
-      while (end < n && same_partition(order[start], order[end])) ++end;
-
-      WindowPartition wp;
-      wp.num_rows = end - start;
-      std::vector<int64_t> rows(order.begin() + start, order.begin() + end);
-      for (const auto& arg : arg_arrays) {
-        FUSION_ASSIGN_OR_RAISE(auto gathered, compute::Take(*arg, rows));
-        wp.args.push_back(std::move(gathered));
-      }
-      // Peer groups within the partition.
-      wp.peer_group.resize(wp.num_rows);
-      std::vector<int64_t> peer_start, peer_end;
-      int64_t group = 0;
-      for (int64_t i = 0; i < wp.num_rows; ++i) {
-        if (i > 0 && !same_peers(order[start + i - 1], order[start + i])) ++group;
-        if (static_cast<int64_t>(peer_start.size()) == group) {
-          peer_start.push_back(i);
-          peer_end.push_back(i + 1);
-        } else {
-          peer_end[group] = i + 1;
-        }
-        wp.peer_group[i] = group;
-      }
-      if (we.function->uses_frame) {
-        ComputeFrames(we.frame, wp.num_rows, wp.peer_group, peer_start, peer_end,
-                      &wp.frame_start, &wp.frame_end);
-      }
-      FUSION_ASSIGN_OR_RAISE(auto result, we.function->eval(wp));
-      int part_index = static_cast<int>(partition_outputs.size());
-      partition_outputs.push_back(std::move(result));
-      for (int64_t i = 0; i < wp.num_rows; ++i) {
-        scatter.emplace_back(order[start + i], std::make_pair(part_index, i));
-      }
-      start = end;
-    }
-    // Scatter results back into original row order.
-    std::sort(scatter.begin(), scatter.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [row, loc] : scatter) {
-      (void)row;
-      out_builder->AppendFrom(*partition_outputs[loc.first], loc.second);
-    }
-    FUSION_ASSIGN_OR_RAISE(out_column, out_builder->Finish());
-    extra_columns.push_back(std::move(out_column));
-  }
-
-  std::vector<ArrayPtr> columns = input->columns();
-  for (auto& c : extra_columns) columns.push_back(std::move(c));
-  auto out = std::make_shared<RecordBatch>(schema_, n, std::move(columns));
-  return exec::StreamPtr(std::make_unique<exec::VectorStream>(
-      schema_, SliceBatch(out, ctx->config.batch_size)));
+  FUSION_ASSIGN_OR_RAISE(auto input, input_->Execute(0, ctx));
+  return exec::StreamPtr(std::make_unique<WindowStream>(
+      std::move(input), input_->schema(), window_exprs_, schema_, ctx, metrics_));
 }
 
 }  // namespace physical

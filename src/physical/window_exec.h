@@ -17,12 +17,29 @@ struct WindowExprInfo {
   logical::WindowFrame frame;
   DataType output_type;
   std::string output_name;
+
+  /// The order the window reads its rows in: PARTITION BY keys
+  /// ascending, then the ORDER BY keys.
+  std::vector<PhysicalSortExpr> SortKeys() const;
 };
 
-/// \brief SQL window functions (paper §6.5): sorts each hash partition
-/// by (PARTITION BY, ORDER BY) — reusing any pre-existing order — and
-/// evaluates functions incrementally per partition, appending one output
-/// column per window expression.
+/// Compile `expr`, a Window node's output expression, against the
+/// node's input schema.
+Result<WindowExprInfo> MakeWindowExprInfo(const logical::ExprPtr& expr,
+                                          const logical::PlanSchema& input);
+
+/// Evaluate `exprs`, which share one PARTITION BY and ORDER BY, over
+/// `rows`: sorted by those keys and holding whole window partitions
+/// only. Returns one column per expression, row for row. WindowExec and
+/// the TIE baseline both evaluate windows here.
+Result<std::vector<ArrayPtr>> EvaluateWindows(const std::vector<WindowExprInfo>& exprs,
+                                              const RecordBatch& rows);
+
+/// \brief SQL window functions (paper §6.5) over input sorted by the
+/// expressions' shared (PARTITION BY, ORDER BY) keys. Holds the rows of
+/// the window partition in progress, charged to the memory pool,
+/// evaluates every complete partition of a batch together, and appends
+/// one output column per window expression, keeping the input's order.
 class WindowExec : public ExecutionPlan {
  public:
   WindowExec(ExecPlanPtr input, std::vector<WindowExprInfo> window_exprs,
@@ -34,6 +51,9 @@ class WindowExec : public ExecutionPlan {
   SchemaPtr schema() const override { return schema_; }
   int output_partitions() const override { return 1; }
   std::vector<ExecPlanPtr> children() const override { return {input_}; }
+  std::vector<OrderingInfo> output_ordering() const override {
+    return input_->output_ordering();
+  }
   Result<exec::StreamPtr> ExecuteImpl(int partition, const ExecContextPtr& ctx) override;
   std::string ToStringLine() const override;
 

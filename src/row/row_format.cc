@@ -4,7 +4,6 @@
 #include <functional>
 #include <cstring>
 #include <limits>
-#include <numeric>
 #include <type_traits>
 
 #include "arrow/builder.h"
@@ -607,31 +606,6 @@ int CompareRows(const std::vector<ArrayPtr>& left_cols, int64_t li,
     if (cmp != 0) return opt.descending ? -cmp : cmp;
   }
   return 0;
-}
-
-Result<std::vector<int64_t>> SortIndices(const std::vector<ArrayPtr>& columns,
-                                         const std::vector<SortOptions>& options) {
-  if (columns.empty()) return Status::Invalid("SortIndices: no sort columns");
-  const int64_t rows = columns[0]->length();
-  std::vector<int64_t> indices(static_cast<size_t>(rows));
-  std::iota(indices.begin(), indices.end(), 0);
-  if (rows < 64) {
-    // Small inputs: direct comparisons beat key materialization.
-    std::stable_sort(indices.begin(), indices.end(), [&](int64_t a, int64_t b) {
-      return CompareRows(columns, a, columns, b, options) < 0;
-    });
-    return indices;
-  }
-  std::vector<DataType> types;
-  types.reserve(columns.size());
-  for (const auto& c : columns) types.push_back(c->type());
-  RowEncoder encoder(std::move(types), options);
-  std::vector<std::string> keys;
-  keys.reserve(static_cast<size_t>(rows));
-  FUSION_RETURN_NOT_OK(encoder.EncodeColumns(columns, &keys));
-  std::stable_sort(indices.begin(), indices.end(),
-                   [&](int64_t a, int64_t b) { return keys[a] < keys[b]; });
-  return indices;
 }
 
 }  // namespace row

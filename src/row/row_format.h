@@ -106,16 +106,11 @@ class GroupKeyEncoder {
 
 /// Compare row `li` of `left_cols` with row `ri` of `right_cols` under
 /// `options` without encoding (the oracle the RowEncoder is tested
-/// against, and the comparator for window partitions and peers).
-/// Returns <0, 0, >0.
+/// against, TIE's sort comparator, and the test for window partitions
+/// and peers). Returns <0, 0, >0.
 int CompareRows(const std::vector<ArrayPtr>& left_cols, int64_t li,
                 const std::vector<ArrayPtr>& right_cols, int64_t ri,
                 const std::vector<SortOptions>& options);
-
-/// Stable multi-column sort: returns row indices of `columns` in sorted
-/// order, using normalized keys for large inputs.
-Result<std::vector<int64_t>> SortIndices(const std::vector<ArrayPtr>& columns,
-                                         const std::vector<SortOptions>& options);
 
 }  // namespace row
 }  // namespace fusion

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <limits>
 
+#include "compute/cast.h"
 #include "format/csv.h"
 #include "format/json.h"
 
@@ -137,6 +138,53 @@ TEST(CsvTest, SplitLineHelper) {
   csv::SplitLine("\"x,y\",z", ',', &fields);
   ASSERT_EQ(fields.size(), 2u);
   EXPECT_EQ(fields[0], "x,y");
+}
+
+TEST(CsvTest, FieldsParseAsCastParsesText) {
+  const std::vector<DataType> types = {int32(),          int64(), float64(),
+                                       decimal128(10, 2), date32(), timestamp()};
+  const std::vector<std::string> texts = {
+      "12abc", " 12", "1.5x", "99999999999999999999", "12.345", "-7", "1e3", " 2.5 ",
+      "2024-02-29", "2024-02-29 12:34:56", "2024-13-01", "3000000000", "abc"};
+  for (DataType type : types) {
+    for (const std::string& text : texts) {
+      const std::string what = "'" + text + "' as " + type.ToString();
+      auto path = WriteTemp("cast_rules.csv", "x\n" + text + "\n");
+      csv::Options options;
+      options.schema = fusion::schema({Field("x", type, true)});
+      auto read = csv::ReadFile(path, options);
+      auto cast = compute::Cast(*MakeStringArray({text}), type);
+      ASSERT_EQ(read.ok(), cast.ok()) << what << ": " << read.status().ToString() << " / "
+                                      << cast.status().ToString();
+      if (!cast.ok()) continue;
+      ASSERT_EQ(read->size(), 1u) << what;
+      EXPECT_EQ((*read)[0]->column(0)->ValueToString(0), (*cast)->ValueToString(0)) << what;
+    }
+  }
+}
+
+TEST(CsvTest, ValueInfersATypeExactlyWhenItParsesAsOne) {
+  auto path = WriteTemp("infer_rules.csv",
+                        "a,b,c,d,e\n"
+                        " 12,12abc,1.5x,99999999999999999999,2024-13-01\n"
+                        "13,1,2.5,1,2024-01-01\n");
+  ASSERT_OK_AND_ASSIGN(auto schema, csv::InferSchema(path, {}));
+  EXPECT_EQ(schema->field(0).type(), int64());
+  EXPECT_EQ(schema->field(1).type(), utf8());
+  EXPECT_EQ(schema->field(2).type(), utf8());
+  EXPECT_EQ(schema->field(3).type(), float64());
+  EXPECT_EQ(schema->field(4).type(), utf8());
+  ASSERT_OK_AND_ASSIGN(auto batches, csv::ReadFile(path));
+  EXPECT_EQ(batches[0]->column(0)->ValueToString(0), "12");
+}
+
+TEST(CsvTest, UnreadableColumnTypeFailsToOpen) {
+  auto path = WriteTemp("unreadable.csv", "x\nabc\n");
+  csv::Options options;
+  options.schema = fusion::schema({Field("x", dictionary(), true)});
+  auto reader = csv::CsvReader::Open(path, options);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_TRUE(reader.status().IsTypeError()) << reader.status().ToString();
 }
 
 TEST(JsonTest, InferAndRead) {

@@ -263,6 +263,35 @@ INSTANTIATE_TEST_SUITE_P(Partitions, DictionaryOracleTest,
                            return "P" + std::to_string(info.param);
                          });
 
+TEST(DictionaryEmptyInputTest, WindowAndJoinOverNoRows) {
+  // A schema field typed dictionary: an empty input still yields a
+  // column of that type, so a window or a join over no rows returns none.
+  auto dict = std::make_shared<StringArray>(
+      2, Buffer::CopyOf(std::vector<int32_t>{0, 1, 2}.data(), 12),
+      Buffer::CopyOf("xy", 2), nullptr, 0);
+  auto codes = Buffer::CopyOf(std::vector<int32_t>{0, 1, 0}.data(), 12);
+  auto schema = fusion::schema(
+      {Field("id", int64(), false), Field("tag", dictionary(), false)});
+  auto batch = std::make_shared<RecordBatch>(
+      schema, 3,
+      std::vector<ArrayPtr>{MakeInt64Array({1, 2, 3}),
+                            std::make_shared<DictionaryArray>(3, codes, dict, nullptr, 0)});
+  for (int partitions : {1, 4}) {
+    exec::SessionConfig config;
+    config.target_partitions = partitions;
+    auto ctx = core::SessionContext::Make(config);
+    ASSERT_OK_AND_ASSIGN(auto table, catalog::MemoryTable::Make(schema, {batch}));
+    ASSERT_OK(ctx->RegisterTable("k", table));
+    ASSERT_OK(ctx->RegisterTable("d", table));
+    for (const char* sql :
+         {"SELECT tag, row_number() OVER (ORDER BY id) FROM k WHERE id < 0",
+          "SELECT k.id, d.tag FROM k JOIN d ON k.id = d.id WHERE d.id < 0"}) {
+      ASSERT_OK_AND_ASSIGN(auto batches, ctx->ExecuteSql(sql));
+      EXPECT_EQ(TotalRows(batches), 0) << sql << " at " << partitions << " partitions";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace test
 }  // namespace fusion

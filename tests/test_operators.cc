@@ -1,6 +1,6 @@
 // Physical operator and runtime tests: spilling under memory pressure,
-// Top-K vs full sort, exchange operators, window frames, memory pools,
-// disk manager and cache manager.
+// Top-K vs full sort, exchange operators, memory pools, disk manager and
+// cache manager. Window tests live in test_window.cc.
 
 #include "tests/test_util.h"
 
@@ -398,65 +398,6 @@ TEST(ExchangeTest, SeriallyConsumedRepartitionDoesNotDeadlock) {
   EXPECT_EQ(rows[0][1], "1");  // ids are unique
 }
 
-
-TEST(WindowTest, SortReuseMatchesExplicitSort) {
-  // Table t is declared sorted by id: the window can reuse the input
-  // order (paper Â§6.5). A derived (order-destroying) source forces the
-  // sort path; results must agree.
-  auto ctx = MakeTestSession(200);
-  const char* reuse =
-      "SELECT id, sum(v) OVER (ORDER BY id) AS rs FROM t";
-  const char* resort =
-      "SELECT id, sum(v) OVER (ORDER BY id) AS rs "
-      "FROM (SELECT * FROM t WHERE id >= 0 OR v > 0) u";
-  ASSERT_OK_AND_ASSIGN(auto a, ctx->ExecuteSql(reuse));
-  ASSERT_OK_AND_ASSIGN(auto b, ctx->ExecuteSql(resort));
-  EXPECT_EQ(SortedStringRows(a), SortedStringRows(b));
-}
-
-TEST(WindowTest, RunningAggregatesAndRanks) {
-  auto ctx = MakeTestSession(12);
-  ASSERT_OK_AND_ASSIGN(
-      auto batches,
-      ctx->ExecuteSql(
-          "SELECT id, rank() OVER (PARTITION BY grp ORDER BY v DESC) AS r, "
-          "dense_rank() OVER (PARTITION BY grp ORDER BY v DESC) AS dr, "
-          "avg(v) OVER (PARTITION BY grp) AS gavg "
-          "FROM t ORDER BY id"));
-  EXPECT_EQ(TotalRows(batches), 12);
-}
-
-TEST(WindowTest, ExplicitRowsFrame) {
-  auto ctx = MakeTestSession(6);
-  ASSERT_OK_AND_ASSIGN(
-      auto batches,
-      ctx->ExecuteSql("SELECT id, sum(id) OVER (ORDER BY id ROWS BETWEEN 1 "
-                      "PRECEDING AND 1 FOLLOWING) AS s FROM t ORDER BY id"));
-  auto rows = ToStringRows(batches);
-  // id: 0..5; s[0]=0+1=1, s[1]=0+1+2=3, ..., s[5]=4+5=9
-  EXPECT_EQ(rows[0][1], "1");
-  EXPECT_EQ(rows[1][1], "3");
-  EXPECT_EQ(rows[5][1], "9");
-}
-
-TEST(WindowTest, LagLeadFirstLast) {
-  auto ctx = MakeTestSession(5);
-  ASSERT_OK_AND_ASSIGN(
-      auto batches,
-      ctx->ExecuteSql(
-          "SELECT id, lag(id) OVER (ORDER BY id) AS prev, "
-          "lead(id) OVER (ORDER BY id) AS next, "
-          "first_value(id) OVER (ORDER BY id) AS f, "
-          "last_value(id) OVER (ORDER BY id ROWS BETWEEN UNBOUNDED PRECEDING "
-          "AND UNBOUNDED FOLLOWING) AS l FROM t ORDER BY id"));
-  auto rows = ToStringRows(batches);
-  EXPECT_EQ(rows[0][1], "null");
-  EXPECT_EQ(rows[1][1], "0");
-  EXPECT_EQ(rows[0][2], "1");
-  EXPECT_EQ(rows[4][2], "null");
-  EXPECT_EQ(rows[3][3], "0");
-  EXPECT_EQ(rows[3][4], "4");
-}
 
 TEST(AggregateTest, StddevVarCorrMedian) {
   auto ctx = core::SessionContext::Make();

@@ -144,20 +144,6 @@ TEST(RowFormatTest, MultiColumnOrder) {
   }
 }
 
-TEST(RowFormatTest, SortIndicesMatchesStableSortOracle) {
-  std::mt19937 rng(31);
-  std::vector<ArrayPtr> columns = {RandomArray(int32(), 500, &rng),
-                                   RandomArray(utf8(), 500, &rng)};
-  std::vector<SortOptions> options = {{true, false}, {false, false}};
-  ASSERT_OK_AND_ASSIGN(auto indices, row::SortIndices(columns, options));
-  std::vector<int64_t> oracle(500);
-  for (int64_t i = 0; i < 500; ++i) oracle[i] = i;
-  std::stable_sort(oracle.begin(), oracle.end(), [&](int64_t a, int64_t b) {
-    return row::CompareRows(columns, a, columns, b, options) < 0;
-  });
-  EXPECT_EQ(indices, oracle);
-}
-
 TEST(GroupKeyTest, RoundTripAllTypes) {
   std::mt19937 rng(55);
   std::vector<DataType> types = {int64(), utf8(), float64(), boolean(), date32()};
