@@ -338,9 +338,35 @@ std::string Expr::ToString() const {
           out << " ORDER BY ";
           for (size_t i = 0; i < window_spec->order_by.size(); ++i) {
             if (i > 0) out << ", ";
+            const row::SortOptions& o = window_spec->order_by[i].options;
             out << window_spec->order_by[i].expr->ToString();
-            if (window_spec->order_by[i].options.descending) out << " DESC";
+            if (o.descending) out << " DESC";
+            if (o.nulls_first != o.descending) {
+              out << (o.nulls_first ? " NULLS FIRST" : " NULLS LAST");
+            }
           }
+        }
+        // The text names the expression: calls that differ only in their
+        // frame must not read alike.
+        if (window_spec->has_explicit_frame) {
+          const WindowFrame& f = window_spec->frame;
+          auto bound = [](WindowFrame::BoundKind kind, int64_t offset) -> std::string {
+            switch (kind) {
+              case WindowFrame::BoundKind::kUnboundedPreceding:
+                return "UNBOUNDED PRECEDING";
+              case WindowFrame::BoundKind::kPreceding:
+                return std::to_string(offset) + " PRECEDING";
+              case WindowFrame::BoundKind::kCurrentRow:
+                return "CURRENT ROW";
+              case WindowFrame::BoundKind::kFollowing:
+                return std::to_string(offset) + " FOLLOWING";
+              case WindowFrame::BoundKind::kUnboundedFollowing:
+                return "UNBOUNDED FOLLOWING";
+            }
+            return "";
+          };
+          out << (f.is_rows ? " ROWS" : " RANGE") << " BETWEEN "
+              << bound(f.start, f.start_offset) << " AND " << bound(f.end, f.end_offset);
         }
         out << ")";
       }

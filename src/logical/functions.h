@@ -140,9 +140,6 @@ class FunctionRegistry {
   bool HasAggregate(const std::string& name) const {
     return aggregate_.count(name) != 0;
   }
-  bool HasWindow(const std::string& name) const {
-    return window_.count(name) != 0 || HasAggregate(name);
-  }
 
   std::vector<std::string> ScalarNames() const;
 

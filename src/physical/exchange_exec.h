@@ -136,9 +136,6 @@ class SplitPartitionsExec : public ExecutionPlan {
   int output_partitions() const override { return partitions_; }
   std::vector<ExecPlanPtr> children() const override { return {input_}; }
   Result<exec::StreamPtr> ExecuteImpl(int partition, const ExecContextPtr& ctx) override;
-  std::string ToStringLine() const override {
-    return "SplitPartitionsExec: partitions=" + std::to_string(partitions_);
-  }
 
  private:
   ExecPlanPtr input_;

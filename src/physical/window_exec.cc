@@ -16,7 +16,9 @@ using logical::WindowFrame;
 using logical::WindowPartition;
 
 /// Frame bounds per row, as absolute rows within the row's partition;
-/// a RANGE frame's CURRENT ROW extends to the row's peers.
+/// a RANGE frame's CURRENT ROW extends to the row's peers. Offsets come
+/// from the SQL text, up to INT64_MAX, so FOLLOWING bounds are capped
+/// before they are added.
 void ComputeFrames(const WindowFrame& frame, const std::vector<int64_t>& peer_end,
                    WindowPartition* p) {
   p->frame_start.resize(p->num_rows);
@@ -37,7 +39,7 @@ void ComputeFrames(const WindowFrame& frame, const std::vector<int64_t>& peer_en
         start = frame.is_rows ? i : p->peer_start[i];
         break;
       case WindowFrame::BoundKind::kFollowing:
-        start = frame.is_rows ? std::min(last, i + frame.start_offset) : i;
+        start = frame.is_rows ? i + std::min(frame.start_offset, last - i) : i;
         break;
       case WindowFrame::BoundKind::kUnboundedFollowing:
         start = last;
@@ -54,7 +56,8 @@ void ComputeFrames(const WindowFrame& frame, const std::vector<int64_t>& peer_en
         end = frame.is_rows ? i + 1 : peer_end[i];
         break;
       case WindowFrame::BoundKind::kFollowing:
-        end = frame.is_rows ? std::min(last, i + frame.end_offset + 1) : peer_end[i];
+        end = frame.is_rows ? i + 1 + std::min(frame.end_offset, last - i - 1)
+                            : peer_end[i];
         break;
       case WindowFrame::BoundKind::kUnboundedFollowing:
         end = last;

@@ -220,6 +220,42 @@ TEST(WindowDefectTest, SlidingSumForgetsANaNThatLeftTheFrame) {
                                     {"4", "-1e+20"}}));
 }
 
+TEST(WindowDefectTest, LargestFollowingOffsetReachesThePartitionEnd) {
+  auto ctx = DefectSession({1, 1, 1, 1}, {3, 4, 5, 6}, {0, 0, 0, 0});
+  const std::string sql =
+      "SELECT k, sum(k) OVER (PARTITION BY g ORDER BY k ROWS BETWEEN "
+      "9223372036854775807 FOLLOWING AND 9223372036854775807 FOLLOWING) AS none, "
+      "sum(k) OVER (PARTITION BY g ORDER BY k ROWS BETWEEN CURRENT ROW AND "
+      "9223372036854775807 FOLLOWING) AS rest FROM w ORDER BY k";
+  const std::vector<StringRow> want = {
+      {"3", "null", "18"}, {"4", "null", "15"}, {"5", "null", "11"}, {"6", "null", "6"}};
+  ASSERT_OK_AND_ASSIGN(auto fusion, ctx->ExecuteSql(sql));
+  EXPECT_EQ(ToStringRows(fusion), want);
+  ASSERT_OK_AND_ASSIGN(auto tie, RunTie(ctx, sql));
+  EXPECT_EQ(ToStringRows(tie), want);
+}
+
+TEST(WindowDefectTest, CallsDifferingOnlyInFrameOrNullsStayApart) {
+  auto ctx = DefectSession({1, 1, 1, 1}, {3, 4, 5, 6}, {0, 0, 0, 0});
+  ASSERT_OK_AND_ASSIGN(
+      auto frames,
+      ctx->ExecuteSql("SELECT k, sum(k) OVER (PARTITION BY g ORDER BY k ROWS BETWEEN "
+                      "CURRENT ROW AND CURRENT ROW) AS one, sum(k) OVER (PARTITION BY g "
+                      "ORDER BY k) AS running FROM w ORDER BY k"));
+  EXPECT_EQ(ToStringRows(frames), (std::vector<StringRow>{{"3", "3", "3"},
+                                                          {"4", "4", "7"},
+                                                          {"5", "5", "12"},
+                                                          {"6", "6", "18"}}));
+  auto nulls = SessionWith("n", {Field("x", int64(), true)},
+                           {MakeInt64Array({1, 0, 2}, {true, false, true})});
+  ASSERT_OK_AND_ASSIGN(
+      auto firsts,
+      nulls->ExecuteSql("SELECT first_value(x) OVER (ORDER BY x NULLS FIRST) AS a, "
+                        "first_value(x) OVER (ORDER BY x) AS b FROM n"));
+  EXPECT_EQ(ToStringRows(firsts), (std::vector<StringRow>{
+                                      {"null", "1"}, {"null", "1"}, {"null", "1"}}));
+}
+
 TEST(WindowDefectTest, TieHonoursFramesAndPeers) {
   auto ctx = DefectSession({1, 1, 1, 1}, {3, 4, 5, 6}, {0, 0, 0, 0});
   const std::string sql =
