@@ -101,6 +101,10 @@ struct WindowPartition {
   /// functions that declared uses_frame.
   std::vector<int64_t> frame_start;
   std::vector<int64_t> frame_end;
+  /// When set, charges the bytes the function holds beyond its arguments
+  /// and result (each call gives the new total) to the window operator's
+  /// memory reservation; an error, such as OutOfMemory, ends the call.
+  std::function<Status(int64_t bytes)> reserve;
 };
 
 using WindowFunctionImpl =

@@ -1,6 +1,7 @@
 #include <algorithm>
 
 #include "arrow/builder.h"
+#include "arrow/record_batch.h"
 #include "compute/selection.h"
 #include "logical/functions.h"
 
@@ -61,8 +62,12 @@ WindowFunctionPtr MakeShift(const char* name, int direction) {
   return fn;
 }
 
-/// Rows whose frames one merge round covers: bounds the node lists below.
+/// Rows whose frames one merge round covers, and the partial-state bytes
+/// their frames may span: together they bound the node lists and the
+/// round's output accumulator, which for an aggregate that keeps every
+/// value (median, count_distinct) holds each row's whole frame.
 constexpr int64_t kFrameMergeRows = 4096;
+constexpr int64_t kFrameMergeBytes = int64_t{8} << 20;
 
 /// An aggregate's value over every row's frame, computed with its own
 /// GroupedAccumulator. Frames that are whole partitions take one Update
@@ -71,7 +76,9 @@ constexpr int64_t kFrameMergeRows = 4096;
 /// Processing of Window Functions in Analytical SQL Queries", VLDB 2015):
 /// level 0 has one group per row, each level above merges pairs of nodes
 /// with UpdateFromPartial, and a frame is covered by at most two nodes
-/// per level, merged into its row's group of the output accumulator.
+/// per level, merged into its row's group of an output accumulator that
+/// serves one round of rows. Each level is charged through `p.reserve`
+/// as it is built, and each round's state before its merges.
 Result<ArrayPtr> EvalAggregateFrames(const AggregateFunctionDef& agg,
                                      const WindowPartition& p) {
   std::vector<DataType> types;
@@ -81,6 +88,7 @@ Result<ArrayPtr> EvalAggregateFrames(const AggregateFunctionDef& agg,
     acc->Resize(groups);
     return acc;
   };
+  auto reserve = [&](int64_t bytes) { return p.reserve ? p.reserve(bytes) : Status::OK(); };
   const int64_t n = p.num_rows;
   std::vector<uint32_t> ids(static_cast<size_t>(n));
 
@@ -99,56 +107,83 @@ Result<ArrayPtr> EvalAggregateFrames(const AggregateFunctionDef& agg,
     }
     FUSION_ASSIGN_OR_RAISE(auto acc, make(groups));
     FUSION_RETURN_NOT_OK(acc->Update(p.args, ids, nullptr));
+    FUSION_RETURN_NOT_OK(reserve(acc->SizeBytes()));
     FUSION_ASSIGN_OR_RAISE(auto values, acc->Finish());
     return compute::Take(*values, group_of_row);
   }
 
+  // levels[l] holds the states of nodes covering 2^l rows each.
   std::vector<std::vector<ArrayPtr>> levels;
+  std::vector<int64_t> node_bytes;  ///< a node's mean state bytes, per level
+  int64_t tree_bytes = 0;
+  auto add_level = [&](GroupedAccumulator* acc) -> Status {
+    FUSION_RETURN_NOT_OK(reserve(tree_bytes + 2 * acc->SizeBytes()));
+    FUSION_ASSIGN_OR_RAISE(auto state, acc->PartialState());
+    int64_t bytes = 0;
+    for (const auto& column : state) bytes += TotalBufferSize(*column);
+    tree_bytes += bytes;
+    node_bytes.push_back(bytes / std::max<int64_t>(1, state.front()->length()) + 1);
+    levels.push_back(std::move(state));
+    return Status::OK();
+  };
   for (int64_t i = 0; i < n; ++i) ids[i] = static_cast<uint32_t>(i);
-  FUSION_ASSIGN_OR_RAISE(auto leaves, make(n));
-  FUSION_RETURN_NOT_OK(leaves->Update(p.args, ids, nullptr));
-  FUSION_ASSIGN_OR_RAISE(auto leaf_state, leaves->PartialState());
-  levels.push_back(std::move(leaf_state));
+  {
+    FUSION_ASSIGN_OR_RAISE(auto leaves, make(n));
+    FUSION_RETURN_NOT_OK(leaves->Update(p.args, ids, nullptr));
+    FUSION_RETURN_NOT_OK(add_level(leaves.get()));
+  }
   for (int64_t width = n; width > 1; width = (width + 1) / 2) {
     for (int64_t j = 0; j < width; ++j) ids[j] = static_cast<uint32_t>(j / 2);
     ids.resize(static_cast<size_t>(width));
     FUSION_ASSIGN_OR_RAISE(auto parents, make((width + 1) / 2));
     FUSION_RETURN_NOT_OK(parents->UpdateFromPartial(levels.back(), ids));
-    FUSION_ASSIGN_OR_RAISE(auto state, parents->PartialState());
-    levels.push_back(std::move(state));
+    FUSION_RETURN_NOT_OK(add_level(parents.get()));
   }
 
-  FUSION_ASSIGN_OR_RAISE(auto out, make(n));
+  std::vector<ArrayPtr> pieces;
   std::vector<std::vector<int64_t>> nodes(levels.size());
   std::vector<std::vector<uint32_t>> rows(levels.size());
-  for (int64_t begin = 0; begin < n; begin += kFrameMergeRows) {
-    for (int64_t i = begin; i < std::min(n, begin + kFrameMergeRows); ++i) {
-      int64_t lo = p.frame_start[i];
-      int64_t hi = p.frame_end[i];
+  for (int64_t begin = 0, end = 0; begin < n; begin = end) {
+    // A round takes rows until it has kFrameMergeRows of them or their
+    // frames' states reach kFrameMergeBytes.
+    for (int64_t bytes = 0;
+         end < n && end - begin < kFrameMergeRows && bytes < kFrameMergeBytes; ++end) {
+      const auto row = static_cast<uint32_t>(end - begin);
+      int64_t lo = p.frame_start[end];
+      int64_t hi = p.frame_end[end];
       for (size_t level = 0; lo < hi; ++level, lo /= 2, hi /= 2) {
         if (lo % 2 == 1) {
           nodes[level].push_back(lo++);
-          rows[level].push_back(static_cast<uint32_t>(i));
+          rows[level].push_back(row);
+          bytes += node_bytes[level];
         }
         if (hi % 2 == 1) {
           nodes[level].push_back(--hi);
-          rows[level].push_back(static_cast<uint32_t>(i));
+          rows[level].push_back(row);
+          bytes += node_bytes[level];
         }
       }
     }
+    FUSION_ASSIGN_OR_RAISE(auto out, make(end - begin));
     for (size_t level = 0; level < levels.size(); ++level) {
       if (nodes[level].empty()) continue;
+      // The taken states, and as much again in the output they merge into.
+      const int64_t taken = node_bytes[level] * static_cast<int64_t>(nodes[level].size());
+      FUSION_RETURN_NOT_OK(reserve(tree_bytes + out->SizeBytes() + 2 * taken));
       std::vector<ArrayPtr> state;
       for (const auto& column : levels[level]) {
-        FUSION_ASSIGN_OR_RAISE(auto taken, compute::Take(*column, nodes[level]));
-        state.push_back(std::move(taken));
+        FUSION_ASSIGN_OR_RAISE(auto picked, compute::Take(*column, nodes[level]));
+        state.push_back(std::move(picked));
       }
       FUSION_RETURN_NOT_OK(out->UpdateFromPartial(state, rows[level]));
       nodes[level].clear();
       rows[level].clear();
     }
+    FUSION_ASSIGN_OR_RAISE(auto piece, out->Finish());
+    pieces.push_back(std::move(piece));
   }
-  return out->Finish();
+  if (pieces.size() == 1) return pieces.front();
+  return Concatenate(pieces);
 }
 
 }  // namespace

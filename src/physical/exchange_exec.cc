@@ -296,26 +296,5 @@ Result<exec::StreamPtr> CoalescePartitionsExec::ExecuteImpl(int partition,
   return std::move(ExecuteInProducers(input_, ctx, 1, *metrics_)[0]);
 }
 
-Result<exec::StreamPtr> SplitPartitionsExec::ExecuteImpl(int partition,
-                                                     const ExecContextPtr& ctx) {
-  if (partition < 0 || partition >= partitions_) {
-    return Status::ExecutionError("SplitPartitionsExec: no partition " +
-                                  std::to_string(partition));
-  }
-  std::shared_ptr<exec::RecordBatchStream> queue;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (opened_ % partitions_ == 0) {
-      queue_ = std::move(ExecuteInProducers(input_, ctx, 1, *metrics_)[0]);
-    }
-    queue = queue_;
-    // The last partition to open leaves the queue to the streams alone,
-    // so it closes once all of them are gone.
-    if (++opened_ % partitions_ == 0) queue_.reset();
-  }
-  return exec::StreamPtr(std::make_unique<exec::GeneratorStream>(
-      input_->schema(), [queue]() { return queue->Next(); }));
-}
-
 }  // namespace physical
 }  // namespace fusion

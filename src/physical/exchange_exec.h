@@ -122,30 +122,6 @@ class CoalescePartitionsExec : public ExecutionPlan {
   ExecPlanPtr input_;
 };
 
-/// \brief 1 -> N exchange: one producer task drains the input into one
-/// bounded queue and all N output partitions pop from it, so the
-/// operators above run on N threads (the sort of a window over another
-/// window's single-partition output).
-class SplitPartitionsExec : public ExecutionPlan {
- public:
-  SplitPartitionsExec(ExecPlanPtr input, int partitions)
-      : input_(std::move(input)), partitions_(partitions) {}
-
-  std::string name() const override { return "SplitPartitionsExec"; }
-  SchemaPtr schema() const override { return input_->schema(); }
-  int output_partitions() const override { return partitions_; }
-  std::vector<ExecPlanPtr> children() const override { return {input_}; }
-  Result<exec::StreamPtr> ExecuteImpl(int partition, const ExecContextPtr& ctx) override;
-
- private:
-  ExecPlanPtr input_;
-  const int partitions_;
-  std::mutex mu_;
-  /// The shared queue stream until every partition has opened it.
-  std::shared_ptr<exec::RecordBatchStream> queue_;
-  int opened_ = 0;
-};
-
 }  // namespace physical
 }  // namespace fusion
 

@@ -578,28 +578,32 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanWindow(const PlanPtr& plan) {
   FUSION_ASSIGN_OR_RAISE(auto input, Plan(plan->child(0)));
   const PlanSchema& in_schema = plan->child(0)->schema();
   // Expressions sharing (PARTITION BY, ORDER BY) share one sort and one
-  // WindowExec; each WindowExec appends its group's columns.
-  auto same_expr = [](const PhysicalExprPtr& a, const PhysicalExprPtr& b) {
-    return a->ToString() == b->ToString();
+  // WindowExec; each WindowExec appends its group's columns. Keys compare
+  // by their logical text, which prints every argument (a physical
+  // expression's text abbreviates function calls, CASE and IN lists).
+  using SpecKey = std::pair<std::vector<std::string>, std::vector<row::SortOptions>>;
+  auto spec_key = [](const logical::ExprPtr& expr) {
+    SpecKey key;
+    const auto& spec = logical::Unalias(expr)->window_spec;
+    if (spec == nullptr) return key;
+    key.first.push_back(std::to_string(spec->partition_by.size()));
+    for (const auto& p : spec->partition_by) key.first.push_back(p->ToString());
+    for (const auto& o : spec->order_by) {
+      key.first.push_back(o.expr->ToString());
+      key.second.push_back(o.options);
+    }
+    return key;
   };
-  auto same_sort = [&](const PhysicalSortExpr& a, const PhysicalSortExpr& b) {
-    return a.options == b.options && same_expr(a.expr, b.expr);
-  };
+  std::vector<SpecKey> keys_of_group;
   std::vector<std::vector<WindowExprInfo>> groups;
   std::vector<std::vector<size_t>> members;
   for (size_t i = 0; i < plan->exprs.size(); ++i) {
     FUSION_ASSIGN_OR_RAISE(auto info, MakeWindowExprInfo(plan->exprs[i], in_schema));
-    size_t g = 0;
-    for (; g < groups.size(); ++g) {
-      const WindowExprInfo& head = groups[g].front();
-      if (std::equal(head.partition_by.begin(), head.partition_by.end(),
-                     info.partition_by.begin(), info.partition_by.end(), same_expr) &&
-          std::equal(head.order_by.begin(), head.order_by.end(), info.order_by.begin(),
-                     info.order_by.end(), same_sort)) {
-        break;
-      }
-    }
+    SpecKey key = spec_key(plan->exprs[i]);
+    const size_t g = static_cast<size_t>(
+        std::find(keys_of_group.begin(), keys_of_group.end(), key) - keys_of_group.begin());
     if (g == groups.size()) {
+      keys_of_group.push_back(std::move(key));
       groups.emplace_back();
       members.emplace_back();
     }
@@ -607,7 +611,6 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanWindow(const PlanPtr& plan) {
     members[g].push_back(i);
   }
   const int num_inputs = in_schema.num_fields();
-  const int target_partitions = ctx_->config.target_partitions;
   std::vector<Field> fields = input->schema()->fields();
   std::vector<int> column_of_expr(plan->exprs.size());
   for (size_t g = 0; g < groups.size(); ++g) {
@@ -615,14 +618,7 @@ Result<ExecPlanPtr> PhysicalPlanner::PlanWindow(const PlanPtr& plan) {
       column_of_expr[i] = static_cast<int>(fields.size());
       fields.push_back(plan->schema().schema()->field(num_inputs + static_cast<int>(i)));
     }
-    std::vector<PhysicalSortExpr> keys = groups[g].front().SortKeys();
-    // One input partition (a window's output, among others) would sort
-    // on one thread: split it so the sort runs per partition.
-    if (input->output_partitions() == 1 && target_partitions > 1 && !keys.empty() &&
-        !OrderingSatisfies(input->output_ordering(), keys)) {
-      input = std::make_shared<SplitPartitionsExec>(std::move(input), target_partitions);
-    }
-    ExecPlanPtr sorted = SortToOne(std::move(input), std::move(keys), -1);
+    ExecPlanPtr sorted = SortToOne(std::move(input), groups[g].front().SortKeys(), -1);
     input = std::make_shared<WindowExec>(std::move(sorted), std::move(groups[g]),
                                          std::make_shared<Schema>(fields));
   }

@@ -144,7 +144,13 @@ class WindowStream : public exec::RecordBatchStream {
     if (pending_.empty()) return Status::OK();
     FUSION_ASSIGN_OR_RAISE(auto rows, ConcatenateBatches(input_schema_, pending_));
     pending_.clear();
-    FUSION_ASSIGN_OR_RAISE(auto windows, EvaluateWindows(exprs_, *rows));
+    // The window functions' working state is charged on top of the rows.
+    const int64_t rows_bytes = reservation_.held();
+    FUSION_ASSIGN_OR_RAISE(
+        auto windows, EvaluateWindows(exprs_, *rows, [this, rows_bytes](int64_t bytes) {
+          return Charge(rows_bytes + bytes);
+        }));
+    FUSION_RETURN_NOT_OK(Charge(rows_bytes));
     std::vector<ArrayPtr> columns = rows->columns();
     for (auto& w : windows) columns.push_back(std::move(w));
     auto out = std::make_shared<RecordBatch>(schema_, rows->num_rows(), std::move(columns));
@@ -205,7 +211,8 @@ Result<WindowExprInfo> MakeWindowExprInfo(const logical::ExprPtr& expr,
 }
 
 Result<std::vector<ArrayPtr>> EvaluateWindows(const std::vector<WindowExprInfo>& exprs,
-                                              const RecordBatch& rows) {
+                                              const RecordBatch& rows,
+                                              std::function<Status(int64_t bytes)> reserve) {
   const int64_t n = rows.num_rows();
   FUSION_ASSIGN_OR_RAISE(auto partition_keys,
                          EvaluateToArrays(exprs.front().partition_by, rows));
@@ -215,6 +222,7 @@ Result<std::vector<ArrayPtr>> EvaluateWindows(const std::vector<WindowExprInfo>&
 
   WindowPartition p;
   p.num_rows = n;
+  p.reserve = std::move(reserve);
   p.partition_start.resize(n);
   p.partition_end.resize(n);
   p.peer_start.resize(n);

@@ -30,10 +30,12 @@ Result<WindowExprInfo> MakeWindowExprInfo(const logical::ExprPtr& expr,
 
 /// Evaluate `exprs`, which share one PARTITION BY and ORDER BY, over
 /// `rows`: sorted by those keys and holding whole window partitions
-/// only. Returns one column per expression, row for row. WindowExec and
-/// the TIE baseline both evaluate windows here.
-Result<std::vector<ArrayPtr>> EvaluateWindows(const std::vector<WindowExprInfo>& exprs,
-                                              const RecordBatch& rows);
+/// only. Returns one column per expression, row for row. `reserve`, when
+/// set, is handed to the window functions (WindowPartition::reserve).
+/// WindowExec and the TIE baseline both evaluate windows here.
+Result<std::vector<ArrayPtr>> EvaluateWindows(
+    const std::vector<WindowExprInfo>& exprs, const RecordBatch& rows,
+    std::function<Status(int64_t bytes)> reserve = nullptr);
 
 /// \brief SQL window functions (paper §6.5) over input sorted by the
 /// expressions' shared (PARTITION BY, ORDER BY) keys. Holds the rows of

@@ -11,7 +11,6 @@
 
 #include "baseline/tie_engine.h"
 #include "exec/memory_pool.h"
-#include "exec/scheduler.h"
 
 namespace fusion {
 namespace test {
@@ -256,6 +255,38 @@ TEST(WindowDefectTest, CallsDifferingOnlyInFrameOrNullsStayApart) {
                                       {"null", "1"}, {"null", "1"}, {"null", "1"}}));
 }
 
+TEST(WindowDefectTest, KeysDifferingOnlyInArgumentsSortApart) {
+  // A function call, a CASE and an IN list print their arguments only in
+  // the logical text; each window must still sort by its own key.
+  auto ctx = SessionWith(
+      "w", {Field("a", int64(), false), Field("b", int64(), false), Field("v", int64(), false)},
+      {MakeInt64Array({1, 1, 2, 2}), MakeInt64Array({1, 2, 1, 2}),
+       MakeInt64Array({10, 20, 30, 40})});
+  const std::vector<std::pair<std::string, std::string>> keys = {
+      {"PARTITION BY abs(a)", "PARTITION BY abs(b)"},
+      {"PARTITION BY CASE WHEN a = 1 THEN 0 ELSE 1 END",
+       "PARTITION BY CASE WHEN b = 1 THEN 0 ELSE 1 END"},
+      {"PARTITION BY a IN (1, 3)", "PARTITION BY b IN (1, 3)"},
+      {"ORDER BY abs(a) DESC, v ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW",
+       "ORDER BY abs(b) DESC, v ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW"}};
+  const std::vector<std::vector<StringRow>> want = {
+      {{"10", "30", "40"}, {"20", "30", "60"}, {"30", "70", "40"}, {"40", "70", "60"}},
+      {{"10", "30", "40"}, {"20", "30", "60"}, {"30", "70", "40"}, {"40", "70", "60"}},
+      {{"10", "30", "40"}, {"20", "30", "60"}, {"30", "70", "40"}, {"40", "70", "60"}},
+      {{"10", "80", "70"}, {"20", "100", "20"}, {"30", "30", "100"}, {"40", "70", "60"}}};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const std::string sql = "SELECT v, sum(v) OVER (" + keys[i].first + ") AS x, sum(v) OVER (" +
+                            keys[i].second + ") AS y FROM w ORDER BY v";
+    for (int partitions : {1, 4}) {
+      ctx->config().target_partitions = partitions;
+      ASSERT_OK_AND_ASSIGN(auto fusion, ctx->ExecuteSql(sql));
+      EXPECT_EQ(ToStringRows(fusion), want[i]) << sql << " at " << partitions;
+    }
+    ASSERT_OK_AND_ASSIGN(auto tie, RunTie(ctx, sql));
+    EXPECT_EQ(ToStringRows(tie), want[i]) << sql << " in TIE";
+  }
+}
+
 TEST(WindowDefectTest, TieHonoursFramesAndPeers) {
   auto ctx = DefectSession({1, 1, 1, 1}, {3, 4, 5, 6}, {0, 0, 0, 0});
   const std::string sql =
@@ -451,20 +482,30 @@ TEST(WindowPlanTest, EachSpecificationSortsBelowItsOwnWindowExec) {
   ASSERT_OK_AND_ASSIGN(auto logical, ctx->CreateLogicalPlan(sql));
   ASSERT_OK_AND_ASSIGN(auto optimized, ctx->OptimizePlan(logical));
   ASSERT_OK_AND_ASSIGN(auto plan, ctx->CreatePhysicalPlan(optimized));
+  // Each WindowExec reads the sort PlanSort builds for its input: a
+  // SortExec per scan partition and a merge under the first, one SortExec
+  // over the first window's single partition under the second.
   int windows = 0;
+  int merged = 0;
   std::function<void(const physical::ExecPlanPtr&)> visit =
       [&](const physical::ExecPlanPtr& node) {
         if (node->name() == "WindowExec") {
           ++windows;
-          const physical::ExecPlanPtr merge = node->children()[0];
-          EXPECT_EQ(merge->name(), "SortPreservingMergeExec") << plan->ToString();
-          EXPECT_EQ(merge->children()[0]->name(), "SortExec") << plan->ToString();
-          EXPECT_EQ(merge->children()[0]->output_partitions(), 4) << plan->ToString();
+          const physical::ExecPlanPtr below = node->children()[0];
+          if (below->name() == "SortPreservingMergeExec") {
+            ++merged;
+            EXPECT_EQ(below->children()[0]->name(), "SortExec") << plan->ToString();
+            EXPECT_EQ(below->children()[0]->output_partitions(), 4) << plan->ToString();
+          } else {
+            EXPECT_EQ(below->name(), "SortExec") << plan->ToString();
+            EXPECT_EQ(below->children()[0]->name(), "WindowExec") << plan->ToString();
+          }
         }
         for (const auto& child : node->children()) visit(child);
       };
   visit(plan);
   EXPECT_EQ(windows, 2) << plan->ToString();
+  EXPECT_EQ(merged, 1) << plan->ToString();
 
   // Columns come out in select order, each as its window alone gives it.
   ASSERT_OK_AND_ASSIGN(auto all, ctx->ExecuteSql(sql + " ORDER BY id"));
@@ -482,24 +523,6 @@ TEST(WindowPlanTest, EachSpecificationSortsBelowItsOwnWindowExec) {
       ASSERT_EQ(rows[r][c + 1], one_rows[r][1]) << alone[c] << " row " << r;
     }
   }
-}
-
-TEST(WindowPlanTest, SplitSortFinishesOnOneWorker) {
-  // The second specification's sort reads a split of the first window's
-  // output, in small batches through a bounded queue; one worker and the
-  // collecting thread must run it to the end.
-  exec::SessionConfig config;
-  config.target_partitions = 4;
-  config.batch_size = 64;
-  auto env = std::make_shared<exec::RuntimeEnv>();
-  env->query_scheduler = std::make_shared<exec::QueryScheduler>(1);
-  const std::string sql =
-      "SELECT id, sum(v) OVER (PARTITION BY grp ORDER BY id) AS s, "
-      "rank() OVER (ORDER BY v) AS r FROM t";
-  ASSERT_OK_AND_ASSIGN(auto one_worker, MakeTestSession(3000, config, env)->ExecuteSql(sql));
-  ASSERT_OK_AND_ASSIGN(auto pooled, MakeTestSession(3000, config)->ExecuteSql(sql));
-  EXPECT_EQ(TotalRows(one_worker), 3000);
-  EXPECT_EQ(SortedStringRows(one_worker), SortedStringRows(pooled));
 }
 
 TEST(WindowPlanTest, DeclaredOrderPlansNoSort) {
@@ -574,6 +597,38 @@ TEST(WindowMemoryTest, SpillingSortFeedsAWindowThatFitsThePool) {
         return total;
       };
   EXPECT_GT(spills(limited.metrics), 0);
+}
+
+TEST(WindowMemoryTest, FrameStateLargerThanThePoolFailsWithNothingLeftCharged) {
+  // median keeps every value of a frame: over a running frame the merged
+  // states of 4,000 rows hold 8 million values, far past a 1 MB pool
+  // that the rows themselves (64 KB) fit.
+  auto env = std::make_shared<exec::RuntimeEnv>();
+  auto pool = std::make_shared<exec::GreedyMemoryPool>(1024 * 1024);
+  env->memory_pool = pool;
+  auto result = MemorySession(4000, 4000, env)
+                    ->ExecuteSql("SELECT g, id, median(id) OVER (PARTITION BY g ORDER BY id) "
+                                 "AS m FROM w");
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsOutOfMemory()) << result.status().ToString();
+  EXPECT_EQ(pool->bytes_allocated(), 0);
+}
+
+TEST(WindowMemoryTest, LargeFrameStatesMergeInSeveralRounds) {
+  // A running median over 3,000 rows merges 4.5 million values, more than
+  // one round takes; the median of ids 0..i is i / 2.
+  ASSERT_OK_AND_ASSIGN(
+      auto batches,
+      MemorySession(3000, 3000, std::make_shared<exec::RuntimeEnv>())
+          ->ExecuteSql("SELECT id, median(id) OVER (ORDER BY id) AS m FROM w ORDER BY id"));
+  ASSERT_EQ(TotalRows(batches), 3000);
+  int64_t row = 0;
+  for (const auto& batch : batches) {
+    const auto& m = checked_cast<Float64Array>(*batch->column(1));
+    for (int64_t i = 0; i < batch->num_rows(); ++i, ++row) {
+      ASSERT_EQ(m.Value(i), static_cast<double>(row) / 2) << "id " << row;
+    }
+  }
 }
 
 }  // namespace
